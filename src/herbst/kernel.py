@@ -26,7 +26,7 @@ from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
 from . import specfun
-from .specfun import DEFAULT_TOL, Tolerance, bessel_k
+from .specfun import DEFAULT_TOL, Tolerance, k0, k1
 
 H3_ROOT_REFERENCE = 0.7451315  # root of int_z^inf K0 = z K0(z)
 
@@ -92,7 +92,7 @@ def f_profile(r: float, p: PhysParams, tol: Tolerance = DEFAULT_TOL) -> float:
         raise ValueError("f_profile requires r > 0")
     x = p.m * r
     nu = p.nu
-    val = float(bessel_k(1, x))
+    val = k1(x)
     if nu == 0.0:
         # sinh(0) kills the tail term
         return val + specfun.k0_weighted_integral("incomplete_plain", x, beta=0, tol=tol)
@@ -148,9 +148,9 @@ _b_spline_cache: dict[int, tuple[CubicSpline, CubicSpline, CubicSpline]] = {}
 def _b_splines() -> tuple[CubicSpline, CubicSpline, CubicSpline]:
     if 0 not in _b_spline_cache:
         x = _graded_grid(_B_SPLINE_XMAX, 1200)
-        c0 = CubicSpline(x, _cumulative(lambda z: np.asarray(bessel_k(0, z)), x))
-        c1 = CubicSpline(x, _cumulative(lambda z: z * np.asarray(bessel_k(0, z)), x))
-        c2 = CubicSpline(x, _cumulative(lambda z: z * z * np.asarray(bessel_k(0, z)), x))
+        c0 = CubicSpline(x, _cumulative(k0, x))
+        c1 = CubicSpline(x, _cumulative(lambda z: z * k0(z), x))
+        c2 = CubicSpline(x, _cumulative(lambda z: z * z * k0(z), x))
         _b_spline_cache[0] = (c0, c1, c2)
     return _b_spline_cache[0]
 
@@ -225,7 +225,7 @@ def h3_root(tol: Tolerance = DEFAULT_TOL) -> float:
     def residual(z: float) -> float:
         lhs = math.pi / 2.0 - specfun.k0_weighted_integral(
             "incomplete_plain", z, beta=0, tol=tol)
-        return lhs - z * float(bessel_k(0, z))
+        return lhs - z * k0(z)
 
     return brentq(residual, 0.1, 3.0, xtol=1e-12)
 
@@ -279,18 +279,18 @@ class GreenKernelTable:
         p = self.params
         nu = p.nu
         x = _graded_grid(p.m * self.s_max * 1.0000001, self.n_intervals)
-        c0 = _cumulative(lambda z: np.asarray(bessel_k(0, z)), x)
+        c0 = _cumulative(k0, x)
         self._c0 = CubicSpline(x, c0)
         if nu == 0.0:
-            c0z = _cumulative(lambda z: z * np.asarray(bessel_k(0, z)), x)
+            c0z = _cumulative(lambda z: z * k0(z), x)
             w = x * c0 - c0z  # int_0^x (x - z) K0(z) dz
         else:
             cosh_c = _cumulative(
-                lambda z: np.cosh(nu * z) * np.asarray(bessel_k(0, z)), x)
+                lambda z: np.cosh(nu * z) * k0(z), x)
             coshexp_c = _cumulative(
-                lambda z: np.exp(-nu * z) * np.cosh(nu * z) * np.asarray(bessel_k(0, z)), x)
+                lambda z: np.exp(-nu * z) * np.cosh(nu * z) * k0(z), x)
             exp_c = _cumulative(
-                lambda z: np.exp(-nu * z) * np.asarray(bessel_k(0, z)), x)
+                lambda z: np.exp(-nu * z) * k0(z), x)
             s_full = _exp_tail_full(nu)
             # Fubini-swapped primitives of e^(-nu x) C(x) and sinh(nu x) S(x)
             a_c = (coshexp_c - np.exp(-nu * x) * cosh_c) / nu
@@ -310,8 +310,7 @@ class GreenKernelTable:
         m = self.params.m
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
-        k0_part = (np.asarray(bessel_k(0, m * a)) - np.asarray(bessel_k(0, m * b))) \
-            / (2.0 * math.pi**2)
+        k0_part = (k0(m * a) - k0(m * b)) / (2.0 * math.pi**2)
         return self._smooth(m * b) - self._smooth(m * a) + k0_part
 
     def cumulative_smooth(self, b):
@@ -341,9 +340,9 @@ class BKernelTable:
     def __post_init__(self) -> None:
         m = self.m
         x = _graded_grid(m * self.s_max * 1.0000001, self.n_intervals)
-        c0 = CubicSpline(x, _cumulative(lambda z: np.asarray(bessel_k(0, z)), x))
-        c1 = CubicSpline(x, _cumulative(lambda z: z * np.asarray(bessel_k(0, z)), x))
-        c2 = CubicSpline(x, _cumulative(lambda z: z * z * np.asarray(bessel_k(0, z)), x))
+        c0 = CubicSpline(x, _cumulative(k0, x))
+        c1 = CubicSpline(x, _cumulative(lambda z: z * k0(z), x))
+        c2 = CubicSpline(x, _cumulative(lambda z: z * z * k0(z), x))
 
         def t_b(t):
             # t * b_profile(t); bounded at t -> 0 (limit -1/(2 m^2))

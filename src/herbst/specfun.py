@@ -1,10 +1,12 @@
 """Modified Bessel functions K0/K1, their weighted integrals, and the 3F2.
 
 Everything here is evaluated in m = 1 internal units; callers rescale their
-arguments.  The Bessel functions are computed from scratch (ascending series
-below the switch point, a generalized Gauss-Laguerre representation above it)
-so they can be validated against an independent integral-representation
-oracle in the test suite.
+arguments.  The library evaluates K0/K1 through ``k0``/``k1``, thin checked
+wrappers over the compiled ``scipy.special`` ufuncs.  ``bessel_k`` computes
+them from scratch (ascending series below the switch point, a generalized
+Gauss-Laguerre representation above it); it is the oracle the wrappers are
+tested against, and is itself validated against independent
+integral-representation oracles in the test suite.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 
 import mpmath
 import numpy as np
+from scipy import special as _sc
 from scipy.integrate import quad
 from scipy.special import roots_genlaguerre
 
@@ -126,12 +129,26 @@ def bessel_k(order: int, x):
     return out if arr.ndim else float(out)
 
 
+def _compiled_k(ufunc, x):
+    arr = np.asarray(x, dtype=float)
+    if np.any(arr <= 0.0):
+        raise ValueError("K0/K1 require x > 0")
+    out = ufunc(arr)
+    return out if arr.ndim else float(out)
+
+
 def k0(x):
-    return bessel_k(0, x)
+    """K0 of a positive scalar or ndarray via scipy.special.k0.
+
+    Same contract as bessel_k(0, x): raises ValueError for any x <= 0 and
+    returns a float for a scalar argument.
+    """
+    return _compiled_k(_sc.k0, x)
 
 
 def k1(x):
-    return bessel_k(1, x)
+    """K1 of a positive scalar or ndarray via scipy.special.k1 (see k0)."""
+    return _compiled_k(_sc.k1, x)
 
 
 def k0_moment_full(beta: int) -> float:
@@ -144,12 +161,16 @@ def k0_moment_full(beta: int) -> float:
 _KINDS = ("incomplete_plain", "incomplete_cosh", "tail_exp", "tail_k1_over_z", "tail_zk0")
 
 
-def _quad(f, a, b, tol: Tolerance, points=None) -> float:
+def _quad(f, a, b, tol: Tolerance) -> float:
     val, err = quad(
         f, a, b,
-        epsabs=tol.abs_tol, epsrel=tol.rel_tol,
-        limit=tol.max_subdivisions, points=points,
+        epsabs=tol.abs_tol, epsrel=tol.rel_tol, limit=tol.max_subdivisions,
     )
+    bound = 50.0 * max(tol.abs_tol, tol.rel_tol * abs(val))
+    if err > bound:
+        raise EvaluationFailure(
+            f"integral over ({a}, {b}) did not converge: estimate {val}, "
+            f"error estimate {err} > bound {bound}")
     return val
 
 
@@ -168,7 +189,10 @@ def k0_weighted_integral(
       tail_exp           int_x^inf exp(-nu z) K0(z) dz
       tail_k1_over_z     int_x^inf K1(z)/z dz
       tail_zk0           int_x^inf z K0(z) dz
-    with nu = mu_over_m.
+    with nu = mu_over_m.  The integrands call the compiled K0/K1 directly:
+    x >= 0 is checked here and QUADPACK samples only interior nodes.
+    Raises EvaluationFailure when the quadrature's error estimate exceeds
+    50 times the requested tolerance.
     """
     if kind not in _KINDS:
         raise ValueError(f"unknown kind {kind!r}")
@@ -183,19 +207,19 @@ def k0_weighted_integral(
             raise ValueError("beta must be one of {0, 1, 2}")
         if x == 0.0:
             return 0.0
-        return _quad(lambda z: z**beta * float(bessel_k(0, z)), 0.0, x, tol)
+        return _quad(lambda z: z**beta * _sc.k0(z), 0.0, x, tol)
     if kind == "incomplete_cosh":
         if x == 0.0:
             return 0.0
-        return _quad(lambda z: math.cosh(nu * z) * float(bessel_k(0, z)), 0.0, x, tol)
+        return _quad(lambda z: math.cosh(nu * z) * _sc.k0(z), 0.0, x, tol)
     if kind == "tail_exp":
-        return _quad(lambda z: math.exp(-nu * z) * float(bessel_k(0, z)), x, np.inf, tol)
+        return _quad(lambda z: math.exp(-nu * z) * _sc.k0(z), x, np.inf, tol)
     if kind == "tail_k1_over_z":
         if x == 0.0:
             raise ValueError("tail_k1_over_z diverges at x = 0 (integrand ~ 1/z^2)")
-        return _quad(lambda z: float(bessel_k(1, z)) / z, x, np.inf, tol)
+        return _quad(lambda z: _sc.k1(z) / z, x, np.inf, tol)
     # tail_zk0
-    return _quad(lambda z: z * float(bessel_k(0, z)), x, np.inf, tol)
+    return _quad(lambda z: z * _sc.k0(z), x, np.inf, tol)
 
 
 def f1_moment(mu: float) -> float:

@@ -23,9 +23,10 @@ from numpy.polynomial.legendre import leggauss
 from scipy.interpolate import PchipInterpolator
 
 from .kernel import GreenKernelTable, PhysParams
-from .specfun import bessel_k
+from .specfun import k0
 
-POTENTIAL_FAMILIES = ("bump", "truncated_gaussian", "square_well_smoothed", "tabulated")
+POTENTIAL_FAMILIES = ("bump", "truncated_gaussian", "square_well_smoothed",
+                      "two_well", "tabulated")
 
 
 class EigensolverError(RuntimeError):
@@ -126,7 +127,7 @@ def two_well_potential(depth1: float, depth2: float, radius: float = 1.0,
         r = np.asarray(r, dtype=float)
         return -(depth1 * _mollifier((r - c1 * radius) / (h1 * radius))
                  + depth2 * _mollifier((r - c2 * radius) / (h2 * radius)))
-    return RadialPotential(prof, radius, "tabulated")
+    return RadialPotential(prof, radius, "two_well")
 
 
 def tabulated_potential(source) -> RadialPotential:
@@ -236,7 +237,7 @@ def s_wave_reduce(potential: RadialPotential, p: PhysParams, grid: QuadGrid,
     c0 = table.k0_cumulative
     k0_dd = np.zeros_like(dd)
     off = dd > 0.0
-    k0_dd[off] = np.asarray(bessel_k(0, m * dd[off]))
+    k0_dd[off] = k0(m * dd[off])
     h_i = np.broadcast_to(0.5 * w[:, None], dd.shape)
     h_j = np.broadcast_to(0.5 * w[None, :], dd.shape)
     near = dd <= 3.0 * np.maximum(w[:, None], w[None, :])
@@ -245,7 +246,7 @@ def s_wave_reduce(potential: RadialPotential, p: PhysParams, grid: QuadGrid,
         avg_j = _cell_averaged_k0(d_n, m * h_j[near], c0)
         avg_i = _cell_averaged_k0(d_n, m * h_i[near], c0)
         k0_dd[near] = 0.5 * (avg_i + avg_j)
-    kappa += (1.0 / math.pi) * (k0_dd - np.asarray(bessel_k(0, m * rr)))
+    kappa += (1.0 / math.pi) * (k0_dd - k0(m * rr))
 
     root_v = np.sqrt(-potential(r))
     sw = np.sqrt(w)
@@ -268,13 +269,20 @@ class SpectralResult:
     grid: QuadGrid
     potential: RadialPotential
     params: PhysParams
+    # full decomposition, eigenvalues descending; column ``index`` is
+    # ``vector``.  None for a trial state that is not an eigenpair (index -1)
+    eigvals: np.ndarray | None
+    eigvecs: np.ndarray | None
 
 
-def leading_eigenpair(mat: BsMatrix, index: int = 0) -> SpectralResult:
+def leading_eigenpair(mat: BsMatrix, index: int = 0,
+                      sign_reference: np.ndarray | None = None) -> SpectralResult:
     """Largest (or index-th from the top) eigenvalue and eigenfunction.
 
     The eigenfunction is returned as physical samples phi(r_i), normalized
-    so that 4 pi sum_i w_i r_i^2 phi_i^2 = 1.
+    so that 4 pi sum_i w_i r_i^2 phi_i^2 = 1.  Its sign makes the overlap
+    with ``sign_reference`` positive when that is given and nonzero, and
+    the largest-magnitude component positive otherwise.
     """
     a = mat.entries
     n = a.shape[0]
@@ -285,9 +293,11 @@ def leading_eigenpair(mat: BsMatrix, index: int = 0) -> SpectralResult:
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise EigensolverError("symmetric eigensolver failed") from exc
     order = np.argsort(vals)[::-1]
-    mu = float(vals[order[index]])
-    v = vecs[:, order[index]]
-    others = np.delete(vals[order], index)
+    vals = vals[order]
+    vecs = vecs[:, order]
+    mu = float(vals[index])
+    v = vecs[:, index]
+    others = np.delete(vals, index)
     gap = float(np.min(np.abs(others - mu))) if len(others) else np.inf
     scale = max(np.max(np.abs(vals)), 1e-300)
     if gap < 1e-12 * scale and scale > 1e-200:
@@ -295,16 +305,19 @@ def leading_eigenpair(mat: BsMatrix, index: int = 0) -> SpectralResult:
             f"eigenvalue {mu} is degenerate within {gap}; "
             "the threshold expansion assumes a simple eigenvalue")
     residual = float(np.linalg.norm(a @ v - mu * v))
-    # fix an overall sign: make the largest-magnitude component positive
-    if v[np.argmax(np.abs(v))] < 0.0:
+    ref = 0.0 if sign_reference is None else float(v @ sign_reference)
+    flip = ref < 0.0 if ref != 0.0 else v[np.argmax(np.abs(v))] < 0.0
+    if flip:
         v = -v
+        vecs[:, index] = v
     r = mat.grid.nodes
     w = mat.grid.weights
     phi = v / (np.sqrt(4.0 * math.pi * w) * r)
     lam0 = 1.0 / mu if mu > 0.0 else math.inf
     return SpectralResult(
         mu0=mu, lambda0=lam0, phi=phi, vector=v, gap=gap, residual=residual,
-        index=index, grid=mat.grid, potential=mat.potential, params=mat.params)
+        index=index, grid=mat.grid, potential=mat.potential, params=mat.params,
+        eigvals=vals, eigvecs=vecs)
 
 
 def eigen_continuation(

@@ -25,9 +25,9 @@ from scipy.interpolate import CubicSpline
 
 from .fourierb import b_hat
 from .kernel import BKernelTable, PhysParams, _GLX16, _GLW16
-from .spectral import (BsMatrix, QuadGrid, RadialPotential, SpectralResult,
+from .spectral import (QuadGrid, RadialPotential, SpectralResult,
                        leading_eigenpair, s_wave_reduce, two_well_potential)
-from .specfun import bessel_k, k0_weighted_integral
+from .specfun import k0, k0_weighted_integral, k1
 
 A_ZERO_TOL_REL = 1e-8
 
@@ -70,7 +70,7 @@ def _b_direct(res: SpectralResult, a_zero_tol: float | None = None) -> float:
     integral is nonzero, the second-order contribution of the rank-1 linear
     kernel term through the other eigenpairs.  The latter vanishes
     identically on the a = 0 branch, where 2m (f, B f) is the whole
-    coefficient.
+    coefficient.  The other eigenpairs are the ones ``res`` carries.
     """
     r = res.grid.nodes
     w = res.grid.weights
@@ -85,11 +85,7 @@ def _b_direct(res: SpectralResult, a_zero_tol: float | None = None) -> float:
         a_zero_tol = A_ZERO_TOL_REL * res.mu0
     if abs(coefficient_a(res)) < a_zero_tol or res.index < 0:
         return b
-    mat = s_wave_reduce(res.potential, res.params, res.grid)
-    vals, vecs = np.linalg.eigh(mat.entries)
-    order = np.argsort(vals)[::-1]
-    vals = vals[order]
-    vecs = vecs[:, order]
+    vals, vecs = res.eigvals, res.eigvecs
     uvec = np.sqrt(4.0 * math.pi * w) * r * np.sqrt(-res.potential(r))
     overlaps = uvec @ vecs
     i0 = res.index
@@ -225,13 +221,15 @@ def energy_of_lambda(exp: ThresholdExpansion, lam: float) -> float:
         if exp.b >= 0.0:
             raise ValueError("the a = 0 branch requires b < 0")
         return -delta_mu / (-exp.b)
-    a, b = exp.a, exp.b
-    # small positive root of b alpha^2 + a alpha + delta_mu = 0
-    disc = a * a - 4.0 * b * delta_mu
+    # small positive root of b alpha^2 + a alpha + delta_mu = 0, written as
+    # 2 / (x + sqrt(x^2 - 4 b / delta_mu)) with x = -a / delta_mu: no
+    # cancellation (a < 0), and for b < 0 every operation is monotone in
+    # delta_mu, so E is non-increasing in lambda to the last ulp
+    x = -exp.a / delta_mu
+    disc = x * x + 4.0 * (-exp.b) / delta_mu
     if disc < 0.0:
         raise ValueError(f"inversion leaves the real regime at lambda={lam}")
-    # small positive root, written to avoid cancellation (a < 0)
-    alpha = 2.0 * delta_mu / (-a + math.sqrt(disc))
+    alpha = 2.0 / (x + math.sqrt(disc))
     return -alpha * alpha
 
 
@@ -250,13 +248,13 @@ def _kappa_far(r: np.ndarray, rho: np.ndarray, m: float) -> np.ndarray:
     mid = 0.5 * (a + b)[:, None]
     half = 0.5 * (b - a)[:, None]
     z = mid + half * _GLX16[None, :]
-    fz = np.asarray(bessel_k(1, z.ravel())).reshape(z.shape) / z
+    fz = k1(z) / z
     cum = np.concatenate([[0.0], np.cumsum((half * _GLW16 * fz).sum(axis=1))])
     t_end = k0_weighted_integral("tail_k1_over_z", grid[-1])
     t_spline = CubicSpline(grid, t_end + (cum[-1] - cum))
 
     def prim(x):
-        return x * t_spline(x) - np.asarray(bessel_k(0, x))
+        return x * t_spline(x) - k0(x)
 
     return 2.0 * m * rho + (prim(hi) - prim(lo)) / math.pi
 
@@ -378,7 +376,8 @@ def synthetic_zero_overlap_state(potential: RadialPotential, grid: QuadGrid,
     phi = v / (np.sqrt(4.0 * math.pi * w) * r)
     return SpectralResult(mu0=mu, lambda0=1.0 / mu, phi=phi, vector=v,
                           gap=np.inf, residual=np.nan, index=-1,
-                          grid=grid, potential=potential, params=p)
+                          grid=grid, potential=potential, params=p,
+                          eigvals=None, eigvecs=None)
 
 
 def tune_zero_overlap(grid: QuadGrid, m: float = 1.0, depth1: float = 8.0,
@@ -396,13 +395,11 @@ def tune_zero_overlap(grid: QuadGrid, m: float = 1.0, depth1: float = 8.0,
     ref_vec = {}
 
     def state_at(ratio: float) -> SpectralResult:
+        # sign-continuous along the scan: each state follows the previous one
         pot = two_well_potential(depth1, ratio * depth1, radius=grid.radius,
                                  centers=centers, widths=widths)
-        res = leading_eigenpair(s_wave_reduce(pot, p, grid), index=index)
-        v = res.vector
-        if "v" in ref_vec and float(v @ ref_vec["v"]) < 0.0:
-            object.__setattr__(res, "phi", -res.phi)
-            object.__setattr__(res, "vector", -v)
+        res = leading_eigenpair(s_wave_reduce(pot, p, grid), index=index,
+                                sign_reference=ref_vec.get("v"))
         ref_vec["v"] = res.vector
         return res
 

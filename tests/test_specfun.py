@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from herbst.specfun import (Tolerance, bessel_k, f1_moment, hyp3f2_neg,
-                            k0_moment_full, k0_weighted_integral)
+from herbst.specfun import (EvaluationFailure, Tolerance, bessel_k, f1_moment,
+                            hyp3f2_neg, k0, k0_moment_full,
+                            k0_weighted_integral, k1)
 
 
 def _k0_integral_repr(x):
@@ -82,6 +83,29 @@ class TestBesselK:
             bessel_k(0, -1.0)
 
 
+class TestCompiledK:
+    """k0/k1, the library's fast path, against the from-scratch oracle."""
+
+    @pytest.mark.parametrize("order, fast", [(0, k0), (1, k1)])
+    def test_agrees_with_bessel_k(self, order, fast):
+        xs = np.geomspace(1e-3, 700.0, 400)
+        assert_allclose(fast(xs), bessel_k(order, xs), rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("fast", [k0, k1])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.array([0.5, 0.0]),
+                                     np.array([[1.0], [-2.0]])])
+    def test_rejects_nonpositive_arguments(self, fast, bad):
+        with pytest.raises(ValueError):
+            fast(bad)
+
+    @pytest.mark.parametrize("fast", [k0, k1])
+    def test_scalar_gives_float_and_array_gives_array(self, fast):
+        assert type(fast(1.5)) is float
+        assert type(fast(np.float64(1.5))) is float
+        arr = fast(np.array([0.5, 1.5]))
+        assert isinstance(arr, np.ndarray) and arr.shape == (2,)
+
+
 class TestMoments:
     def test_k0_total_moment_is_pi_over_2(self):
         assert_allclose(k0_moment_full(0), math.pi / 2.0, rtol=1e-15)
@@ -145,6 +169,12 @@ class TestWeightedIntegrals:
             k0_weighted_integral("tail_exp", 1.0, mu_over_m=1.0)
         with pytest.raises(ValueError):
             k0_weighted_integral("tail_k1_over_z", 0.0)
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_unconverged_quadrature_raises_with_estimate_and_bound(self):
+        tight = Tolerance(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=1)
+        with pytest.raises(EvaluationFailure, match="estimate .* > bound"):
+            k0_weighted_integral("incomplete_plain", 3.0, beta=0, tol=tight)
 
     def test_tolerance_validation(self):
         with pytest.raises(ValueError):

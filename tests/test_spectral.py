@@ -137,6 +137,20 @@ class TestEigenpairs:
         assert state200.residual < 1e-12
         assert state200.gap > 0.0
 
+    def test_carries_sorted_decomposition(self, state200):
+        assert np.all(np.diff(state200.eigvals) <= 0.0)
+        assert state200.eigvals[0] == state200.mu0
+        assert np.array_equal(state200.eigvecs[:, 0], state200.vector)
+
+    def test_sign_reference_decides_the_sign(self, bump, grid200, state200):
+        mat = s_wave_reduce(bump, PhysParams(), grid200)
+        flipped = leading_eigenpair(mat, sign_reference=-state200.vector)
+        assert np.array_equal(flipped.vector, -state200.vector)
+        assert np.array_equal(flipped.phi, -state200.phi)
+        assert np.array_equal(flipped.eigvecs[:, 0], flipped.vector)
+        kept = leading_eigenpair(mat, sign_reference=state200.vector)
+        assert np.array_equal(kept.vector, state200.vector)
+
     def test_reciprocal_threshold(self, state200):
         assert_allclose(state200.lambda0 * state200.mu0, 1.0, rtol=1e-14)
 

@@ -12,11 +12,12 @@ from herbst.kernel import PhysParams
 from herbst.spectral import QuadGrid, leading_eigenpair, s_wave_reduce
 from herbst.threshold import (A_ZERO_TOL_REL, BelowThresholdError, BRoutes,
                               DivergentMomentumIntegralError,
-                              ThresholdExpansion, coefficient_a, coefficient_b,
-                              energy_of_lambda, expansion_from_state,
-                              lambda_of_alpha, overlap_integral,
-                              small_x_constants, tune_zero_overlap,
-                              u_reconstruct, zero_energy_condition)
+                              ThresholdExpansion, _b_direct, coefficient_a,
+                              coefficient_b, energy_of_lambda,
+                              expansion_from_state, lambda_of_alpha,
+                              overlap_integral, small_x_constants,
+                              tune_zero_overlap, u_reconstruct,
+                              zero_energy_condition)
 
 
 class TestCoefficients:
@@ -48,6 +49,22 @@ class TestCoefficients:
         routes = coefficient_b(zero_overlap_state, "both")
         assert routes.momentum is not None
         assert abs(routes.direct - routes.momentum) / abs(routes.direct) < 1e-3
+
+    def test_b_direct_matches_reassembled_decomposition(self, state200):
+        # the second-order sum over the other eigenpairs, from a fresh
+        # assembly and eigensolve instead of the decomposition res carries
+        res = state200
+        r, w, m = res.grid.nodes, res.grid.weights, res.params.m
+        vals, vecs = np.linalg.eigh(
+            s_wave_reduce(res.potential, res.params, res.grid).entries)
+        order = np.argsort(vals)[::-1]
+        vals, vecs = vals[order], vecs[:, order]
+        overlaps = (np.sqrt(4.0 * math.pi * w) * r
+                    * np.sqrt(-res.potential(r))) @ vecs
+        c = -m / (2.0 * math.pi)
+        pt = np.sum((c * overlaps[1:] * overlaps[0]) ** 2 / (vals[0] - vals[1:]))
+        b_quadratic = _b_direct(res, a_zero_tol=np.inf)
+        assert_allclose(_b_direct(res), b_quadratic + 2.0 * m * pt, rtol=1e-12)
 
     def test_unknown_route_rejected(self, state200):
         with pytest.raises(ValueError):
@@ -168,9 +185,18 @@ class TestThresholdInvariant:
         lo, hi = sorted(exp0.lambda0 * (1.0 + t) for t in ts)
         e_lo, e_hi = energy_of_lambda(exp0, lo), energy_of_lambda(exp0, hi)
         assert e_lo <= 0.0 and e_hi <= 0.0
-        # each E carries a few ulps of rounding from the quadratic-root
-        # inversion, so nearly equal lambdas may differ by that much
-        assert e_hi <= e_lo + 16.0 * np.finfo(float).eps * abs(e_lo)
+        assert e_hi <= e_lo
+
+    def test_energy_monotone_over_one_ulp_steps(self):
+        # a rounded inversion can turn back over a one-ulp step in lambda;
+        # well above threshold delta_mu then moves by about one ulp too
+        rng = np.random.default_rng(7)
+        for _ in range(5000):
+            exp0 = _expansion(rng.uniform(0.01, 10.0), -rng.uniform(0.01, 10.0),
+                              -rng.uniform(1e-6, 10.0))
+            lam = exp0.lambda0 * (1.0 + rng.uniform(0.2, 10.0))
+            e_lo = energy_of_lambda(exp0, lam)
+            assert energy_of_lambda(exp0, np.nextafter(lam, np.inf)) <= e_lo
 
 
 class TestDecay:
@@ -220,3 +246,6 @@ class TestTunedTwoWell:
         assert abs(overlap_integral(res)) < 1e-9
         assert expansion_from_state(res).branch == "a_zero"
         assert pot(0.2) < 0.0 and pot(0.7) < 0.0
+        assert pot.family_id == "two_well"
+        # the sign chosen along the scan is the sign of the stored column
+        assert np.array_equal(res.vector, res.eigvecs[:, res.index])
