@@ -17,12 +17,11 @@ import numpy as np
 
 from . import __version__
 from .fourierb import HankelParams, hankel_incomplete, hankel_tail
-from .kernel import (_B_SPLINE_XMAX, H3_ROOT_REFERENCE, PhysParams, _b_splines,
-                     envelope_bound, envelope_holds, green_function, h3_root,
-                     series_remainder)
+from .kernel import (H3_ROOT_REFERENCE, PhysParams, envelope_bound,
+                     envelope_holds, green_function, h3_root, series_remainder)
 from .quad import QuadratureError, RadialFunction, integrate_adaptive, radial_fourier3
-from .specfun import (EvaluationFailure, bessel_k, f1_moment, k0_moment_full,
-                      k0_weighted_integral)
+from .specfun import (EvaluationFailure, bessel_k, f1_moment, k0_integral,
+                      k0_moment_full, k0_weighted_integral, k1)
 from .spectral import (EigensolverError, QuadGrid, RadialPotential,
                        bump_potential, eigen_continuation, leading_eigenpair,
                        s_wave_reduce, square_well_potential,
@@ -55,7 +54,6 @@ class RunConfig:
     alpha_max: float = 0.2
     fmt: str = "csv"              # csv | json
     out: str | None = None
-    tol: float = 1e-10
 
     def __post_init__(self) -> None:
         fam = self.potential.split(":", 1)[0]
@@ -76,8 +74,6 @@ class RunConfig:
             raise ConfigError("alpha-max must be in (0, sqrt(2 m))")
         if self.fmt not in ("csv", "json"):
             raise ConfigError("format must be csv or json")
-        if not (0.0 < self.tol <= 1e-2):
-            raise ConfigError("tol must be in (0, 1e-2]")
 
     def make_potential(self) -> RadialPotential:
         fam, _, rest = self.potential.partition(":")
@@ -137,8 +133,6 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     p = PhysParams(m=cfg.mass, E=0.0)
     grid = QuadGrid.gauss_legendre(cfg.grid_n, cfg.radius)
     res = leading_eigenpair(s_wave_reduce(pot, p, grid))
-    grid2 = QuadGrid.gauss_legendre(2 * cfg.grid_n, cfg.radius)
-    res2 = leading_eigenpair(s_wave_reduce(pot, p, grid2))
     if res.mu0 == 0.0:
         meta = _meta(cfg, "spectrum")
         meta["mu0"] = 0.0
@@ -146,6 +140,8 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         meta["threshold"] = "undefined (V vanishes)"
         _emit(["r", "phi"], [], meta, cfg)
         return EXIT_OK
+    grid2 = QuadGrid.gauss_legendre(2 * cfg.grid_n, cfg.radius)
+    res2 = leading_eigenpair(s_wave_reduce(pot, p, grid2))
     delta = abs(res2.mu0 - res.mu0) / res.mu0
     meta = _meta(cfg, "spectrum")
     meta.update({"mu0": res.mu0, "lambda0": res.lambda0,
@@ -262,24 +258,9 @@ def _suite_appendix_a() -> list[dict]:
     return checks
 
 
-def _k0_cumulative_profiles():
-    """Vectorized r -> int_0^r K0 / r and r -> int_r^inf z K0(z) dz."""
-    c0s, c1s, _ = _b_splines()
-    def incomplete_over_r(r):
-        r = np.asarray(r, dtype=float)
-        x = np.minimum(r, _B_SPLINE_XMAX)
-        return np.where(r < _B_SPLINE_XMAX, c0s(x), math.pi / 2.0) / r
-    def tail_zk0(r):
-        r = np.asarray(r, dtype=float)
-        x = np.minimum(r, _B_SPLINE_XMAX)
-        return np.where(r < _B_SPLINE_XMAX, 1.0 - c1s(x), 0.0)
-    return incomplete_over_r, tail_zk0
-
-
 def _suite_appendix_b() -> list[dict]:
     checks = []
     ws = np.geomspace(0.1, 10.0, 12)
-    incomplete_over_r, tail_zk0 = _k0_cumulative_profiles()
     # alpha = 1, beta = 0: transform of |x|^(-1) int_0^|x| K0(z) dz
     hp = HankelParams(alpha_exp=1, beta_exp=0)
     worst_closed = worst_oracle = 0.0
@@ -288,7 +269,8 @@ def _suite_appendix_b() -> list[dict]:
         val = hankel_incomplete(hp, k)
         closed = (1.0 / (2.0 * k * k)) / math.sqrt(1.0 + w * w)
         worst_closed = max(worst_closed, abs(val - closed) / closed)
-        oracle = radial_fourier3(RadialFunction(incomplete_over_r, 0.0), k)
+        oracle = radial_fourier3(
+            RadialFunction(lambda r: k0_integral(r) / r, 0.0), k)
         worst_oracle = max(worst_oracle, abs(val - oracle) / abs(oracle))
     checks.append(_check("hankel_alpha1_beta0_closed", worst_closed, 1e-10))
     checks.append(_check("hankel_alpha1_beta0_oracle", worst_oracle, 1e-5))
@@ -300,7 +282,8 @@ def _suite_appendix_b() -> list[dict]:
         val = hankel_tail(hp2, k)
         closed = (3.0 / (4.0 * math.pi)) * w**3 / (k**3 * (1.0 + w * w)**2.5)
         worst_closed = max(worst_closed, abs(val - closed) / closed)
-        oracle = radial_fourier3(RadialFunction(tail_zk0, 0.0), k)
+        # int_r^inf z K0(z) dz = r K1(r)
+        oracle = radial_fourier3(RadialFunction(lambda r: r * k1(r), 0.0), k)
         worst_oracle = max(worst_oracle, abs(val - oracle) / abs(oracle))
     checks.append(_check("hankel_alpha0_beta1_closed", worst_closed, 1e-10, {
         "note": "constant 3/(4 pi), fixed by the quadrature oracle"}))
@@ -401,7 +384,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--alpha-max", type=float, dest="alpha_max")
     common.add_argument("--format", choices=("csv", "json"), dest="fmt")
     common.add_argument("--out", metavar="PATH")
-    common.add_argument("--tol", type=float)
     for name in ("kernel", "spectrum", "threshold", "bound"):
         sub.add_parser(name, parents=[common])
     vp = sub.add_parser("verify", parents=[common])

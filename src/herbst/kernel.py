@@ -26,12 +26,11 @@ from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
 from . import specfun
-from .specfun import DEFAULT_TOL, Tolerance, k0, k1
+from .specfun import DEFAULT_TOL, Tolerance, k0, k0_integral, k1
 
 H3_ROOT_REFERENCE = 0.7451315  # root of int_z^inf K0 = z K0(z)
 
 _GLX16, _GLW16 = leggauss(16)
-_GLX24, _GLW24 = leggauss(24)
 
 
 @dataclass(frozen=True)
@@ -95,7 +94,7 @@ def f_profile(r: float, p: PhysParams, tol: Tolerance = DEFAULT_TOL) -> float:
     val = k1(x)
     if nu == 0.0:
         # sinh(0) kills the tail term
-        return val + specfun.k0_weighted_integral("incomplete_plain", x, beta=0, tol=tol)
+        return val + k0_integral(x)
     inc = specfun.k0_weighted_integral("incomplete_cosh", x, mu_over_m=nu, tol=tol)
     tail = specfun.k0_weighted_integral("tail_exp", x, mu_over_m=nu, tol=tol)
     return val + (1.0 - nu * nu) * (math.exp(-p.mu * r) * inc - math.sinh(p.mu * r) * tail)
@@ -111,11 +110,13 @@ def green_function(r: float, p: PhysParams, tol: Tolerance = DEFAULT_TOL) -> flo
     return p.m / (4.0 * math.pi * r) * bracket
 
 
-def l0_profile(r: float, m: float = 1.0, tol: Tolerance = DEFAULT_TOL) -> float:
+def l0_profile(r: float, m: float = 1.0) -> float:
     """V-stripped zeroth-order kernel (m/4 pi r)[2 + (2/pi) int_{mr}^inf K1(z)/z dz]."""
     if r <= 0.0:
         raise ValueError("l0_profile requires r > 0")
-    tail = specfun.k0_weighted_integral("tail_k1_over_z", m * r, tol=tol)
+    x = m * r
+    # int_x^inf K1(z)/z dz = K1(x) + C0(x) - pi/2, as (K1 + C0)' = -K1/x
+    tail = k1(x) + k0_integral(x) - math.pi / 2.0
     return m / (4.0 * math.pi * r) * (2.0 + (2.0 / math.pi) * tail)
 
 
@@ -141,42 +142,22 @@ def b_profile(r: float, m: float = 1.0, tol: Tolerance = DEFAULT_TOL) -> float:
     ) / r
 
 
-_B_SPLINE_XMAX = 30.0  # beyond this the profile is r - 1/(m^2 r) to ~1e-13
-_b_spline_cache: dict[int, tuple[CubicSpline, CubicSpline, CubicSpline]] = {}
-
-
-def _b_splines() -> tuple[CubicSpline, CubicSpline, CubicSpline]:
-    if 0 not in _b_spline_cache:
-        x = _graded_grid(_B_SPLINE_XMAX, 1200)
-        c0 = CubicSpline(x, _cumulative(k0, x))
-        c1 = CubicSpline(x, _cumulative(lambda z: z * k0(z), x))
-        c2 = CubicSpline(x, _cumulative(lambda z: z * z * k0(z), x))
-        _b_spline_cache[0] = (c0, c1, c2)
-    return _b_spline_cache[0]
-
-
 def b_profile_grid(r, m: float = 1.0):
-    """Vectorized b_profile backed by cumulative splines (rel ~1e-10).
+    """Vectorized b_profile in closed form.
 
-    Matches b_profile to spline accuracy; crosses over to the exact
-    large-distance form r - 1/(m^2 r) once the Bessel tails are below
-    double precision.
+    With x = m r, the moments int_x^inf z K0 = x K1(x) and int_0^x z^2 K0 =
+    C0(x) - x^2 K1(x) - x K0(x), where C0(x) = int_0^x K0, reduce b_profile to
+
+        B(r) = (r^2 - 1/m^2) (1/2 + C0(x)/pi) / r + (r K1(x) - K0(x)/m) / pi,
+
+    which tends to r - 1/(m^2 r) as the Bessel terms die out.
     """
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0.0):
         raise ValueError("b_profile_grid requires r > 0")
-    c0s, c1s, c2s = _b_splines()
-    x = np.minimum(m * r, _B_SPLINE_XMAX)
-    c0 = np.where(m * r < _B_SPLINE_XMAX, c0s(x), math.pi / 2.0)
-    c2 = np.where(m * r < _B_SPLINE_XMAX, c2s(x), math.pi / 2.0)
-    tz = np.where(m * r < _B_SPLINE_XMAX, 1.0 - c1s(x), 0.0)
-    m2 = m * m
-    val = (
-        0.5 * (r * r - 1.0 / m2)
-        + (r * r - 2.0 / m2) * c0 / math.pi
-        + 2.0 * r * tz / (math.pi * m)
-        + c2 / (math.pi * m2)
-    ) / r
+    x = m * r
+    val = ((r * r - 1.0 / (m * m)) * (0.5 + k0_integral(x) / math.pi) / r
+           + (r * k1(x) - k0(x) / m) / math.pi)
     return val if np.ndim(r) else float(val)
 
 
@@ -195,7 +176,7 @@ def series_remainder(r: float, alpha: float, m: float = 1.0,
         raise ValueError("alpha must be nonnegative")
     p = PhysParams.from_alpha(alpha, m)
     truncated = (
-        l0_profile(r, m, tol)
+        l0_profile(r, m)
         + math.sqrt(2.0 * m) * alpha * a_profile(m)
         + (m / (2.0 * math.pi)) * alpha * alpha * b_profile(r, m, tol)
     )
@@ -219,15 +200,10 @@ def envelope_holds(r: float, p: PhysParams, c: float = H3_ROOT_REFERENCE,
     return abs(green_function(r, p, tol)) <= envelope_bound(r, p, c)
 
 
-def h3_root(tol: Tolerance = DEFAULT_TOL) -> float:
+def h3_root() -> float:
     """Root of the transcendental equation int_z^inf K0(y) dy = z K0(z)."""
-
-    def residual(z: float) -> float:
-        lhs = math.pi / 2.0 - specfun.k0_weighted_integral(
-            "incomplete_plain", z, beta=0, tol=tol)
-        return lhs - z * k0(z)
-
-    return brentq(residual, 0.1, 3.0, xtol=1e-12)
+    return brentq(lambda z: math.pi / 2.0 - k0_integral(z) - z * k0(z),
+                  0.1, 3.0, xtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -273,17 +249,15 @@ class GreenKernelTable:
     s_max: float
     n_intervals: int = 800
     _smooth: CubicSpline = field(init=False, repr=False)
-    _c0: CubicSpline = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         p = self.params
         nu = p.nu
         x = _graded_grid(p.m * self.s_max * 1.0000001, self.n_intervals)
-        c0 = _cumulative(k0, x)
-        self._c0 = CubicSpline(x, c0)
         if nu == 0.0:
-            c0z = _cumulative(lambda z: z * k0(z), x)
-            w = x * c0 - c0z  # int_0^x (x - z) K0(z) dz
+            # int_0^x (x - z) K0(z) dz = x C0(x) - (1 - x K1(x)), 0 at x = 0
+            w = np.zeros_like(x)
+            w[1:] = x[1:] * k0_integral(x[1:]) - 1.0 + x[1:] * k1(x[1:])
         else:
             cosh_c = _cumulative(
                 lambda z: np.cosh(nu * z) * k0(z), x)
@@ -317,10 +291,6 @@ class GreenKernelTable:
         """The cumulative with the K0 primitive excluded, valid down to a = 0."""
         return self._smooth(np.asarray(b, dtype=float) * self.params.m)
 
-    def k0_cumulative(self, x):
-        """int_0^x K0(z) dz from the precomputed table (x in m-scaled units)."""
-        return self._c0(np.asarray(x, dtype=float))
-
     def ring_integral(self, r, rho):
         """kappa(r, rho) = 2 pi int_|r-rho|^(r+rho) t G_E(t) dt, r != rho."""
         r = np.asarray(r, dtype=float)
@@ -338,30 +308,10 @@ class BKernelTable:
     _cum: CubicSpline = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        m = self.m
-        x = _graded_grid(m * self.s_max * 1.0000001, self.n_intervals)
-        c0 = CubicSpline(x, _cumulative(k0, x))
-        c1 = CubicSpline(x, _cumulative(lambda z: z * k0(z), x))
-        c2 = CubicSpline(x, _cumulative(lambda z: z * z * k0(z), x))
-
-        def t_b(t):
-            # t * b_profile(t); bounded at t -> 0 (limit -1/(2 m^2))
-            xx = m * t
-            tz = 1.0 - c1(xx)  # int_x^inf z K0 dz via the full moment
-            return (0.5 * (t * t - 1.0 / m**2)
-                    + (t * t - 2.0 / m**2) * c0(xx) / math.pi
-                    + 2.0 * t * tz / (math.pi * m)
-                    + c2(xx) / (math.pi * m**2))
-
-        s = x / m
-        vals = np.zeros(len(s))
-        a, b = s[:-1], s[1:]
-        mid = 0.5 * (a + b)[:, None]
-        half = 0.5 * (b - a)[:, None]
-        t = mid + half * _GLX16[None, :]
-        pieces = (half * _GLW16[None, :] * t_b(t.ravel()).reshape(t.shape)).sum(axis=1)
-        vals[1:] = np.cumsum(pieces)
-        self._cum = CubicSpline(s, vals)
+        s = _graded_grid(self.s_max * 1.0000001, self.n_intervals)
+        # t B(t) is bounded: its limit at t -> 0 is -1/(2 m^2)
+        self._cum = CubicSpline(
+            s, _cumulative(lambda t: t * b_profile_grid(t, self.m), s))
 
     def ring_integral(self, r, rho):
         """2 pi int_|r-rho|^(r+rho) t B(t) dt (no singular part)."""

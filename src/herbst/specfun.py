@@ -1,12 +1,13 @@
 """Modified Bessel functions K0/K1, their weighted integrals, and the 3F2.
 
 Everything here is evaluated in m = 1 internal units; callers rescale their
-arguments.  The library evaluates K0/K1 through ``k0``/``k1``, thin checked
-wrappers over the compiled ``scipy.special`` ufuncs.  ``bessel_k`` computes
-them from scratch (ascending series below the switch point, a generalized
-Gauss-Laguerre representation above it); it is the oracle the wrappers are
-tested against, and is itself validated against independent
-integral-representation oracles in the test suite.
+arguments.  The library evaluates K0/K1 through ``k0``/``k1`` and the K0
+integral through ``k0_integral``, thin checked wrappers over the compiled
+``scipy.special`` ufuncs.  ``bessel_k`` computes K0/K1 from scratch
+(ascending series below the switch point, a generalized Gauss-Laguerre
+representation above it); it is the oracle the wrappers are tested against,
+and is itself validated against independent integral-representation oracles
+in the test suite.
 """
 
 from __future__ import annotations
@@ -149,6 +150,21 @@ def k0(x):
 def k1(x):
     """K1 of a positive scalar or ndarray via scipy.special.k1 (see k0)."""
     return _compiled_k(_sc.k1, x)
+
+
+def k0_integral(x):
+    """C0(x) = int_0^x K0(z) dz of a nonnegative scalar or ndarray.
+
+    Evaluates scipy.special.iti0k0 (Zhang & Jin, Computation of Special
+    Functions, 1996; DLMF 10.43).  Same contract as k0 except that x = 0 is
+    allowed and gives 0.0: raises ValueError for any x < 0 and returns a
+    float for a scalar argument.
+    """
+    arr = np.asarray(x, dtype=float)
+    if np.any(arr < 0.0):
+        raise ValueError("k0_integral requires x >= 0")
+    out = _sc.iti0k0(arr)[1]
+    return out if arr.ndim else float(out)
 
 
 def k0_moment_full(beta: int) -> float:

@@ -23,7 +23,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.interpolate import PchipInterpolator
 
 from .kernel import GreenKernelTable, PhysParams
-from .specfun import k0
+from .specfun import k0, k0_integral
 
 POTENTIAL_FAMILIES = ("bump", "truncated_gaussian", "square_well_smoothed",
                       "two_well", "tabulated")
@@ -206,11 +206,11 @@ class BsMatrix:
             raise ValueError("matrix assembly lost symmetry")
 
 
-def _cell_averaged_k0(d: np.ndarray, h: np.ndarray, c0) -> np.ndarray:
-    """(1/2h) int over a cell of half-width h of K0(m|.|) at distance d."""
+def _cell_averaged_k0(d: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """(1/2h) int over a cell of half-width h of K0(|.|) at distance d."""
     near = d <= h
-    far_val = (c0(d + h) - c0(np.abs(d - h))) / (2.0 * h)
-    split_val = (c0(h - np.minimum(d, h)) + c0(h + d)) / (2.0 * h)
+    far_val = (k0_integral(d + h) - k0_integral(np.abs(d - h))) / (2.0 * h)
+    split_val = (k0_integral(h - np.minimum(d, h)) + k0_integral(h + d)) / (2.0 * h)
     return np.where(near, split_val, far_val)
 
 
@@ -234,7 +234,6 @@ def s_wave_reduce(potential: RadialPotential, p: PhysParams, grid: QuadGrid,
 
     # singular K1 part, primitive -K0/(2 pi^2): off-diagonal direct,
     # near-diagonal via symmetrized cell averages of the K0 primitive
-    c0 = table.k0_cumulative
     k0_dd = np.zeros_like(dd)
     off = dd > 0.0
     k0_dd[off] = k0(m * dd[off])
@@ -243,8 +242,8 @@ def s_wave_reduce(potential: RadialPotential, p: PhysParams, grid: QuadGrid,
     near = dd <= 3.0 * np.maximum(w[:, None], w[None, :])
     if near.any():
         d_n = m * dd[near]
-        avg_j = _cell_averaged_k0(d_n, m * h_j[near], c0)
-        avg_i = _cell_averaged_k0(d_n, m * h_i[near], c0)
+        avg_j = _cell_averaged_k0(d_n, m * h_j[near])
+        avg_i = _cell_averaged_k0(d_n, m * h_i[near])
         k0_dd[near] = 0.5 * (avg_i + avg_j)
     kappa += (1.0 / math.pi) * (k0_dd - k0(m * rr))
 

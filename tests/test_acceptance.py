@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
@@ -78,18 +79,12 @@ def test_criterion_3_green_function_vs_transform_oracle():
 # -- 4 ----------------------------------------------------------------------
 
 def test_criterion_4_bochner_special_cases():
-    from herbst.kernel import _B_SPLINE_XMAX, _b_splines
-    c0s, c1s, _ = _b_splines()
-
     def incomplete_over_r(r):
-        r = np.asarray(r, dtype=float)
-        x = np.minimum(r, _B_SPLINE_XMAX)
-        return np.where(r < _B_SPLINE_XMAX, c0s(x), math.pi / 2.0) / r
+        return scipy.special.iti0k0(r)[1] / r
 
     def tail_zk0(r):
-        r = np.asarray(r, dtype=float)
-        x = np.minimum(r, _B_SPLINE_XMAX)
-        return np.where(r < _B_SPLINE_XMAX, 1.0 - c1s(x), 0.0)
+        # int_r^inf z K0(z) dz = r K1(r)
+        return r * scipy.special.k1(r)
 
     worst = 0.0
     for w in np.geomspace(0.1, 10.0, 8):

@@ -94,6 +94,20 @@ class TestSpectrumCommand:
         assert meta["lambda0"] is None
         assert "undefined" in meta["threshold"]
 
+    def test_vanishing_potential_skips_the_doubled_grid(self, tmp_path, monkeypatch):
+        import herbst.cli as cli_mod
+        original = cli_mod.s_wave_reduce
+        calls = []
+
+        def counting_reduce(potential, p, grid, *rest):
+            calls.append(grid.nodes.size)
+            return original(potential, p, grid, *rest)
+
+        monkeypatch.setattr(cli_mod, "s_wave_reduce", counting_reduce)
+        assert run_cli("spectrum", "--depth", "0.0", "--grid-n", "20",
+                       "--out", str(tmp_path / "z.csv")) == EXIT_OK
+        assert calls == [20]
+
     def test_depth_scaling_of_threshold(self, tmp_path):
         vals = {}
         for depth in ("1.0", "2.0"):
@@ -178,6 +192,12 @@ class TestConfigPlumbing:
         cfg.write_text(json.dumps({"depht": 2.0}))
         assert run_cli("kernel", "--config", str(cfg)) == EXIT_VALIDATION
         assert "unknown config keys" in capsys.readouterr().err
+
+    def test_tol_is_not_a_config_key(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid_n": 40, "tol": 1e-8}))
+        assert run_cli("spectrum", "--config", str(cfg)) == EXIT_VALIDATION
+        assert "unknown config keys: ['tol']" in capsys.readouterr().err
 
     def test_table_potential(self, tmp_path):
         r = np.linspace(0.0, 1.0, 50)

@@ -4,12 +4,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 from numpy.testing import assert_allclose
 
 from herbst.fourierb import HankelParams, b_hat, hankel_incomplete, hankel_tail
 from herbst.kernel import b_profile_grid
 from herbst.quad import RadialFunction, radial_fourier3
-from herbst.specfun import k0_moment_full
 
 
 class TestHankelParams:
@@ -53,13 +53,8 @@ class TestClosedForms:
 
 
 def _tail_profile(r):
-    # int_|x|^inf z K0(z) dz via the spline-backed cumulative
-    from herbst.kernel import _B_SPLINE_XMAX, _b_splines
-    _, c1s, _ = _b_splines()
-    r = np.asarray(r, dtype=float)
-    x = np.minimum(r, _B_SPLINE_XMAX)
-    return np.where(r < _B_SPLINE_XMAX,
-                    k0_moment_full(1) - c1s(x), 0.0)
+    # int_|x|^inf z K0(z) dz = |x| K1(|x|)
+    return r * scipy.special.k1(r)
 
 
 class TestBHat:

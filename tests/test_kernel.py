@@ -13,6 +13,7 @@ from herbst.kernel import (H3_ROOT_REFERENCE, BKernelTable, GreenKernelTable,
                            green_function, h3_root, l0_profile,
                            series_remainder)
 from herbst.quad import RadialFunction, radial_fourier3
+from herbst.specfun import k0_weighted_integral
 
 
 class TestPhysParams:
@@ -52,6 +53,13 @@ class TestGreenFunction:
             oracle = radial_fourier3(prof, r)
             assert_allclose(green_function(r, p), oracle, rtol=1e-6)
 
+    @pytest.mark.parametrize("m", [1.0, 2.5])
+    def test_l0_profile_matches_quadrature_oracle(self, m):
+        for r in np.geomspace(1e-3, 20.0, 15):
+            tail = k0_weighted_integral("tail_k1_over_z", m * r)
+            oracle = m / (4.0 * math.pi * r) * (2.0 + (2.0 / math.pi) * tail)
+            assert_allclose(l0_profile(float(r), m), oracle, rtol=1e-9)
+
     def test_zero_energy_limit_equals_l0(self):
         p0 = PhysParams(m=1.0, E=0.0)
         for r in (0.2, 1.0, 3.0):
@@ -82,11 +90,11 @@ class TestSeriesKernels:
         assert_allclose(a_profile(1.0), -1.0 / (2.0 * math.pi), rtol=1e-15)
         assert_allclose(a_profile(3.0), 3.0 * a_profile(1.0), rtol=1e-15)
 
-    def test_b_profile_matches_spline_grid(self):
-        rs = np.geomspace(0.05, 20.0, 30)
+    def test_b_profile_matches_grid(self):
+        # spans the origin divergence and the decay of the Bessel terms
+        rs = np.geomspace(1e-4, 60.0, 40)
         direct = np.array([b_profile(float(r)) for r in rs])
-        splined = b_profile_grid(rs)
-        assert_allclose(splined, direct, rtol=1e-7)
+        assert_allclose(b_profile_grid(rs), direct, rtol=1e-7)
 
     def test_b_profile_large_r_asymptote(self):
         # B(r) -> r - 1/(m^2 r) once the Bessel weights have died out
@@ -142,8 +150,9 @@ class TestEnvelope:
 
 
 class TestRingTables:
-    def test_green_table_matches_direct_quadrature(self):
-        p = PhysParams.from_mu(0.3, 1.0)
+    @pytest.mark.parametrize("mu", [0.0, 0.3])
+    def test_green_table_matches_direct_quadrature(self, mu):
+        p = PhysParams.from_mu(mu, 1.0)
         table = GreenKernelTable(p, s_max=4.0)
         for r, rho in ((0.4, 0.9), (1.2, 0.3), (1.5, 1.4)):
             oracle, _ = quad(lambda t: t * green_function(t, p),

@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from herbst.specfun import (EvaluationFailure, Tolerance, bessel_k, f1_moment,
-                            hyp3f2_neg, k0, k0_moment_full,
+                            hyp3f2_neg, k0, k0_integral, k0_moment_full,
                             k0_weighted_integral, k1)
 
 
@@ -103,6 +103,32 @@ class TestCompiledK:
         assert type(fast(1.5)) is float
         assert type(fast(np.float64(1.5))) is float
         arr = fast(np.array([0.5, 1.5]))
+        assert isinstance(arr, np.ndarray) and arr.shape == (2,)
+
+
+class TestK0Integral:
+    """k0_integral, the closed-form C0(x) = int_0^x K0, and its contract."""
+
+    def test_agrees_with_mpmath_struve_form(self):
+        # C0(x) = (pi x / 2) [K0(x) L_-1(x) + K1(x) L_0(x)], L = modified Struve
+        xs = np.geomspace(1e-8, 50.0, 60)
+        with mpmath.workdps(30):
+            ref = [float(mpmath.pi * x / 2 * (
+                mpmath.besselk(0, x) * mpmath.struvel(-1, x)
+                + mpmath.besselk(1, x) * mpmath.struvel(0, x)))
+                for x in map(mpmath.mpf, xs)]
+        assert_allclose(k0_integral(xs), ref, rtol=1e-11, atol=0.0)
+
+    @pytest.mark.parametrize("bad", [-1e-300, -1.0, np.array([0.5, -0.1])])
+    def test_rejects_negative_arguments(self, bad):
+        with pytest.raises(ValueError):
+            k0_integral(bad)
+
+    def test_zero_and_scalar_give_float(self):
+        assert k0_integral(0.0) == 0.0
+        assert type(k0_integral(0.0)) is float
+        assert type(k0_integral(np.float64(1.5))) is float
+        arr = k0_integral(np.array([0.0, 1.5]))
         assert isinstance(arr, np.ndarray) and arr.shape == (2,)
 
 

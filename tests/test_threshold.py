@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from herbst.kernel import PhysParams
+from herbst.specfun import k0_weighted_integral
 from herbst.spectral import QuadGrid, leading_eigenpair, s_wave_reduce
 from herbst.threshold import (A_ZERO_TOL_REL, BelowThresholdError, BRoutes,
                               DivergentMomentumIntegralError,
@@ -236,6 +237,13 @@ class TestZeroEnergyCondition:
         c = small_x_constants(state200)
         assert c.a1_finite and c.a2_finite
         assert c.a1 > 0.0 and c.a2 > 0.0
+        # a2 against the node-by-node quadrature of int_{m r}^inf K1(z)/z dz
+        r, w = state200.grid.nodes, state200.grid.weights
+        m = state200.params.m
+        vu = state200.mu0 * np.sqrt(-state200.potential(r)) * state200.phi
+        tail = [k0_weighted_integral("tail_k1_over_z", float(m * ri)) for ri in r]
+        oracle = 4.0 * math.pi * float(np.sum(w * r * vu * np.array(tail)))
+        assert_allclose(c.a2, oracle, rtol=1e-9)
 
 
 class TestTunedTwoWell:
