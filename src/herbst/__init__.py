@@ -15,9 +15,8 @@ from .kernel import (H3_ROOT_REFERENCE, BKernelTable, GreenKernelTable,
                      green_function, h3_root, l0_profile, series_remainder)
 from .fourierb import HankelParams, b_hat, hankel_incomplete, hankel_tail
 from .quad import QuadratureError, RadialFunction, integrate_adaptive, radial_fourier3
-from .specfun import (DEFAULT_TOL, EvaluationFailure, Tolerance, bessel_k,
-                      f1_moment, hyp3f2_neg, k0_moment_full,
-                      k0_weighted_integral)
+from .specfun import (EvaluationFailure, bessel_k, f1_moment, hyp3f2_neg,
+                      k0_moment_full, k0_weighted_integral)
 from .spectral import (BsMatrix, DegenerateEigenvalueError, EigensolverError,
                        QuadGrid, RadialPotential, SpectralResult,
                        bump_potential, eigen_continuation, leading_eigenpair,

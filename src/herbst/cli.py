@@ -19,7 +19,7 @@ from . import __version__
 from .fourierb import HankelParams, hankel_incomplete, hankel_tail
 from .kernel import (H3_ROOT_REFERENCE, PhysParams, envelope_bound,
                      envelope_holds, green_function, h3_root, series_remainder)
-from .quad import QuadratureError, RadialFunction, integrate_adaptive, radial_fourier3
+from .quad import RadialFunction, integrate_adaptive, radial_fourier3
 from .specfun import (EvaluationFailure, bessel_k, f1_moment, k0_integral,
                       k0_moment_full, k0_weighted_integral, k1)
 from .spectral import (EigensolverError, QuadGrid, RadialPotential,
@@ -424,8 +424,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "bound":
             return cmd_bound(cfg)
         return cmd_verify(args.suite, cfg)
-    except (QuadratureError, EvaluationFailure, EigensolverError,
-            FloatingPointError) as exc:
+    except (EvaluationFailure, EigensolverError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ConfigError, ValueError, OSError) as exc:

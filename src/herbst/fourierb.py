@@ -26,19 +26,12 @@ class HankelParams:
 
     alpha_exp: int
     beta_exp: int
-    n_dim: int = 3
 
     def __post_init__(self) -> None:
-        if self.n_dim != 3:
-            raise ValueError("only the three-dimensional transform is supported")
         if self.alpha_exp not in _ALPHA_ALLOWED:
             raise ValueError(f"alpha_exp must be in {_ALPHA_ALLOWED}")
         if self.beta_exp not in _BETA_ALLOWED:
             raise ValueError(f"beta_exp must be in {_BETA_ALLOWED}")
-        # Gamma poles (n - alpha or beta + n - alpha + 1 a nonpositive even
-        # integer) would need the Schwartz finite-part modification.
-        if (self.n_dim - self.alpha_exp) <= 0:
-            raise ValueError("pole case n - alpha <= 0 is out of scope")
 
 
 def _w_of(k: float, m: float = 1.0) -> float:
@@ -46,7 +39,7 @@ def _w_of(k: float, m: float = 1.0) -> float:
 
 
 def _gamma_term(hp: HankelParams) -> float:
-    a, b, n = hp.alpha_exp, hp.beta_exp, hp.n_dim
+    a, b, n = hp.alpha_exp, hp.beta_exp, 3
     return (
         2.0 ** (b + n / 2.0 - a - 1.0)
         * math.gamma((b + 1.0) / 2.0) ** 2
@@ -56,7 +49,7 @@ def _gamma_term(hp: HankelParams) -> float:
 
 
 def _f32_term(hp: HankelParams, w: float) -> float:
-    a, b, n = hp.alpha_exp, hp.beta_exp, hp.n_dim
+    a, b, n = hp.alpha_exp, hp.beta_exp, 3
     top = (b + n - a + 1.0) / 2.0
     hyp = hyp3f2_neg((n - a) / 2.0, top, top, n / 2.0, 1.0 + (n - a) / 2.0, w)
     return (
@@ -72,7 +65,7 @@ def hankel_incomplete(hp: HankelParams, k: float) -> float:
     """Transform of |x|^(-a) int_0^|x| z^b K0(z) dz (Gamma term minus 3F2 term)."""
     if k <= 0.0:
         raise ValueError("wavenumber k must be positive")
-    a, n = hp.alpha_exp, hp.n_dim
+    a, n = hp.alpha_exp, 3
     w = _w_of(k)
     pref = (2.0 * math.pi) ** (a - n / 2.0) * k ** (a - n)
     return pref * (_gamma_term(hp) - _f32_term(hp, w))
@@ -82,7 +75,7 @@ def hankel_tail(hp: HankelParams, k: float) -> float:
     """Transform of |x|^(-a) int_|x|^inf z^b K0(z) dz (the 3F2 term alone)."""
     if k <= 0.0:
         raise ValueError("wavenumber k must be positive")
-    a, n = hp.alpha_exp, hp.n_dim
+    a, n = hp.alpha_exp, 3
     w = _w_of(k)
     pref = (2.0 * math.pi) ** (a - n / 2.0) * k ** (a - n)
     return pref * _f32_term(hp, w)

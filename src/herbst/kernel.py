@@ -26,7 +26,7 @@ from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
 from . import specfun
-from .specfun import DEFAULT_TOL, Tolerance, k0, k0_integral, k1
+from .specfun import k0, k0_integral, k1
 
 H3_ROOT_REFERENCE = 0.7451315  # root of int_z^inf K0 = z K0(z)
 
@@ -85,7 +85,7 @@ def _exp_tail_full(nu: float) -> float:
     return math.acos(nu) / math.sqrt(1.0 - nu * nu)
 
 
-def f_profile(r: float, p: PhysParams, tol: Tolerance = DEFAULT_TOL) -> float:
+def f_profile(r: float, p: PhysParams) -> float:
     """The convolution profile F(m r; mu); diverges like 1/(m r) at the origin."""
     if r <= 0.0:
         raise ValueError("f_profile requires r > 0")
@@ -95,18 +95,18 @@ def f_profile(r: float, p: PhysParams, tol: Tolerance = DEFAULT_TOL) -> float:
     if nu == 0.0:
         # sinh(0) kills the tail term
         return val + k0_integral(x)
-    inc = specfun.k0_weighted_integral("incomplete_cosh", x, mu_over_m=nu, tol=tol)
-    tail = specfun.k0_weighted_integral("tail_exp", x, mu_over_m=nu, tol=tol)
+    inc = specfun.k0_weighted_integral("incomplete_cosh", x, mu_over_m=nu)
+    tail = specfun.k0_weighted_integral("tail_exp", x, mu_over_m=nu)
     return val + (1.0 - nu * nu) * (math.exp(-p.mu * r) * inc - math.sinh(p.mu * r) * tail)
 
 
-def green_function(r: float, p: PhysParams, tol: Tolerance = DEFAULT_TOL) -> float:
+def green_function(r: float, p: PhysParams) -> float:
     """G_E(r), the radial kernel of (sqrt(-Laplacian + m^2) - E)^(-1)."""
     if r <= 0.0:
         raise ValueError("green_function requires r > 0")
     nu = p.nu
     bracket = math.sqrt(1.0 - nu * nu) * math.exp(-p.mu * r) \
-        + (2.0 / math.pi) * f_profile(r, p, tol)
+        + (2.0 / math.pi) * f_profile(r, p)
     return p.m / (4.0 * math.pi * r) * bracket
 
 
@@ -125,14 +125,17 @@ def a_profile(m: float = 1.0) -> float:
     return -m / (2.0 * math.pi)
 
 
-def b_profile(r: float, m: float = 1.0, tol: Tolerance = DEFAULT_TOL) -> float:
-    """V-stripped second-order kernel; ~ -1/(2 m^2 r) near the origin."""
+def b_profile(r: float, m: float = 1.0) -> float:
+    """V-stripped second-order kernel; ~ -1/(2 m^2 r) near the origin.
+
+    Scalar quadrature: the oracle that b_profile_grid is tested against.
+    """
     if r <= 0.0:
         raise ValueError("b_profile requires r > 0")
     x = m * r
-    c0 = specfun.k0_weighted_integral("incomplete_plain", x, beta=0, tol=tol)
-    c2 = specfun.k0_weighted_integral("incomplete_plain", x, beta=2, tol=tol)
-    tz = specfun.k0_weighted_integral("tail_zk0", x, tol=tol)
+    c0 = specfun.k0_weighted_integral("incomplete_plain", x, beta=0)
+    c2 = specfun.k0_weighted_integral("incomplete_plain", x, beta=2)
+    tz = specfun.k0_weighted_integral("tail_zk0", x)
     m2 = m * m
     return (
         0.5 * (r * r - 1.0 / m2)
@@ -161,8 +164,7 @@ def b_profile_grid(r, m: float = 1.0):
     return val if np.ndim(r) else float(val)
 
 
-def series_remainder(r: float, alpha: float, m: float = 1.0,
-                     tol: Tolerance = DEFAULT_TOL) -> float:
+def series_remainder(r: float, alpha: float, m: float = 1.0) -> float:
     """Truncation error of the small-alpha series of the Green's function.
 
     Returns |G_(E=-alpha^2)(r) - [L0 + sqrt(2m) alpha A + (m/2pi) alpha^2 B]|
@@ -178,9 +180,9 @@ def series_remainder(r: float, alpha: float, m: float = 1.0,
     truncated = (
         l0_profile(r, m)
         + math.sqrt(2.0 * m) * alpha * a_profile(m)
-        + (m / (2.0 * math.pi)) * alpha * alpha * b_profile(r, m, tol)
+        + (m / (2.0 * math.pi)) * alpha * alpha * b_profile_grid(r, m)
     )
-    return abs(green_function(r, p, tol) - truncated)
+    return abs(green_function(r, p) - truncated)
 
 
 def envelope_bound(r: float, p: PhysParams, c: float = H3_ROOT_REFERENCE) -> float:
@@ -194,10 +196,9 @@ def envelope_bound(r: float, p: PhysParams, c: float = H3_ROOT_REFERENCE) -> flo
     return p.m / (4.0 * math.pi * r * r) * (1.0 + 2.0 / p.mu + c / p.m)
 
 
-def envelope_holds(r: float, p: PhysParams, c: float = H3_ROOT_REFERENCE,
-                   tol: Tolerance = DEFAULT_TOL) -> bool:
+def envelope_holds(r: float, p: PhysParams, c: float = H3_ROOT_REFERENCE) -> bool:
     """Whether |G_E(r)| <= envelope_bound(r)."""
-    return abs(green_function(r, p, tol)) <= envelope_bound(r, p, c)
+    return abs(green_function(r, p)) <= envelope_bound(r, p, c)
 
 
 def h3_root() -> float:
@@ -247,13 +248,12 @@ class GreenKernelTable:
 
     params: PhysParams
     s_max: float
-    n_intervals: int = 800
     _smooth: CubicSpline = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         p = self.params
         nu = p.nu
-        x = _graded_grid(p.m * self.s_max * 1.0000001, self.n_intervals)
+        x = _graded_grid(p.m * self.s_max * 1.0000001, 800)
         if nu == 0.0:
             # int_0^x (x - z) K0(z) dz = x C0(x) - (1 - x K1(x)), 0 at x = 0
             w = np.zeros_like(x)
@@ -304,11 +304,10 @@ class BKernelTable:
 
     m: float
     s_max: float
-    n_intervals: int = 800
     _cum: CubicSpline = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        s = _graded_grid(self.s_max * 1.0000001, self.n_intervals)
+        s = _graded_grid(self.s_max * 1.0000001, 800)
         # t B(t) is bounded: its limit at t -> 0 is -1/(2 m^2)
         self._cum = CubicSpline(
             s, _cumulative(lambda t: t * b_profile_grid(t, self.m), s))

@@ -17,23 +17,10 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import quad as _scipy_quad
 
-from .specfun import DEFAULT_TOL, Tolerance
+from .specfun import QuadratureError, checked_quad
 
 _GLX, _GLW = leggauss(32)
-
-
-class QuadratureError(RuntimeError):
-    """Quadrature failed to meet the requested tolerance.
-
-    Carries the best available estimate and its error bound.
-    """
-
-    def __init__(self, message: str, estimate: float, error_bound: float):
-        super().__init__(message)
-        self.estimate = estimate
-        self.error_bound = error_bound
 
 
 @dataclass(frozen=True)
@@ -55,40 +42,23 @@ class RadialFunction:
         return self.eval(r)
 
 
-def _as_radial(f) -> RadialFunction:
-    return f if isinstance(f, RadialFunction) else RadialFunction(eval=f)
-
-
-def integrate_adaptive(f, a: float, b: float, tol: Tolerance = DEFAULT_TOL) -> float:
+def integrate_adaptive(f, a: float, b: float) -> float:
     """Adaptive integral of a radial function over (a, b), b possibly inf."""
-    rf = _as_radial(f)
-    val, err = _scipy_quad(
-        lambda r: float(rf.eval(r)),
-        a, b,
-        epsabs=tol.abs_tol, epsrel=tol.rel_tol, limit=tol.max_subdivisions,
-    )
-    if err > max(tol.abs_tol, tol.rel_tol * abs(val)) * 50.0:
-        raise QuadratureError(
-            f"integral over ({a}, {b}) did not converge: estimate {val}, bound {err}",
-            estimate=val, error_bound=err,
-        )
-    return val
+    return checked_quad(lambda r: float(f(r)), a, b)
 
 
-def _half_period_terms(rf: RadialFunction, k: float, n_terms: int) -> np.ndarray:
+def _half_period_terms(f, k: float, n_terms: int) -> np.ndarray:
     """Integrals of r f(r) sin(2 pi k r) over consecutive half periods."""
     h = 1.0 / (2.0 * k)
     terms = np.empty(n_terms)
     # First interval adaptively: f may carry an integrable singularity at 0.
-    val, _ = _scipy_quad(
-        lambda r: float(rf.eval(r)) * r * np.sin(2.0 * np.pi * k * r),
-        0.0, h, epsabs=1e-14, epsrel=1e-12, limit=200,
-    )
-    terms[0] = val
+    terms[0] = checked_quad(
+        lambda r: float(f(r)) * r * np.sin(2.0 * np.pi * k * r),
+        0.0, h, abs_tol=1e-14, rel_tol=1e-12)
     for j in range(1, n_terms):
         a = j * h
         r = a + 0.5 * h * (_GLX + 1.0)
-        integrand = r * np.asarray(rf.eval(r), dtype=float) * np.sin(2.0 * np.pi * k * r)
+        integrand = r * np.asarray(f(r), dtype=float) * np.sin(2.0 * np.pi * k * r)
         terms[j] = 0.5 * h * (_GLW * integrand).sum()
     return terms
 
@@ -112,25 +82,15 @@ def _euler_abel_sum(terms: np.ndarray) -> tuple[float, float]:
     return float(prev), spread
 
 
-def radial_fourier3(
-    f,
-    k: float,
-    tol: Tolerance = DEFAULT_TOL,
-    max_half_periods: int = 160,
-) -> float:
+def radial_fourier3(f, k: float) -> float:
     """3-D Fourier transform of a radial function at wavenumber k > 0."""
     if k <= 0.0:
         raise ValueError("radial_fourier3 requires k > 0")
-    rf = _as_radial(f)
-    n = min(max_half_periods, max(48, 32))
-    best, spread = None, np.inf
-    while n <= max_half_periods:
-        terms = _half_period_terms(rf, k, n)
+    for n in (48, 96):
+        terms = _half_period_terms(f, k, n)
         best, spread = _euler_abel_sum(terms)
-        scale = max(abs(best), tol.abs_tol)
-        if spread <= 10.0 * max(tol.abs_tol, tol.rel_tol * scale):
+        if spread <= 10.0 * max(1e-12, 1e-10 * abs(best)):
             return (2.0 / k) * best
-        n *= 2
     raise QuadratureError(
         f"oscillatory sum did not stabilize at k={k} (spread {spread})",
         estimate=(2.0 / k) * best, error_bound=(2.0 / k) * spread,

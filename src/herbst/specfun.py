@@ -7,13 +7,14 @@ integral through ``k0_integral``, thin checked wrappers over the compiled
 (ascending series below the switch point, a generalized Gauss-Laguerre
 representation above it); it is the oracle the wrappers are tested against,
 and is itself validated against independent integral-representation oracles
-in the test suite.
+in the test suite.  Every adaptive integral of the package runs through
+``checked_quad``, which raises ``QuadratureError`` instead of returning an
+unconverged value.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import mpmath
 import numpy as np
@@ -42,22 +43,33 @@ class EvaluationFailure(RuntimeError):
     """A numerical strategy failed to converge; never a silent wrong value."""
 
 
-@dataclass(frozen=True)
-class Tolerance:
-    """Absolute/relative targets handed to the adaptive quadratures."""
+class QuadratureError(EvaluationFailure):
+    """An adaptive integral missed its tolerance.
 
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 200
+    Carries the best available estimate and QUADPACK's error estimate.
+    """
 
-    def __post_init__(self) -> None:
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be a positive integer")
+    def __init__(self, message: str, estimate: float, error_bound: float):
+        super().__init__(message)
+        self.estimate = estimate
+        self.error_bound = error_bound
 
 
-DEFAULT_TOL = Tolerance()
+def checked_quad(f, a: float, b: float, abs_tol: float = 1e-12,
+                 rel_tol: float = 1e-10, limit: int = 200) -> float:
+    """Adaptive integral of f over (a, b), b possibly inf.
+
+    Raises QuadratureError when QUADPACK's error estimate exceeds
+    50 max(abs_tol, rel_tol |estimate|) (Piessens et al., QUADPACK, 1983).
+    """
+    val, err = quad(f, a, b, epsabs=abs_tol, epsrel=rel_tol, limit=limit)
+    bound = 50.0 * max(abs_tol, rel_tol * abs(val))
+    if err > bound:
+        raise QuadratureError(
+            f"integral over ({a}, {b}) did not converge: estimate {val}, "
+            f"error estimate {err} > bound {bound}",
+            estimate=val, error_bound=err)
+    return val
 
 
 def _k0_series(x):
@@ -177,25 +189,11 @@ def k0_moment_full(beta: int) -> float:
 _KINDS = ("incomplete_plain", "incomplete_cosh", "tail_exp", "tail_k1_over_z", "tail_zk0")
 
 
-def _quad(f, a, b, tol: Tolerance) -> float:
-    val, err = quad(
-        f, a, b,
-        epsabs=tol.abs_tol, epsrel=tol.rel_tol, limit=tol.max_subdivisions,
-    )
-    bound = 50.0 * max(tol.abs_tol, tol.rel_tol * abs(val))
-    if err > bound:
-        raise EvaluationFailure(
-            f"integral over ({a}, {b}) did not converge: estimate {val}, "
-            f"error estimate {err} > bound {bound}")
-    return val
-
-
 def k0_weighted_integral(
     kind: str,
     x: float,
     mu_over_m: float = 0.0,
     beta: int = 0,
-    tol: Tolerance = DEFAULT_TOL,
 ) -> float:
     """Incomplete and tail integrals of K0/K1 against simple weights.
 
@@ -207,8 +205,8 @@ def k0_weighted_integral(
       tail_zk0           int_x^inf z K0(z) dz
     with nu = mu_over_m.  The integrands call the compiled K0/K1 directly:
     x >= 0 is checked here and QUADPACK samples only interior nodes.
-    Raises EvaluationFailure when the quadrature's error estimate exceeds
-    50 times the requested tolerance.
+    Raises QuadratureError when the quadrature's error estimate exceeds
+    50 times the tolerance (see checked_quad).
     """
     if kind not in _KINDS:
         raise ValueError(f"unknown kind {kind!r}")
@@ -223,19 +221,19 @@ def k0_weighted_integral(
             raise ValueError("beta must be one of {0, 1, 2}")
         if x == 0.0:
             return 0.0
-        return _quad(lambda z: z**beta * _sc.k0(z), 0.0, x, tol)
+        return checked_quad(lambda z: z**beta * _sc.k0(z), 0.0, x)
     if kind == "incomplete_cosh":
         if x == 0.0:
             return 0.0
-        return _quad(lambda z: math.cosh(nu * z) * _sc.k0(z), 0.0, x, tol)
+        return checked_quad(lambda z: math.cosh(nu * z) * _sc.k0(z), 0.0, x)
     if kind == "tail_exp":
-        return _quad(lambda z: math.exp(-nu * z) * _sc.k0(z), x, np.inf, tol)
+        return checked_quad(lambda z: math.exp(-nu * z) * _sc.k0(z), x, np.inf)
     if kind == "tail_k1_over_z":
         if x == 0.0:
             raise ValueError("tail_k1_over_z diverges at x = 0 (integrand ~ 1/z^2)")
-        return _quad(lambda z: _sc.k1(z) / z, x, np.inf, tol)
+        return checked_quad(lambda z: _sc.k1(z) / z, x, np.inf)
     # tail_zk0
-    return _quad(lambda z: z * _sc.k0(z), x, np.inf, tol)
+    return checked_quad(lambda z: z * _sc.k0(z), x, np.inf)
 
 
 def f1_moment(mu: float) -> float:

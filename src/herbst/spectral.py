@@ -159,7 +159,7 @@ class QuadGrid:
 
     nodes: np.ndarray
     weights: np.ndarray
-    _radius_hint: float
+    radius: float  # upper end of the interval the rule integrates over
 
     def __post_init__(self) -> None:
         if np.any(np.diff(self.nodes) <= 0.0):
@@ -175,17 +175,12 @@ class QuadGrid:
     def size(self) -> int:
         return len(self.nodes)
 
-    @property
-    def radius(self) -> float:
-        # upper end of the interval the rule integrates over
-        return float(self._radius_hint)
-
     @classmethod
     def gauss_legendre(cls, n: int, radius: float) -> "QuadGrid":
         x, w = leggauss(n)
         return cls(nodes=0.5 * radius * (x + 1.0),
                    weights=0.5 * radius * w,
-                   _radius_hint=radius)
+                   radius=radius)
 
 
 @dataclass(frozen=True)

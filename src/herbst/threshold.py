@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
-from scipy.integrate import quad as _scipy_quad
 from scipy.optimize import brentq
 
 from scipy.interpolate import CubicSpline
@@ -27,7 +26,7 @@ from .fourierb import b_hat
 from .kernel import BKernelTable, PhysParams, _GLX16, _GLW16
 from .spectral import (QuadGrid, RadialPotential, SpectralResult,
                        leading_eigenpair, s_wave_reduce, two_well_potential)
-from .specfun import k0, k0_integral, k0_weighted_integral, k1
+from .specfun import checked_quad, k0, k0_integral, k0_weighted_integral, k1
 
 A_ZERO_TOL_REL = 1e-8
 
@@ -96,7 +95,7 @@ def _b_direct(res: SpectralResult, a_zero_tol: float | None = None) -> float:
     return b + float(2.0 * m * pt)
 
 
-def _b_momentum(res: SpectralResult, a_zero_tol: float, k_max: float = 60.0) -> float:
+def _b_momentum(res: SpectralResult, a_zero_tol: float) -> float:
     """b = 2m int B_hat(k) |f_hat(k)|^2 d^3k, defined only when a = 0."""
     a = coefficient_a(res)
     if abs(a) >= a_zero_tol:
@@ -112,10 +111,9 @@ def _b_momentum(res: SpectralResult, a_zero_tol: float, k_max: float = 60.0) -> 
         return k * k * b_hat(k / m) / m**4 * fhat * fhat
 
     total = 0.0
-    for lo, hi in ((0.0, 1.0), (1.0, 5.0), (5.0, k_max)):
-        val, _ = _scipy_quad(integrand, lo, hi, epsabs=1e-13, epsrel=1e-10,
-                             limit=400)
-        total += val
+    for lo, hi in ((0.0, 1.0), (1.0, 5.0), (5.0, 60.0)):
+        total += checked_quad(integrand, lo, hi, abs_tol=1e-13, rel_tol=1e-10,
+                              limit=400)
     # the quadratic-kernel profile enters the eigenvalue series with a
     # 1/(4 pi) relative to its raw transform, cancelling the angular 4 pi
     return 2.0 * m * total
@@ -126,14 +124,13 @@ class BRoutes(NamedTuple):
     momentum: float | None
 
 
-def coefficient_b(res: SpectralResult, route: str = "direct",
-                  a_zero_tol_rel: float = A_ZERO_TOL_REL):
+def coefficient_b(res: SpectralResult, route: str = "direct"):
     """Quadratic coefficient b, by position-space and/or momentum-space route.
 
     route = "direct" or "momentum" returns a float; "both" returns a
     BRoutes pair (momentum entry None when the overlap does not vanish).
     """
-    a_zero_tol = a_zero_tol_rel * res.mu0
+    a_zero_tol = A_ZERO_TOL_REL * res.mu0
     if route == "direct":
         return _b_direct(res)
     if route == "momentum":
@@ -172,12 +169,11 @@ class ThresholdExpansion:
                              f"({self.branch!r}, expected {want!r})")
 
 
-def expansion_from_state(res: SpectralResult,
-                         a_zero_tol_rel: float = A_ZERO_TOL_REL) -> ThresholdExpansion:
+def expansion_from_state(res: SpectralResult) -> ThresholdExpansion:
     """Assemble the threshold expansion for an eigenpair at E = 0."""
     a = coefficient_a(res)
     b = _b_direct(res)
-    tol = a_zero_tol_rel * res.mu0
+    tol = A_ZERO_TOL_REL * res.mu0
     branch: Branch = "a_zero" if abs(a) < tol else "a_nonzero"
     return ThresholdExpansion(mu0=res.mu0, lambda0=1.0 / res.mu0, a=a, b=b,
                               branch=branch, a_zero_tol=tol)
@@ -314,11 +310,10 @@ class ZeroEnergyReport:
     decay_gamma: float | None
 
 
-def zero_energy_condition(res: SpectralResult, tol: float | None = None,
+def zero_energy_condition(res: SpectralResult,
                           check_decay: bool = False) -> ZeroEnergyReport:
     """E = 0 is an eigenvalue iff the overlap integral vanishes (within tol)."""
-    if tol is None:
-        tol = A_ZERO_TOL_REL * max(res.mu0, 1.0)
+    tol = A_ZERO_TOL_REL * max(res.mu0, 1.0)
     o = overlap_integral(res)
     gamma = None
     if check_decay:

@@ -2,6 +2,7 @@
 
 import pytest
 
+import herbst.specfun
 from herbst import (PhysParams, QuadGrid, bump_potential, leading_eigenpair,
                     s_wave_reduce, synthetic_zero_overlap_state)
 
@@ -27,3 +28,10 @@ def state200(bump, grid200):
 def zero_overlap_state(bump, grid200):
     """Synthetic sign-balanced state with vanishing first-order overlap."""
     return synthetic_zero_overlap_state(bump, grid200)
+
+
+@pytest.fixture
+def unconverged_quad(monkeypatch):
+    """Every adaptive integral reports estimate 1.0 with error estimate 1e-3,
+    far above any bound checked_quad accepts."""
+    monkeypatch.setattr(herbst.specfun, "quad", lambda *args, **kwargs: (1.0, 1e-3))

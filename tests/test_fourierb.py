@@ -18,8 +18,6 @@ class TestHankelParams:
             HankelParams(alpha_exp=2, beta_exp=0)
         with pytest.raises(ValueError):
             HankelParams(alpha_exp=0, beta_exp=3)
-        with pytest.raises(ValueError):
-            HankelParams(alpha_exp=0, beta_exp=0, n_dim=2)
 
 
 class TestClosedForms:

@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
+import herbst.kernel
 from herbst.kernel import (H3_ROOT_REFERENCE, BKernelTable, GreenKernelTable,
                            PhysParams, a_profile, b_profile, b_profile_grid,
                            envelope_bound, envelope_holds, f_profile,
@@ -39,9 +40,10 @@ class TestPhysParams:
 
 
 class TestGreenFunction:
-    def test_momentum_space_oracle(self):
+    @pytest.mark.parametrize("mu", [0.0, 0.4])
+    def test_momentum_space_oracle(self, mu):
         # G must be the radial transform of 1/(sqrt(4 pi^2 q^2 + m^2) - m - E)
-        p = PhysParams.from_mu(0.4, 1.0)
+        p = PhysParams.from_mu(mu, 1.0)
 
         def symbol(q):
             q = np.asarray(q, dtype=float)
@@ -49,7 +51,7 @@ class TestGreenFunction:
                           - p.m - p.E)
 
         prof = RadialFunction(eval=symbol)
-        for r in (0.3, 1.0, 2.5):
+        for r in (0.2, 0.3, 1.0, 2.5, 3.0):
             oracle = radial_fourier3(prof, r)
             assert_allclose(green_function(r, p), oracle, rtol=1e-6)
 
@@ -59,11 +61,6 @@ class TestGreenFunction:
             tail = k0_weighted_integral("tail_k1_over_z", m * r)
             oracle = m / (4.0 * math.pi * r) * (2.0 + (2.0 / math.pi) * tail)
             assert_allclose(l0_profile(float(r), m), oracle, rtol=1e-9)
-
-    def test_zero_energy_limit_equals_l0(self):
-        p0 = PhysParams(m=1.0, E=0.0)
-        for r in (0.2, 1.0, 3.0):
-            assert_allclose(green_function(r, p0), l0_profile(r), rtol=1e-10)
 
     def test_positive_and_decreasing(self):
         p = PhysParams.from_alpha(0.2, 1.0)
@@ -111,6 +108,14 @@ class TestSeriesKernels:
         rem = np.array([series_remainder(0.8, float(a)) for a in alphas])
         slope = np.polyfit(np.log(alphas), np.log(rem), 1)[0]
         assert abs(slope - 3.0) < 0.3
+
+    def test_remainder_uses_the_closed_form_b(self, monkeypatch):
+        # b_profile is the scalar-quadrature oracle, not a library path
+        def oracle_called(*args, **kwargs):
+            raise AssertionError("series_remainder called the b_profile oracle")
+
+        monkeypatch.setattr(herbst.kernel, "b_profile", oracle_called)
+        assert series_remainder(0.8, 0.01) > 0.0
 
     def test_remainder_vanishes_at_zero_alpha(self):
         assert series_remainder(0.8, 0.0) < 1e-12

@@ -76,6 +76,13 @@ class TestRadialFourier3:
         val = radial_fourier3(lambda r: np.exp(-math.pi * r * r), 1.0)
         assert_allclose(val, math.exp(-math.pi), rtol=1e-8)
 
+    def test_unconverged_first_half_period_raises(self, unconverged_quad):
+        prof = RadialFunction(eval=lambda r: np.exp(-r))
+        with pytest.raises(QuadratureError) as exc:
+            radial_fourier3(prof, 1.0)
+        assert exc.value.estimate == 1.0
+        assert exc.value.error_bound == 1e-3
+
     def test_rejects_nonpositive_wavenumber(self):
         prof = RadialFunction(eval=lambda r: np.exp(-r))
         with pytest.raises(ValueError):

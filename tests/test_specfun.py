@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from herbst.specfun import (EvaluationFailure, Tolerance, bessel_k, f1_moment,
-                            hyp3f2_neg, k0, k0_integral, k0_moment_full,
-                            k0_weighted_integral, k1)
+from herbst.specfun import (EvaluationFailure, QuadratureError, bessel_k,
+                            f1_moment, hyp3f2_neg, k0, k0_integral,
+                            k0_moment_full, k0_weighted_integral, k1)
 
 
 def _k0_integral_repr(x):
@@ -196,17 +196,13 @@ class TestWeightedIntegrals:
         with pytest.raises(ValueError):
             k0_weighted_integral("tail_k1_over_z", 0.0)
 
-    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
-    def test_unconverged_quadrature_raises_with_estimate_and_bound(self):
-        tight = Tolerance(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=1)
-        with pytest.raises(EvaluationFailure, match="estimate .* > bound"):
-            k0_weighted_integral("incomplete_plain", 3.0, beta=0, tol=tight)
-
-    def test_tolerance_validation(self):
-        with pytest.raises(ValueError):
-            Tolerance(abs_tol=0.0)
-        with pytest.raises(ValueError):
-            Tolerance(max_subdivisions=0)
+    def test_unconverged_quadrature_raises_with_estimate_and_bound(
+            self, unconverged_quad):
+        with pytest.raises(EvaluationFailure, match="estimate .* > bound") as exc:
+            k0_weighted_integral("incomplete_plain", 3.0, beta=0)
+        assert isinstance(exc.value, QuadratureError)
+        assert exc.value.estimate == 1.0
+        assert exc.value.error_bound == 1e-3
 
 
 class TestHyp3f2:

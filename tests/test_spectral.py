@@ -81,7 +81,7 @@ class TestQuadGrid:
     def test_rejects_inconsistent_weights(self):
         g = QuadGrid.gauss_legendre(16, 1.0)
         with pytest.raises(ValueError):
-            QuadGrid(nodes=g.nodes, weights=2.0 * g.weights, _radius_hint=1.0)
+            QuadGrid(nodes=g.nodes, weights=2.0 * g.weights, radius=1.0)
 
 
 class TestAssembly:

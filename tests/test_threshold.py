@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from herbst.kernel import PhysParams
-from herbst.specfun import k0_weighted_integral
+from herbst.specfun import QuadratureError, k0_weighted_integral
 from herbst.spectral import QuadGrid, leading_eigenpair, s_wave_reduce
 from herbst.threshold import (A_ZERO_TOL_REL, BelowThresholdError, BRoutes,
                               DivergentMomentumIntegralError,
@@ -50,6 +50,13 @@ class TestCoefficients:
         routes = coefficient_b(zero_overlap_state, "both")
         assert routes.momentum is not None
         assert abs(routes.direct - routes.momentum) / abs(routes.direct) < 1e-3
+
+    def test_unconverged_momentum_route_raises(self, zero_overlap_state,
+                                               unconverged_quad):
+        with pytest.raises(QuadratureError) as exc:
+            coefficient_b(zero_overlap_state, "momentum")
+        assert exc.value.estimate == 1.0
+        assert exc.value.error_bound == 1e-3
 
     def test_b_direct_matches_reassembled_decomposition(self, state200):
         # the second-order sum over the other eigenpairs, from a fresh
