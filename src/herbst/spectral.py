@@ -9,12 +9,16 @@ reduces to a one-dimensional symmetric kernel
 on a Gauss-Legendre grid over (0, R).  The logarithmic diagonal singularity
 (the K1 part of the Green's function) is handled by cell-averaging its K0
 primitive over the quadrature cells of near-diagonal nodes.
+
+Assembly has three layers, so that repeated solves on one grid share work:
+``Discretization.build`` (grid and mass only), ``kernel`` (one energy) and
+``matrix`` (the sqrt(w |V|) scaling for one potential).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -209,44 +213,67 @@ def _cell_averaged_k0(d: np.ndarray, h: np.ndarray) -> np.ndarray:
     return np.where(near, split_val, far_val)
 
 
+@dataclass(frozen=True, eq=False)
+class Discretization:
+    """Nystrom geometry of one grid and mass, shared by every solve on it."""
+
+    grid: QuadGrid
+    m: float
+    rr: np.ndarray        # r_i + r_j
+    dd: np.ndarray        # |r_i - r_j|
+    singular: np.ndarray  # (1/pi)(cell-averaged K0(m dd) - K0(m rr))
+
+    @classmethod
+    def build(cls, grid: QuadGrid, m: float) -> "Discretization":
+        r = grid.nodes
+        w = grid.weights
+        if r[-1] >= grid.radius:
+            raise ValueError("grid must lie strictly inside (0, R)")
+        rr = r[:, None] + r[None, :]
+        dd = np.abs(r[:, None] - r[None, :])
+
+        # singular K1 part, primitive -K0/(2 pi^2): off-diagonal direct,
+        # near-diagonal via symmetrized cell averages of the K0 primitive
+        k0_dd = np.zeros_like(dd)
+        off = dd > 0.0
+        k0_dd[off] = k0(m * dd[off])
+        h_i = np.broadcast_to(0.5 * w[:, None], dd.shape)
+        h_j = np.broadcast_to(0.5 * w[None, :], dd.shape)
+        near = dd <= 3.0 * np.maximum(w[:, None], w[None, :])
+        if near.any():
+            d_n = m * dd[near]
+            avg_j = _cell_averaged_k0(d_n, m * h_j[near])
+            avg_i = _cell_averaged_k0(d_n, m * h_i[near])
+            k0_dd[near] = 0.5 * (avg_i + avg_j)
+        return cls(grid=grid, m=m, rr=rr, dd=dd,
+                   singular=(1.0 / math.pi) * (k0_dd - k0(m * rr)))
+
+    def kernel(self, p: PhysParams,
+               table: GreenKernelTable | None = None) -> np.ndarray:
+        """kappa_ij = 2 pi int_|ri-rj|^(ri+rj) t G_E(t) dt at the energy in ``p``."""
+        if p.m != self.m:
+            raise ValueError("energy parameters carry a different mass")
+        if table is None:
+            table = GreenKernelTable(p, s_max=2.0 * self.grid.radius * 1.001)
+        smooth = table.cumulative_smooth(self.rr) - table.cumulative_smooth(self.dd)
+        return 2.0 * math.pi * smooth + self.singular
+
+    def matrix(self, potential: RadialPotential, p: PhysParams,
+               kappa: np.ndarray) -> BsMatrix:
+        """sqrt(w |V|) kappa sqrt(w |V|), symmetrized, for kappa = self.kernel(p)."""
+        s = np.sqrt(self.grid.weights) * np.sqrt(-potential(self.grid.nodes))
+        entries = s[:, None] * kappa
+        entries *= s[None, :]
+        entries += entries.T
+        entries *= 0.5
+        return BsMatrix(entries=entries, params=p, potential=potential, grid=self.grid)
+
+
 def s_wave_reduce(potential: RadialPotential, p: PhysParams, grid: QuadGrid,
                   table: GreenKernelTable | None = None) -> BsMatrix:
     """Assemble the s-wave Nystrom matrix of K at the energy in ``p``."""
-    r = grid.nodes
-    w = grid.weights
-    R = grid.radius
-    if r[-1] >= R:
-        raise ValueError("grid must lie strictly inside (0, R)")
-    if table is None:
-        table = GreenKernelTable(p, s_max=2.0 * R * 1.001)
-    m = p.m
-
-    rr = r[:, None] + r[None, :]
-    dd = np.abs(r[:, None] - r[None, :])
-
-    # smooth part of 2 pi * int t G dt
-    kappa = 2.0 * math.pi * (table.cumulative_smooth(rr) - table.cumulative_smooth(dd))
-
-    # singular K1 part, primitive -K0/(2 pi^2): off-diagonal direct,
-    # near-diagonal via symmetrized cell averages of the K0 primitive
-    k0_dd = np.zeros_like(dd)
-    off = dd > 0.0
-    k0_dd[off] = k0(m * dd[off])
-    h_i = np.broadcast_to(0.5 * w[:, None], dd.shape)
-    h_j = np.broadcast_to(0.5 * w[None, :], dd.shape)
-    near = dd <= 3.0 * np.maximum(w[:, None], w[None, :])
-    if near.any():
-        d_n = m * dd[near]
-        avg_j = _cell_averaged_k0(d_n, m * h_j[near])
-        avg_i = _cell_averaged_k0(d_n, m * h_i[near])
-        k0_dd[near] = 0.5 * (avg_i + avg_j)
-    kappa += (1.0 / math.pi) * (k0_dd - k0(m * rr))
-
-    root_v = np.sqrt(-potential(r))
-    sw = np.sqrt(w)
-    entries = (sw * root_v)[:, None] * kappa * (sw * root_v)[None, :]
-    entries = 0.5 * (entries + entries.T)
-    return BsMatrix(entries=entries, params=p, potential=potential, grid=grid)
+    disc = Discretization.build(grid, p.m)
+    return disc.matrix(potential, p, disc.kernel(p, table))
 
 
 @dataclass(frozen=True)
@@ -326,10 +353,10 @@ def eigen_continuation(
     Brute-force oracle for the threshold expansion: mu(0) = mu0 and the
     alpha-derivatives at 0 reproduce the expansion coefficients.
     """
+    disc = Discretization.build(grid, m)
     out = []
     for alpha in alphas:
         p = PhysParams.from_alpha(float(alpha), m)
-        mat = s_wave_reduce(potential, p, grid)
-        res = leading_eigenpair(mat, index=index)
+        res = leading_eigenpair(disc.matrix(potential, p, disc.kernel(p)), index=index)
         out.append((float(alpha), res.mu0))
     return out

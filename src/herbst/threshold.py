@@ -13,6 +13,7 @@ also the condition for E = 0 to be a genuine eigenvalue).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Literal, NamedTuple, Sequence
@@ -24,7 +25,7 @@ from scipy.interpolate import CubicSpline
 
 from .fourierb import b_hat
 from .kernel import BKernelTable, PhysParams, _GLX16, _GLW16
-from .spectral import (QuadGrid, RadialPotential, SpectralResult,
+from .spectral import (Discretization, QuadGrid, RadialPotential, SpectralResult,
                        leading_eigenpair, s_wave_reduce, two_well_potential)
 from .specfun import checked_quad, k0, k0_integral, k0_weighted_integral, k1
 
@@ -62,6 +63,9 @@ def _weighted_f(res: SpectralResult) -> np.ndarray:
     return np.sqrt(-res.potential(res.grid.nodes)) * res.phi
 
 
+_b_table = functools.lru_cache(maxsize=8)(BKernelTable)
+
+
 def _b_direct(res: SpectralResult, a_zero_tol: float | None = None) -> float:
     """The alpha^2 coefficient of the eigenvalue series, position-space route.
 
@@ -74,7 +78,7 @@ def _b_direct(res: SpectralResult, a_zero_tol: float | None = None) -> float:
     r = res.grid.nodes
     w = res.grid.weights
     m = res.params.m
-    table = BKernelTable(m, s_max=2.0 * res.grid.radius * 1.001)
+    table = _b_table(m, 2.0 * res.grid.radius * 1.001)
     kappa = table.ring_integral(r[:, None], r[None, :])
     f = _weighted_f(res)
     u = w * r * f
@@ -388,13 +392,15 @@ def tune_zero_overlap(grid: QuadGrid, m: float = 1.0, depth1: float = 8.0,
     and solved, yielding a genuine eigenpair on the a = 0 branch.
     """
     p = PhysParams(m=m, E=0.0)
+    disc = Discretization.build(grid, m)
+    kappa = disc.kernel(p)
     ref_vec = {}
 
     def state_at(ratio: float) -> SpectralResult:
         # sign-continuous along the scan: each state follows the previous one
         pot = two_well_potential(depth1, ratio * depth1, radius=grid.radius,
                                  centers=centers, widths=widths)
-        res = leading_eigenpair(s_wave_reduce(pot, p, grid), index=index,
+        res = leading_eigenpair(disc.matrix(pot, p, kappa), index=index,
                                 sign_reference=ref_vec.get("v"))
         ref_vec["v"] = res.vector
         return res
@@ -413,14 +419,11 @@ def tune_zero_overlap(grid: QuadGrid, m: float = 1.0, depth1: float = 8.0,
         raise ValueError("overlap does not change sign over the scanned ratios")
     root = brentq(objective, *bracket, xtol=1e-13)
     res = state_at(root)
+    # brentq's wrapper of ``objective`` is a reference cycle that keeps this
+    # closure until a full collection: release the arrays it reaches now
+    ref_vec.clear()
+    del disc, kappa
     pot = two_well_potential(depth1, root * depth1, radius=grid.radius,
                              centers=centers, widths=widths)
     return pot, res
 
-
-def continuation_derivatives(points: Sequence[tuple[float, float]]) -> tuple[float, float]:
-    """(d mu/d alpha, 1/2 d^2 mu/d alpha^2) at alpha = 0 from a quadratic fit."""
-    alphas = np.array([a for a, _ in points])
-    mus = np.array([v for _, v in points])
-    coeffs = np.polyfit(alphas, mus, 2)
-    return float(coeffs[1]), float(coeffs[0])

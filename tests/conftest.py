@@ -5,6 +5,7 @@ import pytest
 import herbst.specfun
 from herbst import (PhysParams, QuadGrid, bump_potential, leading_eigenpair,
                     s_wave_reduce, synthetic_zero_overlap_state)
+from herbst.spectral import Discretization
 
 
 @pytest.fixture(scope="session")
@@ -35,3 +36,17 @@ def unconverged_quad(monkeypatch):
     """Every adaptive integral reports estimate 1.0 with error estimate 1e-3,
     far above any bound checked_quad accepts."""
     monkeypatch.setattr(herbst.specfun, "quad", lambda *args, **kwargs: (1.0, 1e-3))
+
+
+@pytest.fixture
+def geometry_builds(monkeypatch):
+    """Sizes of the grids passed to every ``Discretization.build`` call."""
+    builds = []
+    build = Discretization.build
+
+    def counting(grid, m):
+        builds.append(grid.size)
+        return build(grid, m)
+
+    monkeypatch.setattr(Discretization, "build", staticmethod(counting))
+    return builds

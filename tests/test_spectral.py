@@ -8,8 +8,8 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from herbst.kernel import GreenKernelTable, PhysParams, green_function
-from herbst.spectral import (DegenerateEigenvalueError, QuadGrid,
-                             RadialPotential, bump_potential,
+from herbst.spectral import (DegenerateEigenvalueError, Discretization,
+                             QuadGrid, RadialPotential, bump_potential,
                              eigen_continuation, leading_eigenpair,
                              s_wave_reduce, square_well_potential,
                              tabulated_potential,
@@ -116,6 +116,25 @@ class TestAssembly:
         b = s_wave_reduce(pot, p, grid, table=table).entries
         assert_allclose(a, b, rtol=0.0, atol=1e-15)
 
+    @pytest.mark.parametrize("E", [0.0, -0.01])
+    def test_reused_kernel_matches_fresh_assembly(self, E):
+        # one kernel scaled by three potentials in turn: scaling must leave
+        # the shared kernel as it was
+        grid = QuadGrid.gauss_legendre(80, 1.0)
+        p = PhysParams(m=1.0, E=E)
+        disc = Discretization.build(grid, p.m)
+        kappa = disc.kernel(p)
+        for pot in (bump_potential(), square_well_potential(),
+                    two_well_potential(8.0, 16.0, centers=(0.2, 0.7),
+                                       widths=(0.15, 0.12))):
+            assert np.array_equal(disc.matrix(pot, p, kappa).entries,
+                                  s_wave_reduce(pot, p, grid).entries)
+
+    def test_kernel_rejects_another_mass(self):
+        disc = Discretization.build(QuadGrid.gauss_legendre(20, 1.0), 1.0)
+        with pytest.raises(ValueError):
+            disc.kernel(PhysParams(m=2.0))
+
 
 class TestEigenpairs:
     def test_depth_scaling_is_exact(self, bump, state200, grid200):
@@ -187,3 +206,13 @@ class TestEigenpairs:
         pts = eigen_continuation(bump, grid, [0.0, 0.05, 0.1, 0.15])
         mus = [mu for _, mu in pts]
         assert all(a > b for a, b in zip(mus, mus[1:]))
+
+    def test_continuation_builds_one_geometry_and_matches_fresh_solves(
+            self, bump, geometry_builds):
+        grid = QuadGrid.gauss_legendre(80, 1.0)
+        alphas = [0.0, 0.01, 0.05, 0.1]
+        pts = eigen_continuation(bump, grid, alphas)
+        assert geometry_builds == [80]
+        fresh = [leading_eigenpair(s_wave_reduce(
+            bump, PhysParams.from_alpha(a), grid)).mu0 for a in alphas]
+        assert [mu for _, mu in pts] == fresh

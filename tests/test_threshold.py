@@ -1,6 +1,8 @@
 """Threshold expansion, inversion branches, and zero-energy diagnostics."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -8,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from herbst.kernel import PhysParams
+from herbst import threshold
+from herbst.kernel import BKernelTable, PhysParams
 from herbst.specfun import QuadratureError, k0_weighted_integral
-from herbst.spectral import QuadGrid, leading_eigenpair, s_wave_reduce
+from herbst.spectral import (Discretization, QuadGrid, leading_eigenpair,
+                             s_wave_reduce)
 from herbst.threshold import (A_ZERO_TOL_REL, BelowThresholdError, BRoutes,
                               DivergentMomentumIntegralError,
                               ThresholdExpansion, _b_direct, coefficient_a,
@@ -73,6 +77,21 @@ class TestCoefficients:
         pt = np.sum((c * overlaps[1:] * overlaps[0]) ** 2 / (vals[0] - vals[1:]))
         b_quadratic = _b_direct(res, a_zero_tol=np.inf)
         assert_allclose(_b_direct(res), b_quadratic + 2.0 * m * pt, rtol=1e-12)
+
+    def test_b_direct_builds_its_table_once_per_grid(self, state200,
+                                                      monkeypatch):
+        builds = []
+        build = BKernelTable.__post_init__
+
+        def counting(table):
+            builds.append(table.s_max)
+            build(table)
+
+        threshold._b_table.cache_clear()
+        monkeypatch.setattr(BKernelTable, "__post_init__", counting)
+        first = _b_direct(state200)
+        assert _b_direct(state200) == first
+        assert len(builds) == 1
 
     def test_unknown_route_rejected(self, state200):
         with pytest.raises(ValueError):
@@ -254,9 +273,11 @@ class TestZeroEnergyCondition:
 
 
 class TestTunedTwoWell:
-    def test_excited_state_overlap_is_driven_to_zero(self):
+    def test_excited_state_overlap_is_driven_to_zero(self, geometry_builds):
         grid = QuadGrid.gauss_legendre(150, 1.0)
         pot, res = tune_zero_overlap(grid)
+        # every solve of the scan and of the root search shares one geometry
+        assert geometry_builds == [150]
         assert res.index == 1
         assert abs(overlap_integral(res)) < 1e-9
         assert expansion_from_state(res).branch == "a_zero"
@@ -264,3 +285,29 @@ class TestTunedTwoWell:
         assert pot.family_id == "two_well"
         # the sign chosen along the scan is the sign of the stored column
         assert np.array_equal(res.vector, res.eigvecs[:, res.index])
+
+    def test_frees_its_arrays_without_a_collection(self, monkeypatch):
+        # brentq keeps the objective in a reference cycle, so with the cycle
+        # collector off nothing the objective reaches may outlive the call:
+        # not the geometry and E = 0 kernel, nor the last state's arrays
+        shared = []
+        kernel = Discretization.kernel
+
+        def recording(disc, p, table=None):
+            kappa = kernel(disc, p, table)
+            shared.extend([weakref.ref(disc), weakref.ref(kappa)])
+            return kappa
+
+        monkeypatch.setattr(Discretization, "kernel", recording)
+        grid = QuadGrid.gauss_legendre(150, 1.0)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            pot, res = tune_zero_overlap(grid)
+            refs = [weakref.ref(res.vector), weakref.ref(res.eigvecs), *shared]
+            del pot, res
+            assert len(refs) == 4
+            assert [ref() for ref in refs] == [None] * 4
+        finally:
+            if enabled:
+                gc.enable()
