@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicSpline, PPoly
 from scipy.optimize import brentq
 
 from . import specfun
@@ -234,6 +234,11 @@ def _cumulative(fvec, xgrid: np.ndarray) -> np.ndarray:
     return vals
 
 
+def _ring_row_integral(prim: PPoly, x, x_max: float):
+    """int_0^x_max [F(x + y) - F(|x - y|)] dy, 0 < x < x_max, for prim = int_0 F."""
+    return prim(x + x_max) - 2.0 * prim(x) - prim(x_max - x)
+
+
 @dataclass
 class GreenKernelTable:
     """Precomputed smooth part of the cumulative int t G_E(t) dt.
@@ -249,6 +254,7 @@ class GreenKernelTable:
     params: PhysParams
     s_max: float
     _smooth: CubicSpline = field(init=False, repr=False)
+    _smooth_prim: PPoly = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         p = self.params
@@ -278,24 +284,23 @@ class GreenKernelTable:
                 * (1.0 - np.exp(-nu * x)) / p.mu
         smooth = t1 + (1.0 - nu * nu) / (2.0 * math.pi**2) * w
         self._smooth = CubicSpline(x, smooth)
-
-    def cumulative_t_green(self, a, b):
-        """int_a^b t G_E(t) dt for 0 < a <= b <= s_max (vectorized)."""
-        m = self.params.m
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        k0_part = (k0(m * a) - k0(m * b)) / (2.0 * math.pi**2)
-        return self._smooth(m * b) - self._smooth(m * a) + k0_part
+        self._smooth_prim = self._smooth.antiderivative()
 
     def cumulative_smooth(self, b):
         """The cumulative with the K0 primitive excluded, valid down to a = 0."""
         return self._smooth(np.asarray(b, dtype=float) * self.params.m)
 
+    def smooth_row_integral(self, r, radius: float):
+        """int_0^radius of cumulative_smooth(r + rho) - cumulative_smooth(|r - rho|)."""
+        m = self.params.m
+        return _ring_row_integral(self._smooth_prim, m * r, m * radius) / m
+
     def ring_integral(self, r, rho):
         """kappa(r, rho) = 2 pi int_|r-rho|^(r+rho) t G_E(t) dt, r != rho."""
-        r = np.asarray(r, dtype=float)
-        rho = np.asarray(rho, dtype=float)
-        return 2.0 * math.pi * self.cumulative_t_green(np.abs(r - rho), r + rho)
+        m = self.params.m
+        lo, hi = m * np.abs(r - rho), m * (r + rho)
+        return (2.0 * math.pi * (self._smooth(hi) - self._smooth(lo))
+                + (k0(lo) - k0(hi)) / math.pi)
 
 
 @dataclass
@@ -305,15 +310,19 @@ class BKernelTable:
     m: float
     s_max: float
     _cum: CubicSpline = field(init=False, repr=False)
+    _cum_prim: PPoly = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         s = _graded_grid(self.s_max * 1.0000001, 800)
         # t B(t) is bounded: its limit at t -> 0 is -1/(2 m^2)
         self._cum = CubicSpline(
             s, _cumulative(lambda t: t * b_profile_grid(t, self.m), s))
+        self._cum_prim = self._cum.antiderivative()
 
     def ring_integral(self, r, rho):
         """2 pi int_|r-rho|^(r+rho) t B(t) dt (no singular part)."""
-        r = np.asarray(r, dtype=float)
-        rho = np.asarray(rho, dtype=float)
         return 2.0 * math.pi * (self._cum(r + rho) - self._cum(np.abs(r - rho)))
+
+    def ring_row_integral(self, r, radius: float):
+        """int_0^radius ring_integral(r, rho) drho, exact for the spline."""
+        return 2.0 * math.pi * _ring_row_integral(self._cum_prim, r, radius)

@@ -6,9 +6,12 @@ reduces to a one-dimensional symmetric kernel
 
     M_ij = sqrt(w_i w_j) |V_i V_j|^(1/2) * 2 pi int_|ri-rj|^(ri+rj) t G_E(t) dt
 
-on a Gauss-Legendre grid over (0, R).  The logarithmic diagonal singularity
-(the K1 part of the Green's function) is handled by cell-averaging its K0
-primitive over the quadrature cells of near-diagonal nodes.
+on a Gauss-Legendre grid over (0, R).  The kernel is log-singular (the K1
+part of the Green's function) and kinked on the diagonal, so the rule is
+singularity subtraction (Kress, Linear Integral Equations, ch. 12): off the
+diagonal the kernel is sampled, and k_ii = (I_i - sum_(j != i) w_j k_ij) / w_i
+with I_i the exact row integral over (0, R), so each row integrates g = 1
+exactly.  The matrix stays symmetric, and the rule is third order in n.
 
 Assembly has three layers, so that repeated solves on one grid share work:
 ``Discretization.build`` (grid and mass only), ``kernel`` (one energy) and
@@ -205,12 +208,12 @@ class BsMatrix:
             raise ValueError("matrix assembly lost symmetry")
 
 
-def _cell_averaged_k0(d: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """(1/2h) int over a cell of half-width h of K0(|.|) at distance d."""
-    near = d <= h
-    far_val = (k0_integral(d + h) - k0_integral(np.abs(d - h))) / (2.0 * h)
-    split_val = (k0_integral(h - np.minimum(d, h)) + k0_integral(h + d)) / (2.0 * h)
-    return np.where(near, split_val, far_val)
+def subtract_singularity(kappa: np.ndarray, weights: np.ndarray,
+                         row_integral: np.ndarray) -> np.ndarray:
+    """The subtraction rule: set kappa's diagonal so kappa @ weights == row_integral."""
+    np.fill_diagonal(kappa, 0.0)
+    np.fill_diagonal(kappa, (row_integral - kappa @ weights) / weights)
+    return kappa
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,44 +222,43 @@ class Discretization:
 
     grid: QuadGrid
     m: float
-    rr: np.ndarray        # r_i + r_j
-    dd: np.ndarray        # |r_i - r_j|
-    singular: np.ndarray  # (1/pi)(cell-averaged K0(m dd) - K0(m rr))
+    rr: np.ndarray            # r_i + r_j
+    dd: np.ndarray            # |r_i - r_j|
+    singular: np.ndarray      # (1/pi)(K0(m dd) - K0(m rr)), off the diagonal
+    singular_row: np.ndarray  # its exact integral over rho in (0, R)
 
     @classmethod
     def build(cls, grid: QuadGrid, m: float) -> "Discretization":
         r = grid.nodes
-        w = grid.weights
-        if r[-1] >= grid.radius:
+        R = grid.radius
+        if r[-1] >= R:
             raise ValueError("grid must lie strictly inside (0, R)")
         rr = r[:, None] + r[None, :]
         dd = np.abs(r[:, None] - r[None, :])
 
-        # singular K1 part, primitive -K0/(2 pi^2): off-diagonal direct,
-        # near-diagonal via symmetrized cell averages of the K0 primitive
-        k0_dd = np.zeros_like(dd)
-        off = dd > 0.0
-        k0_dd[off] = k0(m * dd[off])
-        h_i = np.broadcast_to(0.5 * w[:, None], dd.shape)
-        h_j = np.broadcast_to(0.5 * w[None, :], dd.shape)
-        near = dd <= 3.0 * np.maximum(w[:, None], w[None, :])
-        if near.any():
-            d_n = m * dd[near]
-            avg_j = _cell_averaged_k0(d_n, m * h_j[near])
-            avg_i = _cell_averaged_k0(d_n, m * h_i[near])
-            k0_dd[near] = 0.5 * (avg_i + avg_j)
-        return cls(grid=grid, m=m, rr=rr, dd=dd,
-                   singular=(1.0 / math.pi) * (k0_dd - k0(m * rr)))
+        # singular K1 part, primitive -K0/(2 pi^2); its diagonal is a
+        # placeholder that ``kernel`` replaces by the subtraction rule
+        x = m * dd
+        np.fill_diagonal(x, 1.0)
+        singular = (k0(x) - k0(m * rr)) / math.pi
+        singular_row = (2.0 * k0_integral(m * r) + k0_integral(m * (R - r))
+                        - k0_integral(m * (r + R))) / (math.pi * m)
+        return cls(grid=grid, m=m, rr=rr, dd=dd, singular=singular,
+                   singular_row=singular_row)
 
     def kernel(self, p: PhysParams,
                table: GreenKernelTable | None = None) -> np.ndarray:
-        """kappa_ij = 2 pi int_|ri-rj|^(ri+rj) t G_E(t) dt at the energy in ``p``."""
+        """kappa_ij = 2 pi int_|ri-rj|^(ri+rj) t G_E(t) dt (i != j) at p.E."""
         if p.m != self.m:
             raise ValueError("energy parameters carry a different mass")
+        grid = self.grid
         if table is None:
-            table = GreenKernelTable(p, s_max=2.0 * self.grid.radius * 1.001)
+            table = GreenKernelTable(p, s_max=2.0 * grid.radius * 1.001)
         smooth = table.cumulative_smooth(self.rr) - table.cumulative_smooth(self.dd)
-        return 2.0 * math.pi * smooth + self.singular
+        kappa = 2.0 * math.pi * smooth + self.singular
+        row = (2.0 * math.pi * table.smooth_row_integral(grid.nodes, grid.radius)
+               + self.singular_row)
+        return subtract_singularity(kappa, grid.weights, row)
 
     def matrix(self, potential: RadialPotential, p: PhysParams,
                kappa: np.ndarray) -> BsMatrix:

@@ -19,14 +19,14 @@ from dataclasses import dataclass
 from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
-
 from scipy.interpolate import CubicSpline
+from scipy.optimize import brentq
 
 from .fourierb import b_hat
 from .kernel import BKernelTable, PhysParams, _GLX16, _GLW16
 from .spectral import (Discretization, QuadGrid, RadialPotential, SpectralResult,
-                       leading_eigenpair, s_wave_reduce, two_well_potential)
+                       leading_eigenpair, s_wave_reduce, subtract_singularity,
+                       two_well_potential)
 from .specfun import checked_quad, k0, k0_integral, k0_weighted_integral, k1
 
 A_ZERO_TOL_REL = 1e-8
@@ -79,7 +79,8 @@ def _b_direct(res: SpectralResult, a_zero_tol: float | None = None) -> float:
     w = res.grid.weights
     m = res.params.m
     table = _b_table(m, 2.0 * res.grid.radius * 1.001)
-    kappa = table.ring_integral(r[:, None], r[None, :])
+    kappa = subtract_singularity(table.ring_integral(r[:, None], r[None, :]), w,
+                                 table.ring_row_integral(r, res.grid.radius))
     f = _weighted_f(res)
     u = w * r * f
     b = float(2.0 * m * u @ kappa @ u)
@@ -242,9 +243,7 @@ def _kappa_far(r: np.ndarray, rho: np.ndarray, m: float) -> np.ndarray:
     # T is tabulated: K1 + C0 - pi/2 cancels to ~3e-12, no digit left at x = 40
     hi = m * (r + rho)
     lo = m * (r - rho)
-    x_min = float(np.min(lo))
-    x_max = float(np.max(hi))
-    grid = np.linspace(x_min * 0.999, x_max * 1.001, 800)
+    grid = np.linspace(float(np.min(lo)) * 0.999, float(np.max(hi)) * 1.001, 800)
     a, b = grid[:-1], grid[1:]
     mid = 0.5 * (a + b)[:, None]
     half = 0.5 * (b - a)[:, None]

@@ -159,8 +159,8 @@ def test_criterion_7_expansion_vs_brute_force(bump, grid200, state200,
     # momentum integral converges
     routes = coefficient_b(zero_overlap_state, "both")
     rel = abs(routes.direct - routes.momentum) / abs(routes.direct)
-    _report(7, "dual-route b rel disagreement", rel, "< 1e-3")
-    assert rel < 1e-3
+    _report(7, "dual-route b rel disagreement", rel, "< 1e-6")
+    assert rel < 1e-6
 
 
 # -- 8 ----------------------------------------------------------------------

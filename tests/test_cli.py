@@ -7,6 +7,9 @@ import pytest
 
 from herbst.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION,
                         EXIT_VERIFY_FAILED, RunConfig, main)
+from herbst.kernel import PhysParams
+from herbst.spectral import (QuadGrid, bump_potential, leading_eigenpair,
+                             s_wave_reduce)
 
 
 def run_cli(*argv):
@@ -76,14 +79,15 @@ class TestKernelCommand:
 class TestSpectrumCommand:
     def test_reports_eigenpair_with_certificate(self, tmp_path):
         out = tmp_path / "s.json"
-        assert run_cli("spectrum", "--grid-n", "60", "--format", "json",
+        # third order: the n -> 2n change is 2.9e-7 at n = 100 (1.3e-6 at 60)
+        assert run_cli("spectrum", "--grid-n", "100", "--format", "json",
                        "--out", str(out)) == EXIT_OK
         doc = json.loads(out.read_text())
         meta = doc["meta"]
         assert meta["mu0"] > 0.0
         assert meta["lambda0"] * meta["mu0"] == pytest.approx(1.0, rel=1e-12)
-        assert meta["convergence_delta"] < 1e-4
-        assert len(doc["data"]) == 60
+        assert meta["convergence_delta"] < 1e-6
+        assert len(doc["data"]) == 100
 
     def test_vanishing_potential_flags_threshold_undefined(self, tmp_path):
         out = tmp_path / "z.json"
@@ -130,6 +134,21 @@ class TestThresholdCommand:
         assert len(rows) == 100
         assert all(row["energy"] < 0.0 for row in rows)
         assert all(row["lambda"] > meta["lambda0"] for row in rows)
+
+    def test_json_meta_reports_the_eigensolve(self, tmp_path):
+        out = tmp_path / "t.json"
+        assert run_cli("threshold", "--grid-n", "80", "--format", "json",
+                       "--out", str(out)) == EXIT_OK
+        meta = json.loads(out.read_text())["meta"]
+        res = leading_eigenpair(s_wave_reduce(
+            bump_potential(), PhysParams(), QuadGrid.gauss_legendre(80, 1.0)))
+        assert (meta["gap"], meta["residual"]) == (res.gap, res.residual)
+        assert meta["residual"] < 1e-12 < meta["gap"]
+
+    def test_csv_has_no_eigensolve_columns(self, tmp_path):
+        out = tmp_path / "t.csv"
+        assert run_cli("threshold", "--grid-n", "20", "--out", str(out)) == EXIT_OK
+        assert out.read_text().splitlines()[0] == "lambda,energy"
 
     def test_vanishing_potential_is_a_validation_error(self, capsys):
         assert run_cli("threshold", "--depth", "0.0",

@@ -14,6 +14,7 @@ from herbst.spectral import (DegenerateEigenvalueError, Discretization,
                              s_wave_reduce, square_well_potential,
                              tabulated_potential,
                              truncated_gaussian_potential, two_well_potential)
+from herbst.threshold import expansion_from_state
 
 
 class TestPotentials:
@@ -130,6 +131,22 @@ class TestAssembly:
             assert np.array_equal(disc.matrix(pot, p, kappa).entries,
                                   s_wave_reduce(pot, p, grid).entries)
 
+    @pytest.mark.parametrize("E", [0.0, -0.01])
+    def test_rows_integrate_one_exactly(self, E):
+        # the subtraction rule integrates g = 1 exactly: kappa @ w is the
+        # row integral of the ring kernel, here by adaptive quadrature split
+        # at the logarithmic singularity rho = r_i
+        grid = QuadGrid.gauss_legendre(40, 1.0)
+        p = PhysParams(m=1.0, E=E)
+        table = GreenKernelTable(p, s_max=2.002)
+        rows = Discretization.build(grid, p.m).kernel(p, table) @ grid.weights
+        for i in (0, 13, 39):
+            ri = grid.nodes[i]
+            exact = sum(quad(lambda rho: float(table.ring_integral(ri, rho)),
+                             lo, hi, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+                        for lo, hi in ((0.0, ri), (ri, 1.0)))
+            assert_allclose(rows[i], exact, rtol=1e-12)
+
     def test_kernel_rejects_another_mass(self):
         disc = Discretization.build(QuadGrid.gauss_legendre(20, 1.0), 1.0)
         with pytest.raises(ValueError):
@@ -145,7 +162,7 @@ class TestEigenpairs:
     def test_grid_convergence(self, bump, state200):
         coarse = leading_eigenpair(
             s_wave_reduce(bump, PhysParams(), QuadGrid.gauss_legendre(100, 1.0)))
-        assert abs(coarse.mu0 - state200.mu0) / state200.mu0 < 1e-4
+        assert abs(coarse.mu0 - state200.mu0) / state200.mu0 < 1e-6
 
     def test_eigenvector_is_positive_ground_state(self, state200):
         # Perron-Frobenius: the kernel is positivity improving; components
@@ -216,3 +233,37 @@ class TestEigenpairs:
         fresh = [leading_eigenpair(s_wave_reduce(
             bump, PhysParams.from_alpha(a), grid)).mu0 for a in alphas]
         assert [mu for _, mu in pts] == fresh
+
+
+_FAMILIES = {"bump": (bump_potential, 1.0),
+             "gauss": (truncated_gaussian_potential, 1.0),
+             "well": (square_well_potential, 3.0)}
+_SIZES = (200, 400, 800)
+
+
+@pytest.fixture(scope="module")
+def doubling_sequence():
+    """(mu0, a, b) at E = 0 on n = 200, 400, 800 for each family."""
+    out = {}
+    for name, (make, radius) in _FAMILIES.items():
+        pot = make(1.0, radius)
+        out[name] = []
+        for n in _SIZES:
+            res = leading_eigenpair(s_wave_reduce(
+                pot, PhysParams(), QuadGrid.gauss_legendre(n, radius)))
+            exp = expansion_from_state(res)
+            out[name].append(np.array([exp.mu0, exp.a, exp.b]))
+    return out
+
+
+class TestConvergence:
+    @pytest.mark.parametrize("family", sorted(_FAMILIES))
+    def test_third_order_in_mu0_a_and_b(self, doubling_sequence, family):
+        x200, x400, x800 = doubling_sequence[family]
+        order = np.log2(np.abs(x400 - x200) / np.abs(x800 - x400))
+        assert np.all(order >= 2.5), order
+
+    @pytest.mark.parametrize("family", sorted(_FAMILIES))
+    def test_default_grid_within_1e_7_of_n800(self, doubling_sequence, family):
+        x200, _, x800 = doubling_sequence[family]
+        assert np.all(np.abs(x200 - x800) / np.abs(x800) < 1e-7)

@@ -53,7 +53,7 @@ class TestCoefficients:
     def test_both_routes_agree_on_zero_overlap_state(self, zero_overlap_state):
         routes = coefficient_b(zero_overlap_state, "both")
         assert routes.momentum is not None
-        assert abs(routes.direct - routes.momentum) / abs(routes.direct) < 1e-3
+        assert abs(routes.direct - routes.momentum) / abs(routes.direct) < 1e-6
 
     def test_unconverged_momentum_route_raises(self, zero_overlap_state,
                                                unconverged_quad):
