@@ -97,16 +97,21 @@ def _emit(headers, rows, meta, cfg: RunConfig) -> None:
         for row in rows:
             lines.append(",".join(_num(v) if isinstance(v, float) else str(v)
                                   for v in row))
-        text = "\n".join(lines) + "\n"
+        _write("\n".join(lines) + "\n", cfg)
     else:
-        data = [dict(zip(headers, row)) for row in rows]
-        text = json.dumps({"meta": meta, "data": data}, indent=2,
-                          sort_keys=True, default=float) + "\n"
+        _write({"meta": meta, "data": [dict(zip(headers, row)) for row in rows]},
+               cfg)
+
+
+def _write(payload: str | dict, cfg: RunConfig) -> None:
+    """Write CSV text, or a report dict as JSON, to --out or to stdout."""
+    if isinstance(payload, dict):
+        payload = json.dumps(payload, indent=2, sort_keys=True, default=float) + "\n"
     if cfg.out:
         with open(cfg.out, "w") as fh:
-            fh.write(text)
+            fh.write(payload)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(payload)
 
 
 def _meta(cfg: RunConfig, command: str) -> dict:
@@ -189,8 +194,7 @@ def _momentum_symbol(p: PhysParams):
     m, e = p.m, p.E
     return RadialFunction(
         eval=lambda q: 1.0 / (np.sqrt(4.0 * math.pi**2 * np.asarray(q)**2
-                                      + m * m) - m - e),
-        singularity_order_at_zero=0.0)
+                                      + m * m) - m - e))
 
 
 def _green_flipped(r: float, p: PhysParams) -> float:
@@ -260,7 +264,7 @@ def _suite_appendix_b() -> list[dict]:
         closed = (1.0 / (2.0 * k * k)) / math.sqrt(1.0 + w * w)
         worst_closed = max(worst_closed, abs(val - closed) / closed)
         oracle = radial_fourier3(
-            RadialFunction(lambda r: k0_integral(r) / r, 0.0), k)
+            RadialFunction(lambda r: k0_integral(r) / r), k)
         worst_oracle = max(worst_oracle, abs(val - oracle) / abs(oracle))
     checks.append(_check("hankel_alpha1_beta0_closed", worst_closed, 1e-10))
     checks.append(_check("hankel_alpha1_beta0_oracle", worst_oracle, 1e-5))
@@ -273,7 +277,7 @@ def _suite_appendix_b() -> list[dict]:
         closed = (3.0 / (4.0 * math.pi)) * w**3 / (k**3 * (1.0 + w * w)**2.5)
         worst_closed = max(worst_closed, abs(val - closed) / closed)
         # int_r^inf z K0(z) dz = r K1(r)
-        oracle = radial_fourier3(RadialFunction(lambda r: r * k1(r), 0.0), k)
+        oracle = radial_fourier3(RadialFunction(lambda r: r * k1(r)), k)
         worst_oracle = max(worst_oracle, abs(val - oracle) / abs(oracle))
     checks.append(_check("hankel_alpha0_beta1_closed", worst_closed, 1e-10, {
         "note": "constant 3/(4 pi), fixed by the quadrature oracle"}))
@@ -347,14 +351,8 @@ def cmd_verify(suite: str, cfg: RunConfig) -> int:
     }
     checks = runners[suite]()
     ok = all(c["passed"] for c in checks)
-    report = {"meta": _meta(cfg, f"verify {suite}"),
-              "passed": ok, "data": checks}
-    text = json.dumps(report, indent=2, sort_keys=True, default=float) + "\n"
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write({"meta": _meta(cfg, f"verify {suite}"), "passed": ok, "data": checks},
+           cfg)
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 

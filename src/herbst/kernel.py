@@ -185,20 +185,21 @@ def series_remainder(r: float, alpha: float, m: float = 1.0) -> float:
     return abs(green_function(r, p) - truncated)
 
 
-def envelope_bound(r: float, p: PhysParams, c: float = H3_ROOT_REFERENCE) -> float:
-    """Pointwise envelope (m / 4 pi r^2)[1 + 2/mu + c/m]; needs mu > 0."""
+def envelope_bound(r: float, p: PhysParams) -> float:
+    """Pointwise envelope (m / 4 pi r^2)[1 + 2/mu + c/m], c = H3_ROOT_REFERENCE.
+
+    Needs mu > 0.
+    """
     if r <= 0.0:
         raise ValueError("envelope_bound requires r > 0")
     if p.mu == 0.0:
         raise ValueError("envelope bound degenerates at mu = 0")
-    if c < H3_ROOT_REFERENCE:
-        raise ValueError(f"envelope constant must be >= {H3_ROOT_REFERENCE}")
-    return p.m / (4.0 * math.pi * r * r) * (1.0 + 2.0 / p.mu + c / p.m)
+    return p.m / (4.0 * math.pi * r * r) * (1.0 + 2.0 / p.mu + H3_ROOT_REFERENCE / p.m)
 
 
-def envelope_holds(r: float, p: PhysParams, c: float = H3_ROOT_REFERENCE) -> bool:
+def envelope_holds(r: float, p: PhysParams) -> bool:
     """Whether |G_E(r)| <= envelope_bound(r)."""
-    return abs(green_function(r, p)) <= envelope_bound(r, p, c)
+    return abs(green_function(r, p)) <= envelope_bound(r, p)
 
 
 def h3_root() -> float:

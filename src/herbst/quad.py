@@ -25,18 +25,9 @@ _GLX, _GLW = leggauss(32)
 
 @dataclass(frozen=True)
 class RadialFunction:
-    """A radial profile r -> f(r) with its declared behavior near zero.
-
-    ``singularity_order_at_zero`` is the s in f(r) ~ r^-s; it must stay
-    below 3 so that r^2 f(r) is integrable in three dimensions.
-    """
+    """A radial profile r -> f(r); r^2 f(r) must be integrable at zero."""
 
     eval: Callable[[np.ndarray], np.ndarray]
-    singularity_order_at_zero: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.singularity_order_at_zero >= 3.0:
-            raise ValueError("singularity order must be < 3 for 3-D integrability")
 
     def __call__(self, r):
         return self.eval(r)

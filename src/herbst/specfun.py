@@ -34,10 +34,6 @@ _GL_NODES = {
     1: roots_genlaguerre(80, 0.5),
 }
 
-# Direct 3F2 series is used up to this |argument|; mpmath's analytic
-# continuation takes over beyond it.
-_HYP_SWITCH_W2 = 0.72
-
 
 class EvaluationFailure(RuntimeError):
     """A numerical strategy failed to converge; never a silent wrong value."""
@@ -243,34 +239,20 @@ def f1_moment(mu: float) -> float:
     return math.pi / (2.0 * math.sqrt(1.0 - mu * mu))
 
 
-def _hyp3f2_series(a1, a2, a3, b1, b2, z, rel_tol=1e-14, max_terms=500):
-    total = term = 1.0
-    for k in range(max_terms):
-        term *= (a1 + k) * (a2 + k) * (a3 + k) / ((b1 + k) * (b2 + k) * (k + 1.0)) * z
-        total += term
-        if abs(term) < rel_tol * max(abs(total), 1e-300):
-            return total
-    raise EvaluationFailure("3F2 series did not converge")
-
-
 def hyp3f2_neg(a1: float, a2: float, a3: float, b1: float, b2: float, w: float) -> float:
     """3F2(a1, a2, a3; b1, b2; -w^2) for real parameters and w >= 0.
 
-    Uses the direct series where it converges comfortably and mpmath's
-    analytic continuation elsewhere; the two strategies are cross-checked in
-    an overlap window by the test suite.
+    Evaluated by mpmath at 25 digits, which sums the series for small w and
+    continues it analytically beyond the unit circle.
     """
     for b in (b1, b2):
         if b <= 0.0 and float(b).is_integer():
             raise ValueError("lower parameters must not be nonpositive integers")
     if w < 0.0:
         raise ValueError("w must be nonnegative")
-    z = -w * w
-    if w * w <= _HYP_SWITCH_W2:
-        return _hyp3f2_series(a1, a2, a3, b1, b2, z)
     try:
         with mpmath.workdps(25):
-            return float(mpmath.hyper([a1, a2, a3], [b1, b2], z))
+            return float(mpmath.hyper([a1, a2, a3], [b1, b2], -w * w))
     except (mpmath.libmp.NoConvergence, ValueError) as exc:  # pragma: no cover
         raise EvaluationFailure(
             f"3F2 continuation failed for parameters {(a1, a2, a3, b1, b2)} at w={w}"

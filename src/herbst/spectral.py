@@ -32,10 +32,6 @@ from scipy.interpolate import PchipInterpolator
 from .kernel import GreenKernelTable, PhysParams
 from .specfun import k0, k0_integral
 
-POTENTIAL_FAMILIES = ("bump", "truncated_gaussian", "square_well_smoothed",
-                      "two_well", "tabulated")
-
-
 class EigensolverError(RuntimeError):
     pass
 
@@ -69,13 +65,10 @@ class RadialPotential:
 
     profile: Callable[[np.ndarray], np.ndarray]
     support_radius: float
-    family_id: str
 
     def __post_init__(self) -> None:
         if self.support_radius <= 0.0:
             raise ValueError("support radius must be positive")
-        if self.family_id not in POTENTIAL_FAMILIES:
-            raise ValueError(f"unknown potential family {self.family_id!r}")
         probe = np.linspace(0.0, 1.2 * self.support_radius, 257)[1:]
         vals = np.asarray(self.profile(probe), dtype=float)
         if np.any(vals > 1e-12):
@@ -95,46 +88,46 @@ class RadialPotential:
             raise ValueError("scaling must be positive")
         base = self.profile
         return RadialPotential(lambda r: c * np.asarray(base(r)),
-                               self.support_radius, self.family_id)
+                               self.support_radius)
 
 
 def bump_potential(depth: float = 1.0, radius: float = 1.0) -> RadialPotential:
     """The default C0-infinity well -depth * exp(1 - 1/(1 - (r/R)^2))."""
     return RadialPotential(
-        lambda r: -depth * _mollifier(np.asarray(r) / radius),
-        radius, "bump")
+        lambda r: -depth * _mollifier(np.asarray(r) / radius), radius)
 
 
-def truncated_gaussian_potential(depth: float = 1.0, radius: float = 1.0,
-                                 width: float | None = None) -> RadialPotential:
-    width = radius / 3.0 if width is None else width
+def truncated_gaussian_potential(depth: float = 1.0,
+                                 radius: float = 1.0) -> RadialPotential:
+    """Gaussian of width R/3, cut off by a C-infinity shoulder at the rim."""
+    width = radius / 3.0
     def prof(r):
         r = np.asarray(r, dtype=float)
         return -depth * np.exp(-r * r / (2.0 * width * width)) \
             * _smoothstep((radius - r) / (0.15 * radius))
-    return RadialPotential(prof, radius, "truncated_gaussian")
+    return RadialPotential(prof, radius)
 
 
-def square_well_potential(depth: float = 1.0, radius: float = 1.0,
-                          edge: float | None = None) -> RadialPotential:
-    """Flat well with a C-infinity shoulder of width ``edge`` at the rim."""
-    edge = 0.2 * radius if edge is None else edge
+def square_well_potential(depth: float = 1.0, radius: float = 1.0) -> RadialPotential:
+    """Flat well with a C-infinity shoulder of width R/5 at the rim."""
+    edge = 0.2 * radius
     def prof(r):
         return -depth * _smoothstep((radius - np.asarray(r, dtype=float)) / edge)
-    return RadialPotential(prof, radius, "square_well_smoothed")
+    return RadialPotential(prof, radius)
 
 
-def two_well_potential(depth1: float, depth2: float, radius: float = 1.0,
-                       centers: tuple[float, float] = (0.3, 0.75),
-                       widths: tuple[float, float] = (0.3, 0.25)) -> RadialPotential:
-    """Two concentric radial bumps; used to tune overlap-free eigenstates."""
-    c1, c2 = centers
-    h1, h2 = widths
+def two_well_potential(depth1: float, depth2: float,
+                       radius: float = 1.0) -> RadialPotential:
+    """Two concentric radial bumps; used to tune overlap-free eigenstates.
+
+    The bumps sit at 0.2 R and 0.7 R with half-widths 0.15 R and 0.12 R,
+    the geometry ``tune_zero_overlap`` scans.
+    """
     def prof(r):
         r = np.asarray(r, dtype=float)
-        return -(depth1 * _mollifier((r - c1 * radius) / (h1 * radius))
-                 + depth2 * _mollifier((r - c2 * radius) / (h2 * radius)))
-    return RadialPotential(prof, radius, "two_well")
+        return -(depth1 * _mollifier((r - 0.2 * radius) / (0.15 * radius))
+                 + depth2 * _mollifier((r - 0.7 * radius) / (0.12 * radius)))
+    return RadialPotential(prof, radius)
 
 
 def tabulated_potential(source) -> RadialPotential:
@@ -157,7 +150,7 @@ def tabulated_potential(source) -> RadialPotential:
         vals = interp(np.clip(rr, r[0], r_max))
         vals = np.where(rr <= r_max, np.nan_to_num(vals), 0.0)
         return np.minimum(vals, 0.0)
-    return RadialPotential(prof, r_max, "tabulated")
+    return RadialPotential(prof, r_max)
 
 
 @dataclass(frozen=True)
@@ -348,7 +341,6 @@ def eigen_continuation(
     grid: QuadGrid,
     alphas: Sequence[float],
     m: float = 1.0,
-    index: int = 0,
 ) -> list[tuple[float, float]]:
     """Leading eigenvalue of the full kernel K(alpha) along a list of alphas.
 
@@ -359,6 +351,6 @@ def eigen_continuation(
     out = []
     for alpha in alphas:
         p = PhysParams.from_alpha(float(alpha), m)
-        res = leading_eigenpair(disc.matrix(potential, p, disc.kernel(p)), index=index)
+        res = leading_eigenpair(disc.matrix(potential, p, disc.kernel(p)))
         out.append((float(alpha), res.mu0))
     return out

@@ -66,14 +66,25 @@ def _weighted_f(res: SpectralResult) -> np.ndarray:
 _b_table = functools.lru_cache(maxsize=8)(BKernelTable)
 
 
-def _b_direct(res: SpectralResult, a_zero_tol: float | None = None) -> float:
+def _a_vanishes(a: float, mu0: float) -> bool:
+    """The a = 0 rule: |a| < A_ZERO_TOL_REL mu0.
+
+    The one place the zero-overlap branch is decided; it also decides
+    whether E = 0 is an eigenvalue (``zero_energy_condition``).
+    """
+    return abs(a) < A_ZERO_TOL_REL * mu0
+
+
+def _b_direct(res: SpectralResult) -> float:
     """The alpha^2 coefficient of the eigenvalue series, position-space route.
 
     Sum of the quadratic-kernel average 2m (f, B f) and, when the overlap
     integral is nonzero, the second-order contribution of the rank-1 linear
     kernel term through the other eigenpairs.  The latter vanishes
     identically on the a = 0 branch, where 2m (f, B f) is the whole
-    coefficient.  The other eigenpairs are the ones ``res`` carries.
+    coefficient, and is left out for a trial state (index -1), which
+    carries no other eigenpairs.  The other eigenpairs are the ones ``res``
+    carries.
     """
     r = res.grid.nodes
     w = res.grid.weights
@@ -85,9 +96,7 @@ def _b_direct(res: SpectralResult, a_zero_tol: float | None = None) -> float:
     u = w * r * f
     b = float(2.0 * m * u @ kappa @ u)
 
-    if a_zero_tol is None:
-        a_zero_tol = A_ZERO_TOL_REL * res.mu0
-    if abs(coefficient_a(res)) < a_zero_tol or res.index < 0:
+    if res.index < 0 or _a_vanishes(coefficient_a(res), res.mu0):
         return b
     vals, vecs = res.eigvals, res.eigvecs
     uvec = np.sqrt(4.0 * math.pi * w) * r * np.sqrt(-res.potential(r))
@@ -100,12 +109,13 @@ def _b_direct(res: SpectralResult, a_zero_tol: float | None = None) -> float:
     return b + float(2.0 * m * pt)
 
 
-def _b_momentum(res: SpectralResult, a_zero_tol: float) -> float:
+def _b_momentum(res: SpectralResult) -> float:
     """b = 2m int B_hat(k) |f_hat(k)|^2 d^3k, defined only when a = 0."""
     a = coefficient_a(res)
-    if abs(a) >= a_zero_tol:
+    if not _a_vanishes(a, res.mu0):
         raise DivergentMomentumIntegralError(
-            f"divergent momentum integral: |a| = {abs(a):.3e} >= {a_zero_tol:.3e}; "
+            f"divergent momentum integral: |a| = {abs(a):.3e} >= "
+            f"{A_ZERO_TOL_REL * res.mu0:.3e}; "
             "the k -> 0 behavior -overlap^2/k^2 is non-integrable")
     r = res.grid.nodes
     wgt = res.grid.weights * r * _weighted_f(res)
@@ -135,15 +145,14 @@ def coefficient_b(res: SpectralResult, route: str = "direct"):
     route = "direct" or "momentum" returns a float; "both" returns a
     BRoutes pair (momentum entry None when the overlap does not vanish).
     """
-    a_zero_tol = A_ZERO_TOL_REL * res.mu0
     if route == "direct":
         return _b_direct(res)
     if route == "momentum":
-        return _b_momentum(res, a_zero_tol)
+        return _b_momentum(res)
     if route == "both":
         direct = _b_direct(res)
         try:
-            momentum = _b_momentum(res, a_zero_tol)
+            momentum = _b_momentum(res)
         except DivergentMomentumIntegralError:
             momentum = None
         return BRoutes(direct=direct, momentum=momentum)
@@ -155,33 +164,33 @@ class ThresholdExpansion:
     """Coefficients of lambda(alpha)^(-1) = mu0 + a alpha + b alpha^2."""
 
     mu0: float
-    lambda0: float
     a: float
     b: float
-    branch: Branch
-    a_zero_tol: float
 
     def __post_init__(self) -> None:
         if self.mu0 <= 0.0 or not math.isfinite(self.mu0):
             raise ValueError("mu0 must be positive and finite")
-        if abs(self.lambda0 * self.mu0 - 1.0) > 1e-12:
-            raise ValueError("lambda0 must equal 1/mu0")
         if self.a > 0.0:
             raise ValueError("a must be <= 0 (minus a multiple of a square)")
-        want: Branch = "a_zero" if abs(self.a) < self.a_zero_tol else "a_nonzero"
-        if self.branch != want:
-            raise ValueError(f"branch label inconsistent with |a| vs tolerance "
-                             f"({self.branch!r}, expected {want!r})")
+
+    @property
+    def lambda0(self) -> float:
+        """The threshold coupling 1/mu0."""
+        return 1.0 / self.mu0
+
+    @property
+    def a_zero_tol(self) -> float:
+        """The bound on |a| below which a counts as zero."""
+        return A_ZERO_TOL_REL * self.mu0
+
+    @property
+    def branch(self) -> Branch:
+        return "a_zero" if _a_vanishes(self.a, self.mu0) else "a_nonzero"
 
 
 def expansion_from_state(res: SpectralResult) -> ThresholdExpansion:
     """Assemble the threshold expansion for an eigenpair at E = 0."""
-    a = coefficient_a(res)
-    b = _b_direct(res)
-    tol = A_ZERO_TOL_REL * res.mu0
-    branch: Branch = "a_zero" if abs(a) < tol else "a_nonzero"
-    return ThresholdExpansion(mu0=res.mu0, lambda0=1.0 / res.mu0, a=a, b=b,
-                              branch=branch, a_zero_tol=tol)
+    return ThresholdExpansion(mu0=res.mu0, a=coefficient_a(res), b=_b_direct(res))
 
 
 def lambda_of_alpha(exp: ThresholdExpansion, alpha: float) -> float:
@@ -305,7 +314,12 @@ def u_reconstruct(res: SpectralResult, r_far: Sequence[float]) -> DecayReport:
 
 @dataclass(frozen=True)
 class ZeroEnergyReport:
-    """Whether E = 0 is a genuine eigenvalue rather than a resonance."""
+    """Whether E = 0 is a genuine eigenvalue rather than a resonance.
+
+    ``tol`` bounds |a| = (m^(3/2)/(sqrt(2) pi)) overlap^2, not the overlap
+    itself: E = 0 is an eigenvalue iff |a| < tol, the rule that labels the
+    expansion's branch "a_zero".
+    """
 
     is_eigenvalue: bool
     overlap: float
@@ -315,15 +329,14 @@ class ZeroEnergyReport:
 
 def zero_energy_condition(res: SpectralResult,
                           check_decay: bool = False) -> ZeroEnergyReport:
-    """E = 0 is an eigenvalue iff the overlap integral vanishes (within tol)."""
-    tol = A_ZERO_TOL_REL * max(res.mu0, 1.0)
-    o = overlap_integral(res)
+    """E = 0 is an eigenvalue iff the overlap integral vanishes, i.e. a = 0."""
     gamma = None
     if check_decay:
         R = res.grid.radius
         gamma = u_reconstruct(res, np.geomspace(5.0 * R, 50.0 * R, 25)).gamma
-    return ZeroEnergyReport(is_eigenvalue=abs(o) < tol, overlap=o, tol=tol,
-                            decay_gamma=gamma)
+    return ZeroEnergyReport(is_eigenvalue=_a_vanishes(coefficient_a(res), res.mu0),
+                            overlap=overlap_integral(res),
+                            tol=A_ZERO_TOL_REL * res.mu0, decay_gamma=gamma)
 
 
 class SmallXConstants(NamedTuple):
@@ -379,17 +392,16 @@ def synthetic_zero_overlap_state(potential: RadialPotential, grid: QuadGrid,
                           eigvals=None, eigvecs=None)
 
 
-def tune_zero_overlap(grid: QuadGrid, m: float = 1.0, depth1: float = 8.0,
-                      ratio_bounds: tuple[float, float] = (1.0, 4.0),
-                      centers: tuple[float, float] = (0.2, 0.7),
-                      widths: tuple[float, float] = (0.15, 0.12),
-                      index: int = 1) -> tuple[RadialPotential, SpectralResult]:
-    """Two-well potential tuned so an excited eigenstate has zero overlap.
+def tune_zero_overlap(grid: QuadGrid,
+                      m: float = 1.0) -> tuple[RadialPotential, SpectralResult]:
+    """Two-well potential tuned so its first excited state has zero overlap.
 
-    Scans the depth ratio of the outer well; the overlap integral of the
-    index-th eigenstate changes sign along the scan and a root is bracketed
-    and solved, yielding a genuine eigenpair on the a = 0 branch.
+    Scans the depth ratio in [1, 4] of the outer well against an inner well
+    of depth 8; the overlap integral of the first excited eigenstate changes
+    sign along the scan and a root is bracketed and solved, yielding a
+    genuine eigenpair on the a = 0 branch.
     """
+    depth1 = 8.0
     p = PhysParams(m=m, E=0.0)
     disc = Discretization.build(grid, m)
     kappa = disc.kernel(p)
@@ -397,9 +409,8 @@ def tune_zero_overlap(grid: QuadGrid, m: float = 1.0, depth1: float = 8.0,
 
     def state_at(ratio: float) -> SpectralResult:
         # sign-continuous along the scan: each state follows the previous one
-        pot = two_well_potential(depth1, ratio * depth1, radius=grid.radius,
-                                 centers=centers, widths=widths)
-        res = leading_eigenpair(disc.matrix(pot, p, kappa), index=index,
+        pot = two_well_potential(depth1, ratio * depth1, radius=grid.radius)
+        res = leading_eigenpair(disc.matrix(pot, p, kappa), index=1,
                                 sign_reference=ref_vec.get("v"))
         ref_vec["v"] = res.vector
         return res
@@ -407,7 +418,7 @@ def tune_zero_overlap(grid: QuadGrid, m: float = 1.0, depth1: float = 8.0,
     def objective(ratio: float) -> float:
         return overlap_integral(state_at(ratio))
 
-    ratios = np.geomspace(ratio_bounds[0], ratio_bounds[1], 25)
+    ratios = np.geomspace(1.0, 4.0, 25)
     vals = [objective(x) for x in ratios]
     bracket = None
     for x0, x1, f0, f1 in zip(ratios[:-1], ratios[1:], vals[:-1], vals[1:]):
@@ -422,7 +433,4 @@ def tune_zero_overlap(grid: QuadGrid, m: float = 1.0, depth1: float = 8.0,
     # closure until a full collection: release the arrays it reaches now
     ref_vec.clear()
     del disc, kappa
-    pot = two_well_potential(depth1, root * depth1, radius=grid.radius,
-                             centers=centers, widths=widths)
-    return pot, res
-
+    return two_well_potential(depth1, root * depth1, radius=grid.radius), res

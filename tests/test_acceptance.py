@@ -90,9 +90,9 @@ def test_criterion_4_bochner_special_cases():
     for w in np.geomspace(0.1, 10.0, 8):
         k = w / (2.0 * math.pi)
         v1 = hankel_incomplete(HankelParams(1, 0), k)
-        o1 = radial_fourier3(RadialFunction(incomplete_over_r, 0.0), k)
+        o1 = radial_fourier3(RadialFunction(incomplete_over_r), k)
         v2 = hankel_tail(HankelParams(0, 1), k)
-        o2 = radial_fourier3(RadialFunction(tail_zk0, 0.0), k)
+        o2 = radial_fourier3(RadialFunction(tail_zk0), k)
         worst = max(worst, abs(v1 - o1) / abs(o1), abs(v2 - o2) / abs(o2))
         # closed forms: (1/2k^2)(1+w^2)^(-1/2) and (3/4 pi) w^3 k^-3 (1+w^2)^(-5/2)
         assert_allclose(v1, 0.5 / (k * k * math.sqrt(1.0 + w * w)), rtol=1e-10)
@@ -106,7 +106,7 @@ def test_criterion_4_bochner_special_cases():
 # -- 5 ----------------------------------------------------------------------
 
 def test_criterion_5_momentum_space_quadratic_kernel():
-    prof = RadialFunction(b_profile_grid, singularity_order_at_zero=1.0)
+    prof = RadialFunction(b_profile_grid)
     worst = 0.0
     for s in np.geomspace(0.05, 3.0, 7):
         oracle = radial_fourier3(prof, float(s))

@@ -143,12 +143,6 @@ class TestEnvelope:
             for r in np.geomspace(0.05, 8.0, 15):
                 assert envelope_holds(float(r), p)
 
-    def test_bound_is_tight_near_root_constant(self):
-        # shrinking the constant below the transcendental root must be refused
-        p = PhysParams.from_mu(0.5, 1.0)
-        with pytest.raises(ValueError):
-            envelope_bound(1.0, p, c=0.5)
-
     def test_degenerate_at_zero_mu(self):
         with pytest.raises(ValueError):
             envelope_bound(1.0, PhysParams(m=1.0, E=0.0))

@@ -38,10 +38,6 @@ class TestIntegrateAdaptive:
 
 
 class TestRadialFunction:
-    def test_rejects_non_integrable_singularity(self):
-        with pytest.raises(ValueError):
-            RadialFunction(eval=lambda r: 1.0 / r**3, singularity_order_at_zero=3.0)
-
     def test_callable_passthrough(self):
         rf = RadialFunction(eval=lambda r: 2.0 * r)
         assert rf(1.5) == 3.0
@@ -58,8 +54,7 @@ class TestRadialFourier3:
     def test_yukawa_transform(self):
         # exp(-a r)/r -> 4 pi / (4 pi^2 k^2 + a^2)
         a = 1.3
-        prof = RadialFunction(eval=lambda r: np.exp(-a * r) / r,
-                              singularity_order_at_zero=1.0)
+        prof = RadialFunction(eval=lambda r: np.exp(-a * r) / r)
         for k in (0.2, 0.9, 3.0):
             expected = 4.0 * math.pi / (4.0 * math.pi**2 * k * k + a * a)
             assert_allclose(radial_fourier3(prof, k), expected, rtol=1e-8)

@@ -27,14 +27,13 @@ class TestPotentials:
         assert_allclose(pot(0.0), -2.0, rtol=1e-12)
 
     def test_positive_profile_is_rejected(self):
-        with pytest.raises(ValueError):
-            RadialPotential(profile=lambda r: np.abs(r), support_radius=1.0,
-                            family_id="bad")
+        with pytest.raises(ValueError, match="non-positive"):
+            RadialPotential(profile=lambda r: np.abs(r), support_radius=1.0)
 
     def test_profile_leaking_beyond_support_is_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="vanish beyond"):
             RadialPotential(profile=lambda r: -np.ones_like(np.asarray(r)),
-                            support_radius=1.0, family_id="bad")
+                            support_radius=1.0)
 
     def test_scaled_multiplies_depth(self):
         pot = bump_potential()
@@ -126,8 +125,7 @@ class TestAssembly:
         disc = Discretization.build(grid, p.m)
         kappa = disc.kernel(p)
         for pot in (bump_potential(), square_well_potential(),
-                    two_well_potential(8.0, 16.0, centers=(0.2, 0.7),
-                                       widths=(0.15, 0.12))):
+                    two_well_potential(8.0, 16.0)):
             assert np.array_equal(disc.matrix(pot, p, kappa).entries,
                                   s_wave_reduce(pot, p, grid).entries)
 

@@ -3,6 +3,7 @@
 import gc
 import math
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from herbst.kernel import BKernelTable, PhysParams
 from herbst.specfun import QuadratureError, k0_weighted_integral
 from herbst.spectral import (Discretization, QuadGrid, leading_eigenpair,
                              s_wave_reduce)
-from herbst.threshold import (A_ZERO_TOL_REL, BelowThresholdError, BRoutes,
+from herbst.threshold import (BelowThresholdError, BRoutes,
                               DivergentMomentumIntegralError,
                               ThresholdExpansion, _b_direct, coefficient_a,
                               coefficient_b, energy_of_lambda,
@@ -23,6 +24,23 @@ from herbst.threshold import (A_ZERO_TOL_REL, BelowThresholdError, BRoutes,
                               overlap_integral, small_x_constants,
                               tune_zero_overlap, u_reconstruct,
                               zero_energy_condition)
+
+
+@pytest.fixture(scope="module")
+def bump_matrix(bump, grid200):
+    return s_wave_reduce(bump, PhysParams(m=1.0, E=0.0), grid200)
+
+
+def _mixed_state(state, mat, eps):
+    """``state`` plus eps times the unit overlap direction, renormalized;
+    mu0 is the Rayleigh quotient of the mixed trial state."""
+    r, w = state.grid.nodes, state.grid.weights
+    u = np.sqrt(4.0 * math.pi * w) * r * np.sqrt(-state.potential(r))
+    v = state.vector + eps * u / np.linalg.norm(u)
+    v /= np.linalg.norm(v)
+    mu = float(v @ mat.entries @ v)
+    return replace(state, mu0=mu, lambda0=1.0 / mu, vector=v,
+                   phi=v / (np.sqrt(4.0 * math.pi * w) * r))
 
 
 class TestCoefficients:
@@ -75,7 +93,8 @@ class TestCoefficients:
                     * np.sqrt(-res.potential(r))) @ vecs
         c = -m / (2.0 * math.pi)
         pt = np.sum((c * overlaps[1:] * overlaps[0]) ** 2 / (vals[0] - vals[1:]))
-        b_quadratic = _b_direct(res, a_zero_tol=np.inf)
+        # a trial state (index -1) gets the quadratic-kernel average alone
+        b_quadratic = _b_direct(replace(res, index=-1))
         assert_allclose(_b_direct(res), b_quadratic + 2.0 * m * pt, rtol=1e-12)
 
     def test_b_direct_builds_its_table_once_per_grid(self, state200,
@@ -109,17 +128,9 @@ class TestExpansion:
         exp0 = expansion_from_state(zero_overlap_state)
         assert exp0.branch == "a_zero"
 
-    def test_inconsistent_branch_label_rejected(self, state200):
-        exp0 = expansion_from_state(state200)
-        with pytest.raises(ValueError):
-            ThresholdExpansion(mu0=exp0.mu0, lambda0=exp0.lambda0, a=exp0.a,
-                               b=exp0.b, branch="a_zero",
-                               a_zero_tol=exp0.a_zero_tol)
-
     def test_positive_a_rejected(self):
         with pytest.raises(ValueError):
-            ThresholdExpansion(mu0=1.0, lambda0=1.0, a=0.1, b=-1.0,
-                               branch="a_nonzero", a_zero_tol=1e-8)
+            ThresholdExpansion(mu0=1.0, a=0.1, b=-1.0)
 
 
 class TestInversion:
@@ -172,19 +183,9 @@ class TestInversion:
         assert abs(slope - 1.0) < 0.2
 
     def test_a_zero_branch_requires_negative_b(self):
-        exp0 = ThresholdExpansion(mu0=1.0, lambda0=1.0, a=0.0, b=0.5,
-                                  branch="a_zero", a_zero_tol=1e-8)
+        exp0 = ThresholdExpansion(mu0=1.0, a=0.0, b=0.5)
         with pytest.raises(ValueError):
             energy_of_lambda(exp0, 1.1)
-
-
-def _expansion(mu0, a, b):
-    """A ThresholdExpansion built from its coefficients, branch as assigned
-    by expansion_from_state."""
-    tol = A_ZERO_TOL_REL * mu0
-    branch = "a_zero" if abs(a) < tol else "a_nonzero"
-    return ThresholdExpansion(mu0=mu0, lambda0=1.0 / mu0, a=a, b=b,
-                              branch=branch, a_zero_tol=tol)
 
 
 class TestThresholdInvariant:
@@ -195,7 +196,7 @@ class TestThresholdInvariant:
     def test_energy_zero_at_and_just_below_threshold(self, a):
         mu0 = self.MU0_ULP_ABOVE
         assert mu0 - 1.0 / (1.0 / mu0) > 0.0
-        exp0 = _expansion(mu0, a, -0.05)
+        exp0 = ThresholdExpansion(mu0=mu0, a=a, b=-0.05)
         assert exp0.branch == ("a_zero" if a == 0.0 else "a_nonzero")
         assert energy_of_lambda(exp0, exp0.lambda0) == 0.0
         assert energy_of_lambda(exp0, exp0.lambda0 * (1.0 - 1e-15)) == 0.0
@@ -207,7 +208,7 @@ class TestThresholdInvariant:
                        min_size=2, max_size=2))
     @settings(max_examples=300, deadline=None)
     def test_energy_vanishes_at_threshold_and_falls_above(self, mu0, a, b, ts):
-        exp0 = _expansion(mu0, a, b)
+        exp0 = ThresholdExpansion(mu0=mu0, a=a, b=b)
         assert energy_of_lambda(exp0, exp0.lambda0) == 0.0
         lo, hi = sorted(exp0.lambda0 * (1.0 + t) for t in ts)
         e_lo, e_hi = energy_of_lambda(exp0, lo), energy_of_lambda(exp0, hi)
@@ -219,8 +220,9 @@ class TestThresholdInvariant:
         # well above threshold delta_mu then moves by about one ulp too
         rng = np.random.default_rng(7)
         for _ in range(5000):
-            exp0 = _expansion(rng.uniform(0.01, 10.0), -rng.uniform(0.01, 10.0),
-                              -rng.uniform(1e-6, 10.0))
+            exp0 = ThresholdExpansion(mu0=rng.uniform(0.01, 10.0),
+                                      a=-rng.uniform(0.01, 10.0),
+                                      b=-rng.uniform(1e-6, 10.0))
             lam = exp0.lambda0 * (1.0 + rng.uniform(0.2, 10.0))
             e_lo = energy_of_lambda(exp0, lam)
             assert energy_of_lambda(exp0, np.nextafter(lam, np.inf)) <= e_lo
@@ -259,6 +261,22 @@ class TestZeroEnergyCondition:
         assert rep.is_eigenvalue
         assert rep.decay_gamma is not None and rep.decay_gamma > 1.9
 
+    def test_small_overlap_is_eigenvalue_on_the_a_zero_branch(
+            self, zero_overlap_state, bump_matrix):
+        state = _mixed_state(zero_overlap_state, bump_matrix, 1e-5)
+        assert 1e-5 < overlap_integral(state) < 1.2e-5
+        assert expansion_from_state(state).branch == "a_zero"
+        assert zero_energy_condition(state).is_eigenvalue
+
+    @given(log_eps=st.floats(min_value=-12.0, max_value=-2.0))
+    @settings(max_examples=40, deadline=None)
+    def test_verdict_follows_the_branch_label(self, zero_overlap_state,
+                                              bump_matrix, log_eps):
+        state = _mixed_state(zero_overlap_state, bump_matrix, 10.0**log_eps)
+        rep = zero_energy_condition(state)
+        assert rep.is_eigenvalue == (expansion_from_state(state).branch == "a_zero")
+        assert rep.is_eigenvalue == (abs(coefficient_a(state)) < rep.tol)
+
     def test_small_x_constants_finite(self, state200):
         c = small_x_constants(state200)
         assert c.a1_finite and c.a2_finite
@@ -282,7 +300,6 @@ class TestTunedTwoWell:
         assert abs(overlap_integral(res)) < 1e-9
         assert expansion_from_state(res).branch == "a_zero"
         assert pot(0.2) < 0.0 and pot(0.7) < 0.0
-        assert pot.family_id == "two_well"
         # the sign chosen along the scan is the sign of the stored column
         assert np.array_equal(res.vector, res.eigvecs[:, res.index])
 
