@@ -15,11 +15,13 @@ exactly.  The matrix stays symmetric, and the rule is third order in n.
 
 Assembly has three layers, so that repeated solves on one grid share work:
 ``Discretization.build`` (grid and mass only), ``kernel`` (one energy) and
-``matrix`` (the sqrt(w |V|) scaling for one potential).
+``matrix`` (the sqrt(w |V|) scaling for one potential).  The symmetric ring
+kernel is evaluated on its packed upper triangle, i < j, only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -153,6 +155,14 @@ def tabulated_potential(source) -> RadialPotential:
     return RadialPotential(prof, r_max)
 
 
+@functools.lru_cache(maxsize=8)
+def _reference_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only n-point Gauss-Legendre nodes and weights on (-1, 1)."""
+    x, w = leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 @dataclass(frozen=True)
 class QuadGrid:
     """Quadrature nodes/weights on (0, R) for the radial discretization."""
@@ -177,7 +187,7 @@ class QuadGrid:
 
     @classmethod
     def gauss_legendre(cls, n: int, radius: float) -> "QuadGrid":
-        x, w = leggauss(n)
+        x, w = _reference_rule(n)
         return cls(nodes=0.5 * radius * (x + 1.0),
                    weights=0.5 * radius * w,
                    radius=radius)
@@ -201,9 +211,14 @@ class BsMatrix:
             raise ValueError("matrix assembly lost symmetry")
 
 
-def subtract_singularity(kappa: np.ndarray, weights: np.ndarray,
+def subtract_singularity(upper: np.ndarray, weights: np.ndarray,
                          row_integral: np.ndarray) -> np.ndarray:
-    """The subtraction rule: set kappa's diagonal so kappa @ weights == row_integral."""
+    """The symmetric kappa with strict upper triangle ``upper`` (packed, i < j)
+    and the diagonal of the subtraction rule: kappa @ weights == row_integral."""
+    above = ~np.tri(len(weights), dtype=bool)
+    kappa = np.empty(above.shape)
+    kappa[above] = upper
+    kappa.T[above] = upper
     np.fill_diagonal(kappa, 0.0)
     np.fill_diagonal(kappa, (row_integral - kappa @ weights) / weights)
     return kappa
@@ -215,10 +230,10 @@ class Discretization:
 
     grid: QuadGrid
     m: float
-    rr: np.ndarray            # r_i + r_j
-    dd: np.ndarray            # |r_i - r_j|
-    singular: np.ndarray      # (1/pi)(K0(m dd) - K0(m rr)), off the diagonal
-    singular_row: np.ndarray  # its exact integral over rho in (0, R)
+    rr: np.ndarray            # r_i + r_j, packed upper triangle, i < j
+    dd: np.ndarray            # r_j - r_i = |r_i - r_j|, packed likewise
+    singular: np.ndarray      # (1/pi)(K0(m dd) - K0(m rr)), packed likewise
+    singular_row: np.ndarray  # its exact integral over rho in (0, R), per node
 
     @classmethod
     def build(cls, grid: QuadGrid, m: float) -> "Discretization":
@@ -226,14 +241,13 @@ class Discretization:
         R = grid.radius
         if r[-1] >= R:
             raise ValueError("grid must lie strictly inside (0, R)")
-        rr = r[:, None] + r[None, :]
-        dd = np.abs(r[:, None] - r[None, :])
+        i, j = np.triu_indices(grid.size, 1)
+        rr = r[i] + r[j]
+        dd = r[j] - r[i]
 
-        # singular K1 part, primitive -K0/(2 pi^2); its diagonal is a
-        # placeholder that ``kernel`` replaces by the subtraction rule
-        x = m * dd
-        np.fill_diagonal(x, 1.0)
-        singular = (k0(x) - k0(m * rr)) / math.pi
+        # singular K1 part, primitive -K0/(2 pi^2); ``kernel`` sets the
+        # diagonal by the subtraction rule
+        singular = (k0(m * dd) - k0(m * rr)) / math.pi
         singular_row = (2.0 * k0_integral(m * r) + k0_integral(m * (R - r))
                         - k0_integral(m * (r + R))) / (math.pi * m)
         return cls(grid=grid, m=m, rr=rr, dd=dd, singular=singular,
@@ -248,10 +262,10 @@ class Discretization:
         if table is None:
             table = GreenKernelTable(p, s_max=2.0 * grid.radius * 1.001)
         smooth = table.cumulative_smooth(self.rr) - table.cumulative_smooth(self.dd)
-        kappa = 2.0 * math.pi * smooth + self.singular
+        upper = 2.0 * math.pi * smooth + self.singular
         row = (2.0 * math.pi * table.smooth_row_integral(grid.nodes, grid.radius)
                + self.singular_row)
-        return subtract_singularity(kappa, grid.weights, row)
+        return subtract_singularity(upper, grid.weights, row)
 
     def matrix(self, potential: RadialPotential, p: PhysParams,
                kappa: np.ndarray) -> BsMatrix:

@@ -90,7 +90,8 @@ def _b_direct(res: SpectralResult) -> float:
     w = res.grid.weights
     m = res.params.m
     table = _b_table(m, 2.0 * res.grid.radius * 1.001)
-    kappa = subtract_singularity(table.ring_integral(r[:, None], r[None, :]), w,
+    i, j = np.triu_indices(len(r), 1)
+    kappa = subtract_singularity(table.ring_integral(r[i], r[j]), w,
                                  table.ring_row_integral(r, res.grid.radius))
     f = _weighted_f(res)
     u = w * r * f

@@ -1,16 +1,22 @@
 """Potentials, quadrature grids, Nystrom assembly, and eigenpairs."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial.legendre import leggauss
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
+from herbst import threshold
 from herbst.kernel import GreenKernelTable, PhysParams, green_function
 from herbst.spectral import (DegenerateEigenvalueError, Discretization,
-                             QuadGrid, RadialPotential, bump_potential,
-                             eigen_continuation, leading_eigenpair,
+                             QuadGrid, RadialPotential, _reference_rule,
+                             bump_potential, eigen_continuation,
+                             leading_eigenpair,
                              s_wave_reduce, square_well_potential,
                              tabulated_potential,
                              truncated_gaussian_potential, two_well_potential)
@@ -83,6 +89,25 @@ class TestQuadGrid:
         with pytest.raises(ValueError):
             QuadGrid(nodes=g.nodes, weights=2.0 * g.weights, radius=1.0)
 
+    @pytest.mark.parametrize("n, radius", [(16, 1.0), (200, 1.0), (75, 2.3)])
+    def test_cached_rule_is_the_scaled_leggauss_rule(self, n, radius):
+        x, w = leggauss(n)
+        g = QuadGrid.gauss_legendre(n, radius)
+        assert np.array_equal(g.nodes, 0.5 * radius * (x + 1.0))
+        assert np.array_equal(g.weights, 0.5 * radius * w)
+
+    def test_grids_share_no_writable_array(self):
+        ref = _reference_rule(40)
+        for a in ref:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+        g, h = QuadGrid.gauss_legendre(40, 1.0), QuadGrid.gauss_legendre(40, 1.0)
+        for a in (g.nodes, g.weights):
+            assert a.flags.writeable
+            for b in (h.nodes, h.weights, *ref):
+                assert not np.shares_memory(a, b)
+
 
 class TestAssembly:
     def test_matrix_is_symmetric_and_finite(self):
@@ -144,6 +169,52 @@ class TestAssembly:
                              lo, hi, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
                         for lo, hi in ((0.0, ri), (ri, 1.0)))
             assert_allclose(rows[i], exact, rtol=1e-12)
+
+    @given(n=st.integers(min_value=8, max_value=120),
+           radius=st.floats(min_value=0.2, max_value=5.0),
+           m=st.floats(min_value=0.1, max_value=10.0),
+           energy=st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=0.9)))
+    @settings(max_examples=30, deadline=None)
+    def test_kernels_are_exactly_symmetric_samples(self, n, radius, m, energy):
+        # off the diagonal both assembled kernels are the ring integrals of
+        # their tables, bit for bit, and mirror across the diagonal exactly
+        grid = QuadGrid.gauss_legendre(n, radius)
+        p = PhysParams(m=m, E=-energy * m)
+        table = GreenKernelTable(p, s_max=2.0 * radius * 1.001)
+        disc = Discretization.build(grid, m)
+        k = disc.kernel(p, table)
+        assert np.array_equal(k, k.T)
+        r = grid.nodes
+        i, j = np.nonzero(~np.eye(n, dtype=bool))
+        assert np.array_equal(k[i, j], table.ring_integral(r[i], r[j]))
+
+        b_kernels = []
+        subtract = threshold.subtract_singularity
+
+        def recording(*args):
+            b_kernels.append(subtract(*args))
+            return b_kernels[-1]
+
+        res = leading_eigenpair(disc.matrix(bump_potential(radius=radius), p, k))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(threshold, "subtract_singularity", recording)
+            threshold._b_direct(res)
+        (kb,) = b_kernels
+        assert np.array_equal(kb, kb.T)
+        b_table = threshold._b_table(m, 2.0 * radius * 1.001)
+        assert np.array_equal(kb[i, j], b_table.ring_integral(r[i], r[j]))
+
+    def test_assembly_allocates_no_full_matrix_temporaries(self):
+        # the geometry is three packed triangles; the kernel adds kappa
+        n = 400
+        grid = QuadGrid.gauss_legendre(n, 1.0)
+        tracemalloc.start()
+        try:
+            Discretization.build(grid, 1.0).kernel(PhysParams())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * 8 * n * n
 
     def test_kernel_rejects_another_mass(self):
         disc = Discretization.build(QuadGrid.gauss_legendre(20, 1.0), 1.0)
