@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import stat
 import sys
 from dataclasses import asdict, dataclass, replace
 
@@ -108,8 +110,14 @@ def _write(payload: str | dict, cfg: RunConfig) -> None:
     if isinstance(payload, dict):
         payload = json.dumps(payload, indent=2, sort_keys=True, default=float) + "\n"
     if cfg.out:
-        with open(cfg.out, "w") as fh:
+        # write over the old bytes, then cut the tail: truncating on open
+        # (mode "w") blocks on ext4 until the old contents are written back.
+        # Cut regular files only, as O_TRUNC does (/dev/null refuses it)
+        fd = os.open(cfg.out, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "w") as fh:
             fh.write(payload)
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                fh.truncate()
     else:
         sys.stdout.write(payload)
 

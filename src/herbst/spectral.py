@@ -193,6 +193,9 @@ class QuadGrid:
                    radius=radius)
 
 
+_CHECK_ROWS = 32  # rows per block of the BsMatrix symmetry check
+
+
 @dataclass(frozen=True)
 class BsMatrix:
     """Symmetric Nystrom matrix of the Birman-Schwinger operator."""
@@ -203,11 +206,18 @@ class BsMatrix:
     grid: QuadGrid
 
     def __post_init__(self) -> None:
+        # no n x n temporary: max and min propagate NaN, so they decide
+        # finiteness and give max|m|; the asymmetry is taken by row blocks
         m = self.entries
-        if not np.all(np.isfinite(m)):
-            bad = np.argwhere(~np.isfinite(m))[0]
-            raise ValueError(f"non-finite matrix entry at {tuple(bad)}")
-        if np.max(np.abs(m - m.T)) > 1e-13 * max(1.0, np.max(np.abs(m))):
+        hi, lo = float(m.max()), float(m.min())
+        if not (math.isfinite(hi) and math.isfinite(lo)):
+            bad = tuple(np.argwhere(~np.isfinite(m))[0].tolist())
+            raise ValueError(f"non-finite matrix entry at {bad}")
+        asym = 0.0
+        for i in range(0, len(m), _CHECK_ROWS):
+            d = m[i:i + _CHECK_ROWS] - m[:, i:i + _CHECK_ROWS].T
+            asym = max(asym, float(np.abs(d, out=d).max()))
+        if asym > 1e-13 * max(1.0, hi, -lo):
             raise ValueError("matrix assembly lost symmetry")
 
 

@@ -419,13 +419,16 @@ def tune_zero_overlap(grid: QuadGrid,
     def objective(ratio: float) -> float:
         return overlap_integral(state_at(ratio))
 
+    # scan up to the first sign change only
     ratios = np.geomspace(1.0, 4.0, 25)
-    vals = [objective(x) for x in ratios]
     bracket = None
-    for x0, x1, f0, f1 in zip(ratios[:-1], ratios[1:], vals[:-1], vals[1:]):
+    f0 = objective(ratios[0])
+    for x0, x1 in zip(ratios[:-1], ratios[1:]):
+        f1 = objective(x1)
         if f0 == 0.0 or f0 * f1 < 0.0:
             bracket = (x0, x1)
             break
+        f0 = f1
     if bracket is None:
         raise ValueError("overlap does not change sign over the scanned ratios")
     root = brentq(objective, *bracket, xtol=1e-13)

@@ -1,6 +1,9 @@
 """Command-line surface: formats, determinism, exit codes, config plumbing."""
 
 import json
+import os
+import stat
+import threading
 
 import numpy as np
 import pytest
@@ -191,6 +194,94 @@ class TestVerifyCommand:
         assert run_cli("verify", "appendix_c",
                        "--out", str(out)) == EXIT_VERIFY_FAILED
         assert json.loads(out.read_text())["passed"] is False
+
+
+class TestOutFile:
+    """--out is rewritten in place: same bytes, mode and symlink as a fresh
+    file, and no O_TRUNC on open."""
+
+    ARGS = ("threshold", "--grid-n", "20")
+
+    def fresh(self, path, *fmt):
+        """The bytes written to ``path`` when no file is there (JSON echoes
+        the path); leaves no file behind."""
+        assert run_cli(*self.ARGS, *fmt, "--out", str(path)) == EXIT_OK
+        data = path.read_bytes()
+        path.unlink()
+        return data
+
+    @pytest.mark.parametrize("fmt", [(), ("--format", "json")])
+    def test_longer_old_file_leaves_exactly_the_new_bytes(self, tmp_path, fmt):
+        out = tmp_path / "old.out"
+        expected = self.fresh(out, *fmt)
+        out.write_bytes(b"x" * (3 * len(expected)))
+        assert run_cli(*self.ARGS, *fmt, "--out", str(out)) == EXIT_OK
+        assert out.read_bytes() == expected
+        if fmt:
+            assert json.loads(out.read_text())["meta"]["command"] == "threshold"
+
+    def test_existing_mode_is_kept(self, tmp_path):
+        out = tmp_path / "private.csv"
+        expected = self.fresh(out)
+        out.write_text("old\n")
+        out.chmod(0o600)
+        assert run_cli(*self.ARGS, "--out", str(out)) == EXIT_OK
+        assert stat.S_IMODE(out.stat().st_mode) == 0o600
+        assert out.read_bytes() == expected
+
+    def test_symlink_is_written_through(self, tmp_path):
+        target = tmp_path / "target.csv"
+        target.write_bytes(b"y" * 20000)
+        link = tmp_path / "link.csv"
+        expected = self.fresh(link)
+        link.symlink_to(target)
+        assert run_cli(*self.ARGS, "--out", str(link)) == EXIT_OK
+        assert link.is_symlink()
+        assert target.read_bytes() == expected
+
+    def test_fifo_gets_the_full_payload(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        expected = self.fresh(fifo)
+        os.mkfifo(fifo)
+        received = []
+
+        def drain():
+            with open(fifo, "rb") as fh:
+                received.append(fh.read())
+
+        reader = threading.Thread(target=drain, daemon=True)
+        reader.start()
+        assert run_cli(*self.ARGS, "--out", str(fifo)) == EXIT_OK
+        reader.join(timeout=10.0)
+        assert not reader.is_alive()
+        assert received == [expected]
+
+    def test_open_never_truncates(self, tmp_path, monkeypatch):
+        # truncating on open blocks on ext4 until the old contents are
+        # written back, so the writer must cut the tail after writing
+        out = tmp_path / "t.csv"
+        out.write_text("old\n")
+        flags = []
+        real_open = os.open
+
+        def recording(path, flag, *args, **kwargs):
+            if os.fspath(path) == str(out):
+                flags.append(flag)
+            return real_open(path, flag, *args, **kwargs)
+
+        monkeypatch.setattr("herbst.cli.os.open", recording)
+        assert run_cli(*self.ARGS, "--out", str(out)) == EXIT_OK
+        assert len(flags) == 1 and not flags[0] & os.O_TRUNC
+
+    def test_device_is_written_without_a_truncate(self):
+        # ftruncate fails on a character device; O_TRUNC ignored it
+        assert run_cli(*self.ARGS, "--out", os.devnull) == EXIT_OK
+
+    @pytest.mark.parametrize("where", ["directory", "missing_parent"])
+    def test_unwritable_path_exits_validation(self, tmp_path, where, capsys):
+        out = tmp_path if where == "directory" else tmp_path / "no" / "t.csv"
+        assert run_cli(*self.ARGS, "--out", str(out)) == EXIT_VALIDATION
+        assert "error:" in capsys.readouterr().err
 
 
 class TestConfigPlumbing:

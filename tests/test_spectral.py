@@ -13,8 +13,9 @@ from scipy.integrate import quad
 
 from herbst import threshold
 from herbst.kernel import GreenKernelTable, PhysParams, green_function
-from herbst.spectral import (DegenerateEigenvalueError, Discretization,
-                             QuadGrid, RadialPotential, _reference_rule,
+from herbst.spectral import (BsMatrix, DegenerateEigenvalueError,
+                             Discretization, QuadGrid, RadialPotential,
+                             _reference_rule,
                              bump_potential, eigen_continuation,
                              leading_eigenpair,
                              s_wave_reduce, square_well_potential,
@@ -220,6 +221,73 @@ class TestAssembly:
         disc = Discretization.build(QuadGrid.gauss_legendre(20, 1.0), 1.0)
         with pytest.raises(ValueError):
             disc.kernel(PhysParams(m=2.0))
+
+
+def bs_matrix(entries):
+    """BsMatrix around ``entries``; the check reads nothing else."""
+    return BsMatrix(entries=entries, params=PhysParams(), potential=None,
+                    grid=None)
+
+
+def symmetric(n, scale, seed=0):
+    """Symmetric n x n matrix with max|m| = |scale|, attained at (0, 0) only:
+    every other entry is at most |scale| / 2."""
+    a = np.random.default_rng(seed).uniform(-0.25, 0.25, (n, n))
+    a = a + a.T
+    a[0, 0] = 1.0
+    return scale * a
+
+
+class TestBsMatrixCheck:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_is_rejected_by_position(self, bad):
+        m = symmetric(40, 1.0)
+        m[3, 35] = bad
+        with pytest.raises(ValueError, match=r"non-finite .* at \(3, 35\)$"):
+            bs_matrix(m)
+
+    @pytest.mark.parametrize("scale", [0.5, 4.0, -4.0])
+    def test_asymmetry_bound_is_relative_to_max_entry(self, scale):
+        # the bound is 1e-13 max(1, max|m|); (68, 67) sits in the last,
+        # partial block of rows
+        bound = 1e-13 * max(1.0, abs(scale))
+        m = symmetric(70, scale)
+        m[68, 67] += 0.9 * bound
+        bs_matrix(m)
+        m[68, 67] += 0.2 * bound
+        with pytest.raises(ValueError, match="lost symmetry"):
+            bs_matrix(m)
+
+    @given(n=st.integers(min_value=1, max_value=100),
+           scale=st.floats(min_value=1e-3, max_value=1e3),
+           sign=st.sampled_from([1.0, -1.0]),
+           spot=st.tuples(st.floats(0.0, 0.999), st.floats(0.0, 0.999)),
+           factor=st.floats(min_value=0.0, max_value=3.0))
+    @settings(max_examples=60, deadline=None)
+    def test_decision_matches_the_full_matrix_rule(self, n, scale, sign, spot,
+                                                   factor):
+        m = symmetric(n, sign * scale)
+        i, j = int(spot[0] * n), int(spot[1] * n)
+        m[i, j] += factor * 1e-13 * max(1.0, scale)
+        scale_m = max(1.0, np.max(np.abs(m)))
+        full_rule = np.max(np.abs(m - m.T)) > 1e-13 * scale_m
+        try:
+            bs_matrix(m)
+            rejected = False
+        except ValueError:
+            rejected = True
+        assert rejected == full_rule
+
+    def test_check_allocates_no_full_matrix_temporaries(self):
+        n = 800
+        m = symmetric(n, 1.0)
+        tracemalloc.start()
+        try:
+            bs_matrix(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.1 * 8 * n * n
 
 
 class TestEigenpairs:

@@ -291,11 +291,22 @@ class TestZeroEnergyCondition:
 
 
 class TestTunedTwoWell:
-    def test_excited_state_overlap_is_driven_to_zero(self, geometry_builds):
+    def test_excited_state_overlap_is_driven_to_zero(self, geometry_builds,
+                                                     monkeypatch):
+        solves = []
+
+        def counting(*args, **kwargs):
+            solves.append(1)
+            return leading_eigenpair(*args, **kwargs)
+
+        monkeypatch.setattr(threshold, "leading_eigenpair", counting)
         grid = QuadGrid.gauss_legendre(150, 1.0)
         pot, res = tune_zero_overlap(grid)
         # every solve of the scan and of the root search shares one geometry
         assert geometry_builds == [150]
+        # the scan stops at the first sign change: 24 solves, not the 34 of
+        # a scan over all 25 ratios
+        assert len(solves) == 24
         assert res.index == 1
         assert abs(overlap_integral(res)) < 1e-9
         assert expansion_from_state(res).branch == "a_zero"
