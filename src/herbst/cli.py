@@ -334,9 +334,9 @@ def _suite_continuation() -> list[dict]:
     coeffs = np.polyfit(np.asarray(alphas), mus, 4)
     da, half_d2 = float(coeffs[-2]), float(coeffs[-3])
     checks = [
-        _check("coefficient_a_vs_slope", abs(a - da) / abs(a), 1e-3,
+        _check("coefficient_a_vs_slope", abs(a - da) / abs(a), 1e-6,
                {"a": a, "slope": da}),
-        _check("coefficient_b_vs_curvature", abs(b - half_d2) / abs(b), 1e-2,
+        _check("coefficient_b_vs_curvature", abs(b - half_d2) / abs(b), 1e-4,
                {"b": b, "half_curvature": half_d2}),
     ]
     syn = synthetic_zero_overlap_state(pot, grid)

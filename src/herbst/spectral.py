@@ -279,12 +279,12 @@ class Discretization:
 
     def matrix(self, potential: RadialPotential, p: PhysParams,
                kappa: np.ndarray) -> BsMatrix:
-        """sqrt(w |V|) kappa sqrt(w |V|), symmetrized, for kappa = self.kernel(p)."""
+        """sqrt(w |V|) kappa sqrt(w |V|) for kappa = self.kernel(p)."""
         s = np.sqrt(self.grid.weights) * np.sqrt(-potential(self.grid.nodes))
-        entries = s[:, None] * kappa
-        entries *= s[None, :]
-        entries += entries.T
-        entries *= 0.5
+        # s_i s_j == s_j s_i and kappa is mirrored, so this is symmetric
+        # bit for bit, with no transpose temporary
+        entries = np.multiply.outer(s, s)
+        entries *= kappa
         return BsMatrix(entries=entries, params=p, potential=potential, grid=self.grid)
 
 
@@ -305,59 +305,98 @@ class SpectralResult:
     vector: np.ndarray    # unit eigenvector in the weighted coordinates
     gap: float            # distance to the nearest other eigenvalue
     residual: float
-    index: int            # 0 = leading
-    grid: QuadGrid
-    potential: RadialPotential
-    params: PhysParams
-    # full decomposition, eigenvalues descending; column ``index`` is
-    # ``vector``.  None for a trial state that is not an eigenpair (index -1)
-    eigvals: np.ndarray | None
-    eigvecs: np.ndarray | None
+    index: int            # 0 = leading; -1 = a trial state, not an eigenpair
+    matrix: BsMatrix      # the operator the pair belongs to
+
+    @property
+    def grid(self) -> QuadGrid:
+        return self.matrix.grid
+
+    @property
+    def potential(self) -> RadialPotential:
+        return self.matrix.potential
+
+    @property
+    def params(self) -> PhysParams:
+        return self.matrix.params
+
+
+def _inverse_iteration(a: np.ndarray, mu: float, scale: float) -> np.ndarray:
+    """Unit eigenvector of the symmetric ``a`` for its eigenvalue ``mu``.
+
+    One solve of (a - mu I) x = a g (Golub & Van Loan, 4th ed., 8.2.2): with
+    mu accurate to rounding, x is the eigenvector up to O(eps scale / gap),
+    and its residual is O(eps scale) times |a g| over the component of a g
+    along it.  The solve takes two starts, 1 (which the positive ground
+    state overlaps most) and a fixed pseudo-random g, and keeps the one the
+    shift amplifies most.  Starting inside the range of ``a`` keeps the rows where
+    |V| underflows exactly zero.
+    """
+    n = len(a)
+    rhs = a @ np.column_stack([np.ones(n), np.random.default_rng(0).standard_normal(n)])
+    shifted = a.copy()
+    # an exactly singular shift raises: move it by a few ulps of the scale
+    for shift in (mu, mu + 4.0 * np.spacing(scale)):
+        np.fill_diagonal(shifted, a.diagonal() - shift)
+        try:
+            x = np.linalg.solve(shifted, rhs)
+            break
+        except np.linalg.LinAlgError:
+            continue
+    else:  # pragma: no cover
+        raise EigensolverError(f"inverse iteration at {mu} stayed singular")
+    gain = np.linalg.norm(x, axis=0) / np.maximum(np.linalg.norm(rhs, axis=0),
+                                                  np.finfo(float).tiny)
+    x = x[:, np.argmax(gain)]
+    return x / np.linalg.norm(x)
 
 
 def leading_eigenpair(mat: BsMatrix, index: int = 0,
                       sign_reference: np.ndarray | None = None) -> SpectralResult:
     """Largest (or index-th from the top) eigenvalue and eigenfunction.
 
-    The eigenfunction is returned as physical samples phi(r_i), normalized
-    so that 4 pi sum_i w_i r_i^2 phi_i^2 = 1.  Its sign makes the overlap
-    with ``sign_reference`` positive when that is given and nonzero, and
-    the largest-magnitude component positive otherwise.
+    The eigenvalues come from ``eigvalsh`` and the eigenvector from one
+    inverse-iteration solve at that eigenvalue; no other eigenvector is
+    formed.  The eigenfunction is returned as physical samples phi(r_i),
+    normalized so that 4 pi sum_i w_i r_i^2 phi_i^2 = 1.  Its sign makes the
+    overlap with ``sign_reference`` positive when that is given and nonzero,
+    and the largest-magnitude component positive otherwise.
     """
     a = mat.entries
     n = a.shape[0]
     if index < 0 or index >= n:
         raise ValueError("eigenpair index out of range")
     try:
-        vals, vecs = np.linalg.eigh(a)
+        vals = np.linalg.eigvalsh(a)[::-1]
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise EigensolverError("symmetric eigensolver failed") from exc
-    order = np.argsort(vals)[::-1]
-    vals = vals[order]
-    vecs = vecs[:, order]
     mu = float(vals[index])
-    v = vecs[:, index]
     others = np.delete(vals, index)
     gap = float(np.min(np.abs(others - mu))) if len(others) else np.inf
     scale = max(np.max(np.abs(vals)), 1e-300)
-    if gap < 1e-12 * scale and scale > 1e-200:
-        raise DegenerateEigenvalueError(
-            f"eigenvalue {mu} is degenerate within {gap}; "
-            "the threshold expansion assumes a simple eigenvalue")
+    if scale > 1e-200:
+        if gap < 1e-12 * scale:
+            raise DegenerateEigenvalueError(
+                f"eigenvalue {mu} is degenerate within {gap}; "
+                "the threshold expansion assumes a simple eigenvalue")
+        v = _inverse_iteration(a, mu, scale)
+    else:
+        # the potential vanishes: every unit vector is an eigenvector of the
+        # zero matrix, and inverse iteration would divide 0 by 0
+        v = np.zeros(n)
+        v[index] = 1.0
     residual = float(np.linalg.norm(a @ v - mu * v))
     ref = 0.0 if sign_reference is None else float(v @ sign_reference)
     flip = ref < 0.0 if ref != 0.0 else v[np.argmax(np.abs(v))] < 0.0
     if flip:
         v = -v
-        vecs[:, index] = v
     r = mat.grid.nodes
     w = mat.grid.weights
     phi = v / (np.sqrt(4.0 * math.pi * w) * r)
     lam0 = 1.0 / mu if mu > 0.0 else math.inf
     return SpectralResult(
         mu0=mu, lambda0=lam0, phi=phi, vector=v, gap=gap, residual=residual,
-        index=index, grid=mat.grid, potential=mat.potential, params=mat.params,
-        eigvals=vals, eigvecs=vecs)
+        index=index, matrix=mat)
 
 
 def eigen_continuation(

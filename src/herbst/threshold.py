@@ -82,9 +82,17 @@ def _b_direct(res: SpectralResult) -> float:
     integral is nonzero, the second-order contribution of the rank-1 linear
     kernel term through the other eigenpairs.  The latter vanishes
     identically on the a = 0 branch, where 2m (f, B f) is the whole
-    coefficient, and is left out for a trial state (index -1), which
-    carries no other eigenpairs.  The other eigenpairs are the ones ``res``
-    carries.
+    coefficient, and is left out for a trial state (index -1), which is not
+    an eigenpair.
+
+    With o_j = (u, v_j) for the overlap vector u and the eigenvectors v_j of
+    M, the sum over j != index of (c o_j o_index)^2 / (mu - mu_j) is
+    (c o_index)^2 (Q u, (mu - M)^+ Q u) with Q = I - v v^T, v = v_index.  It
+    is one solve of the bordered system [[mu I - M, v], [v^T, 0]] [x; t] =
+    [Q u; 0], whose matrix is nonsingular for a simple mu and indefinite for
+    index > 0 (Golub & Van Loan, 4th ed., 7.6.1), so no other eigenpair is
+    formed.  The system projects u itself, but a right-hand side without
+    its large v part loses less to rounding.
     """
     r = res.grid.nodes
     w = res.grid.weights
@@ -99,15 +107,20 @@ def _b_direct(res: SpectralResult) -> float:
 
     if res.index < 0 or _a_vanishes(coefficient_a(res), res.mu0):
         return b
-    vals, vecs = res.eigvals, res.eigvecs
+    n = len(r)
+    v = res.vector
     uvec = np.sqrt(4.0 * math.pi * w) * r * np.sqrt(-res.potential(r))
-    overlaps = uvec @ vecs
-    i0 = res.index
+    o = float(uvec @ v)
+    qu = uvec - o * v
+    entries = res.matrix.entries
+    bordered = np.empty((n + 1, n + 1))
+    np.negative(entries, out=bordered[:n, :n])
+    np.fill_diagonal(bordered[:n, :n], res.mu0 - entries.diagonal())
+    bordered[:n, n] = bordered[n, :n] = v
+    bordered[n, n] = 0.0
+    x = np.linalg.solve(bordered, np.append(qu, 0.0))[:n]
     c = -m / (2.0 * math.pi)
-    others = np.arange(len(vals)) != i0
-    pt = np.sum((c * overlaps[others] * overlaps[i0]) ** 2
-                / (vals[i0] - vals[others]))
-    return b + float(2.0 * m * pt)
+    return b + float(2.0 * m * (c * o) ** 2 * (qu @ x))
 
 
 def _b_momentum(res: SpectralResult) -> float:
@@ -388,9 +401,7 @@ def synthetic_zero_overlap_state(potential: RadialPotential, grid: QuadGrid,
     mu = float(v @ mat.entries @ v)
     phi = v / (np.sqrt(4.0 * math.pi * w) * r)
     return SpectralResult(mu0=mu, lambda0=1.0 / mu, phi=phi, vector=v,
-                          gap=np.inf, residual=np.nan, index=-1,
-                          grid=grid, potential=potential, params=p,
-                          eigvals=None, eigvecs=None)
+                          gap=np.inf, residual=np.nan, index=-1, matrix=mat)
 
 
 def tune_zero_overlap(grid: QuadGrid,

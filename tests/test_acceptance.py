@@ -150,10 +150,10 @@ def test_criterion_7_expansion_vs_brute_force(bump, grid200, state200,
     slope, half_curv = float(coeffs[-2]), float(coeffs[-3])
     rel_a = abs(a - slope) / abs(a)
     rel_b = abs(b - half_curv) / abs(b)
-    _report(7, "coefficient a vs d(mu)/d(alpha) rel error", rel_a, "< 1e-3")
-    _report(7, "coefficient b vs half curvature rel error", rel_b, "< 1e-2")
-    assert rel_a < 1e-3
-    assert rel_b < 1e-2
+    _report(7, "coefficient a vs d(mu)/d(alpha) rel error", rel_a, "< 1e-6")
+    _report(7, "coefficient b vs half curvature rel error", rel_b, "< 1e-4")
+    assert rel_a < 1e-6
+    assert rel_b < 1e-4
 
     # dual-route agreement is defined on the a = 0 branch, where the
     # momentum integral converges

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -217,6 +218,22 @@ class TestAssembly:
             tracemalloc.stop()
         assert peak <= 5 * 8 * n * n
 
+    def test_matrix_is_exactly_symmetric_with_one_full_array(self):
+        # entries = (s s^T) * kappa: no transpose temporary, and symmetric
+        # bit for bit since s_i s_j == s_j s_i and kappa is mirrored
+        n = 800
+        grid = QuadGrid.gauss_legendre(n, 1.0)
+        disc = Discretization.build(grid, 1.0)
+        kappa = disc.kernel(PhysParams())
+        tracemalloc.start()
+        try:
+            entries = disc.matrix(bump_potential(), PhysParams(), kappa).entries
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * 8 * n * n
+        assert np.array_equal(entries, entries.T)
+
     def test_kernel_rejects_another_mass(self):
         disc = Discretization.build(QuadGrid.gauss_legendre(20, 1.0), 1.0)
         with pytest.raises(ValueError):
@@ -310,19 +327,64 @@ class TestEigenpairs:
         assert state200.residual < 1e-12
         assert state200.gap > 0.0
 
-    def test_carries_sorted_decomposition(self, state200):
-        assert np.all(np.diff(state200.eigvals) <= 0.0)
-        assert state200.eigvals[0] == state200.mu0
-        assert np.array_equal(state200.eigvecs[:, 0], state200.vector)
+    def test_vector_is_a_unit_eigenvector_of_the_top_eigenvalue(self, state200):
+        # the pair comes from eigvalsh and one inverse-iteration solve
+        assert state200.mu0 == np.linalg.eigvalsh(state200.matrix.entries)[-1]
+        assert state200.residual < 1e-13
+        assert_allclose(np.linalg.norm(state200.vector), 1.0, rtol=1e-15)
 
     def test_sign_reference_decides_the_sign(self, bump, grid200, state200):
         mat = s_wave_reduce(bump, PhysParams(), grid200)
         flipped = leading_eigenpair(mat, sign_reference=-state200.vector)
         assert np.array_equal(flipped.vector, -state200.vector)
         assert np.array_equal(flipped.phi, -state200.phi)
-        assert np.array_equal(flipped.eigvecs[:, 0], flipped.vector)
+        assert flipped.matrix is mat
         kept = leading_eigenpair(mat, sign_reference=state200.vector)
         assert np.array_equal(kept.vector, state200.vector)
+
+    @staticmethod
+    def _with_spectrum(grid, top):
+        """BsMatrix on ``grid`` whose eigenvalues are ``top`` followed by a
+        simple tail below them, in a fixed random orthonormal basis."""
+        n = grid.size
+        vals = np.concatenate([top, np.geomspace(0.1, 1e-6, n - len(top))])
+        q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((n, n)))
+        entries = (q * vals) @ q.T
+        entries = 0.5 * (entries + entries.T)
+        return BsMatrix(entries=entries, params=PhysParams(),
+                        potential=bump_potential(), grid=grid)
+
+    def test_double_top_eigenvalue_is_degenerate(self, grid200):
+        mat = self._with_spectrum(grid200, [0.5, 0.5, 0.3])
+        with pytest.raises(DegenerateEigenvalueError):
+            leading_eigenpair(mat)
+        # the third eigenvalue is simple
+        assert_allclose(leading_eigenpair(mat, index=2).mu0, 0.3, rtol=1e-13)
+
+    def test_double_second_eigenvalue_is_degenerate_at_index_1(self, grid200):
+        mat = self._with_spectrum(grid200, [0.5, 0.3, 0.3])
+        with pytest.raises(DegenerateEigenvalueError):
+            leading_eigenpair(mat, index=1)
+        assert_allclose(leading_eigenpair(mat).mu0, 0.5, rtol=1e-13)
+
+    def test_nearby_simple_spectrum_is_not_degenerate(self, grid200):
+        mat = self._with_spectrum(grid200, [0.5, 0.5 - 1e-9, 0.3])
+        for index, mu in ((0, 0.5), (1, 0.5 - 1e-9)):
+            res = leading_eigenpair(mat, index=index)
+            assert_allclose(res.mu0, mu, rtol=1e-13)
+            assert_allclose(res.gap, 1e-9, rtol=1e-5)
+            assert res.residual < 1e-13
+
+    def test_exactly_singular_shift_is_nudged(self, grid200):
+        # mu = 1 is exact, so a - mu I has an exact zero pivot
+        entries = np.diag(np.linspace(1.0, 0.1, grid200.size))
+        res = leading_eigenpair(BsMatrix(entries=entries, params=PhysParams(),
+                                         potential=bump_potential(),
+                                         grid=grid200))
+        assert res.mu0 == 1.0
+        # the nudge of 4 ulps leaves O(eps / gap) of the other directions
+        assert_allclose(res.vector, np.eye(grid200.size)[0], atol=1e-12)
+        assert res.residual < 1e-14
 
     def test_reciprocal_threshold(self, state200):
         assert_allclose(state200.lambda0 * state200.mu0, 1.0, rtol=1e-14)
@@ -336,10 +398,14 @@ class TestEigenpairs:
 
     def test_vanishing_potential_gives_zero_mu(self):
         pot = bump_potential(depth=0.0)
-        res = leading_eigenpair(
-            s_wave_reduce(pot, PhysParams(), QuadGrid.gauss_legendre(20, 1.0)))
+        mat = s_wave_reduce(pot, PhysParams(), QuadGrid.gauss_legendre(20, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = leading_eigenpair(mat)
         assert res.mu0 == 0.0
         assert res.lambda0 == math.inf
+        assert np.linalg.norm(res.vector) == 1.0
+        assert res.residual == 0.0
 
     def test_depth_scaling_for_arbitrary_factor(self, bump, state200, grid200):
         from hypothesis import given, settings

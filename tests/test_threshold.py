@@ -14,8 +14,10 @@ from numpy.testing import assert_allclose
 from herbst import threshold
 from herbst.kernel import BKernelTable, PhysParams
 from herbst.specfun import QuadratureError, k0_weighted_integral
-from herbst.spectral import (Discretization, QuadGrid, leading_eigenpair,
-                             s_wave_reduce)
+from herbst.spectral import (Discretization, QuadGrid, bump_potential,
+                             leading_eigenpair, s_wave_reduce,
+                             square_well_potential,
+                             truncated_gaussian_potential)
 from herbst.threshold import (BelowThresholdError, BRoutes,
                               DivergentMomentumIntegralError,
                               ThresholdExpansion, _b_direct, coefficient_a,
@@ -41,6 +43,26 @@ def _mixed_state(state, mat, eps):
     mu = float(v @ mat.entries @ v)
     return replace(state, mu0=mu, lambda0=1.0 / mu, vector=v,
                    phi=v / (np.sqrt(4.0 * math.pi * w) * r))
+
+
+_FAMILIES = {"bump": (bump_potential, 1.0),
+             "gauss": (truncated_gaussian_potential, 1.0),
+             "well": (square_well_potential, 3.0)}
+
+
+def _eigh_second_order_term(res, entries):
+    """2m sum_(j != index) (c o_j o_index)^2 / (mu_index - mu_j) over the
+    full eigendecomposition of ``entries``, with o_j the overlaps of the
+    eigenvectors: the sum the bordered solve of ``_b_direct`` replaces."""
+    r, w, m = res.grid.nodes, res.grid.weights, res.params.m
+    vals, vecs = np.linalg.eigh(entries)
+    vals, vecs = vals[::-1], vecs[:, ::-1]
+    overlaps = (np.sqrt(4.0 * math.pi * w) * r
+                * np.sqrt(-res.potential(r))) @ vecs
+    others = np.arange(len(vals)) != res.index
+    c = -m / (2.0 * math.pi)
+    return 2.0 * m * np.sum((c * overlaps[others] * overlaps[res.index]) ** 2
+                            / (vals[res.index] - vals[others]))
 
 
 class TestCoefficients:
@@ -81,21 +103,28 @@ class TestCoefficients:
         assert exc.value.error_bound == 1e-3
 
     def test_b_direct_matches_reassembled_decomposition(self, state200):
-        # the second-order sum over the other eigenpairs, from a fresh
-        # assembly and eigensolve instead of the decomposition res carries
+        # the oracle sum from a fresh assembly, not the matrix res carries
         res = state200
-        r, w, m = res.grid.nodes, res.grid.weights, res.params.m
-        vals, vecs = np.linalg.eigh(
-            s_wave_reduce(res.potential, res.params, res.grid).entries)
-        order = np.argsort(vals)[::-1]
-        vals, vecs = vals[order], vecs[:, order]
-        overlaps = (np.sqrt(4.0 * math.pi * w) * r
-                    * np.sqrt(-res.potential(r))) @ vecs
-        c = -m / (2.0 * math.pi)
-        pt = np.sum((c * overlaps[1:] * overlaps[0]) ** 2 / (vals[0] - vals[1:]))
+        fresh = s_wave_reduce(res.potential, res.params, res.grid).entries
         # a trial state (index -1) gets the quadratic-kernel average alone
         b_quadratic = _b_direct(replace(res, index=-1))
-        assert_allclose(_b_direct(res), b_quadratic + 2.0 * m * pt, rtol=1e-12)
+        assert_allclose(_b_direct(res),
+                        b_quadratic + _eigh_second_order_term(res, fresh),
+                        rtol=1e-12)
+
+    @pytest.mark.parametrize("family, index", [("bump", 0), ("gauss", 0),
+                                               ("well", 0), ("bump", 1)])
+    def test_bordered_solve_matches_the_full_decomposition(self, family, index):
+        # index 1 makes the bordered system indefinite
+        make, radius = _FAMILIES[family]
+        res = leading_eigenpair(s_wave_reduce(
+            make(1.0, radius), PhysParams(), QuadGrid.gauss_legendre(200, radius)),
+            index=index)
+        assert not threshold._a_vanishes(coefficient_a(res), res.mu0)
+        b_quadratic = _b_direct(replace(res, index=-1))
+        assert_allclose(_b_direct(res),
+                        b_quadratic + _eigh_second_order_term(res, res.matrix.entries),
+                        rtol=1e-12)
 
     def test_b_direct_builds_its_table_once_per_grid(self, state200,
                                                       monkeypatch):
@@ -311,8 +340,10 @@ class TestTunedTwoWell:
         assert abs(overlap_integral(res)) < 1e-9
         assert expansion_from_state(res).branch == "a_zero"
         assert pot(0.2) < 0.0 and pot(0.7) < 0.0
-        # the sign chosen along the scan is the sign of the stored column
-        assert np.array_equal(res.vector, res.eigvecs[:, res.index])
+        # the state is the index-1 eigenpair of the matrix it carries, with
+        # the sign chosen along the scan
+        again = leading_eigenpair(res.matrix, index=1, sign_reference=res.vector)
+        assert np.array_equal(again.vector, res.vector)
 
     def test_frees_its_arrays_without_a_collection(self, monkeypatch):
         # brentq keeps the objective in a reference cycle, so with the cycle
@@ -332,7 +363,7 @@ class TestTunedTwoWell:
         gc.disable()
         try:
             pot, res = tune_zero_overlap(grid)
-            refs = [weakref.ref(res.vector), weakref.ref(res.eigvecs), *shared]
+            refs = [weakref.ref(res.vector), weakref.ref(res.matrix), *shared]
             del pot, res
             assert len(refs) == 4
             assert [ref() for ref in refs] == [None] * 4
