@@ -23,7 +23,7 @@ def main():
     pot = bump_potential()
     grid = QuadGrid.gauss_legendre(200, 1.0)
     ground = leading_eigenpair(s_wave_reduce(pot, PhysParams(), grid))
-    balanced = synthetic_zero_overlap_state(pot, grid)
+    balanced = synthetic_zero_overlap_state(ground.matrix)
 
     deltas = np.geomspace(1e-3, 3e-2, 7)
     for label, state in (("generic (a < 0)", ground),

@@ -16,7 +16,7 @@ def main():
     pot = bump_potential()
     grid = QuadGrid.gauss_legendre(200, 1.0)
     ground = leading_eigenpair(s_wave_reduce(pot, PhysParams(), grid))
-    balanced = synthetic_zero_overlap_state(pot, grid)
+    balanced = synthetic_zero_overlap_state(ground.matrix)
 
     r_far = np.geomspace(5.0, 50.0, 25)
     for label, state in (("generic ground state", ground),

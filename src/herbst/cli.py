@@ -339,7 +339,7 @@ def _suite_continuation() -> list[dict]:
         _check("coefficient_b_vs_curvature", abs(b - half_d2) / abs(b), 1e-4,
                {"b": b, "half_curvature": half_d2}),
     ]
-    syn = synthetic_zero_overlap_state(pot, grid)
+    syn = synthetic_zero_overlap_state(res.matrix)
     routes = coefficient_b(syn, "both")
     checks.append(_check("dual_route_b",
                          abs(routes.direct - routes.momentum) / abs(routes.direct),

@@ -78,13 +78,6 @@ class PhysParams:
         return cls(m=m, E=-(m - math.sqrt(m * m - mu * mu)))
 
 
-def _exp_tail_full(nu: float) -> float:
-    """int_0^inf e^(-nu z) K0(z) dz = arccos(nu)/sqrt(1-nu^2) for 0 <= nu < 1."""
-    if nu == 0.0:
-        return math.pi / 2.0
-    return math.acos(nu) / math.sqrt(1.0 - nu * nu)
-
-
 def f_profile(r: float, p: PhysParams) -> float:
     """The convolution profile F(m r; mu); diverges like 1/(m r) at the origin."""
     if r <= 0.0:
@@ -218,13 +211,14 @@ def _graded_grid(x_max: float, n: int) -> np.ndarray:
 
 
 def _cumulative(fvec, xgrid: np.ndarray) -> np.ndarray:
-    """Cumulative int_0^x of a vectorized integrand with a possible log
-    singularity at 0, tamed on the first interval by the z = x1 u^4 map."""
+    """Cumulative int_x0^x, x0 = xgrid[0], of a vectorized integrand on the
+    ascending xgrid, 16 Gauss-Legendre nodes per interval; a possible log
+    singularity at x0 is tamed on the first interval by z = x0 + (x1 - x0) u^4."""
     vals = np.zeros(len(xgrid))
-    x1 = xgrid[1]
+    x0, x1 = xgrid[0], xgrid[1]
     u = 0.5 * (_GLX16 + 1.0)
-    z = x1 * u**4
-    vals[1] = (4.0 * x1 * 0.5 * _GLW16 * u**3 * fvec(z)).sum()
+    z = x0 + (x1 - x0) * u**4
+    vals[1] = (4.0 * (x1 - x0) * 0.5 * _GLW16 * u**3 * fvec(z)).sum()
     a = xgrid[1:-1]
     b = xgrid[2:]
     mid = 0.5 * (a + b)[:, None]
@@ -259,28 +253,21 @@ class GreenKernelTable:
 
     def __post_init__(self) -> None:
         p = self.params
-        nu = p.nu
-        x = _graded_grid(p.m * self.s_max * 1.0000001, 800)
+        m, nu = p.m, p.nu
+        x = _graded_grid(m * self.s_max * 1.0000001, 800)
         if nu == 0.0:
             # int_0^x (x - z) K0(z) dz = x C0(x) - (1 - x K1(x)), 0 at x = 0
             w = np.zeros_like(x)
             w[1:] = x[1:] * k0_integral(x[1:]) - 1.0 + x[1:] * k1(x[1:])
-        else:
-            cosh_c = _cumulative(
-                lambda z: np.cosh(nu * z) * k0(z), x)
-            coshexp_c = _cumulative(
-                lambda z: np.exp(-nu * z) * np.cosh(nu * z) * k0(z), x)
-            exp_c = _cumulative(
-                lambda z: np.exp(-nu * z) * k0(z), x)
-            s_full = _exp_tail_full(nu)
-            # Fubini-swapped primitives of e^(-nu x) C(x) and sinh(nu x) S(x)
-            a_c = (coshexp_c - np.exp(-nu * x) * cosh_c) / nu
-            b_c = ((coshexp_c - exp_c) + (np.cosh(nu * x) - 1.0) * (s_full - exp_c)) / nu
-            w = a_c - b_c
-        m = p.m
-        if p.mu == 0.0:
             t1 = (m / (4.0 * math.pi)) * (x / m)
         else:
+            cosh_c = _cumulative(lambda z: np.cosh(nu * z) * k0(z), x)
+            exp_c = _cumulative(lambda z: np.exp(-nu * z) * k0(z), x)
+            # Fubini-swapped primitives of e^(-nu x) C(x) - sinh(nu x) S(x), with
+            # S(0) = int_0^inf e^(-nu z) K0 = arccos(nu) / sqrt(1 - nu^2)
+            tail_full = math.acos(nu) / math.sqrt(1.0 - nu * nu)
+            w = (exp_c - np.exp(-nu * x) * cosh_c
+                 - (np.cosh(nu * x) - 1.0) * (tail_full - exp_c)) / nu
             t1 = (m / (4.0 * math.pi)) * math.sqrt(1.0 - nu * nu) \
                 * (1.0 - np.exp(-nu * x)) / p.mu
         smooth = t1 + (1.0 - nu * nu) / (2.0 * math.pi**2) * w
@@ -314,10 +301,16 @@ class BKernelTable:
     _cum_prim: PPoly = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        # splined closed form cb(m s) / m^3, cb(x) = x^3/6 - x/2 + [(x^3/3 - x)
+        # C0 - x^2 K0/3 + (x^3 - 2x) K1/3 + 2/3] / pi, with cb(0) = 0
         s = _graded_grid(self.s_max * 1.0000001, 800)
-        # t B(t) is bounded: its limit at t -> 0 is -1/(2 m^2)
-        self._cum = CubicSpline(
-            s, _cumulative(lambda t: t * b_profile_grid(t, self.m), s))
+        x = self.m * s[1:]
+        x2 = x * x
+        cb = np.zeros_like(s)
+        cb[1:] = (x * (x2 / 6.0 - 0.5)
+                  + ((x2 / 3.0 - 1.0) * x * k0_integral(x) - x2 * k0(x) / 3.0
+                     + (x2 - 2.0) * x * k1(x) / 3.0 + 2.0 / 3.0) / math.pi)
+        self._cum = CubicSpline(s, cb / self.m**3)
         self._cum_prim = self._cum.antiderivative()
 
     def ring_integral(self, r, rho):

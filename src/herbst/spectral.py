@@ -271,6 +271,9 @@ class Discretization:
         grid = self.grid
         if table is None:
             table = GreenKernelTable(p, s_max=2.0 * grid.radius * 1.001)
+        elif table.params != p or table.s_max < 2.0 * grid.radius:
+            raise ValueError(f"kernel table for {table.params} up to s = {table.s_max} "
+                             f"does not serve {p} up to 2 R = {2.0 * grid.radius}")
         smooth = table.cumulative_smooth(self.rr) - table.cumulative_smooth(self.dd)
         upper = 2.0 * math.pi * smooth + self.singular
         row = (2.0 * math.pi * table.smooth_row_integral(grid.nodes, grid.radius)

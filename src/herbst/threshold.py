@@ -13,7 +13,6 @@ also the condition for E = 0 to be a genuine eigenvalue).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Literal, NamedTuple, Sequence
@@ -23,11 +22,11 @@ from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
 from .fourierb import b_hat
-from .kernel import BKernelTable, PhysParams, _GLX16, _GLW16
-from .spectral import (Discretization, QuadGrid, RadialPotential, SpectralResult,
-                       leading_eigenpair, s_wave_reduce, subtract_singularity,
+from .kernel import BKernelTable, PhysParams, _cumulative
+from .spectral import (BsMatrix, Discretization, QuadGrid, RadialPotential,
+                       SpectralResult, leading_eigenpair, subtract_singularity,
                        two_well_potential)
-from .specfun import checked_quad, k0, k0_integral, k0_weighted_integral, k1
+from .specfun import checked_quad, k0, k0_integral, k1
 
 A_ZERO_TOL_REL = 1e-8
 
@@ -63,9 +62,6 @@ def _weighted_f(res: SpectralResult) -> np.ndarray:
     return np.sqrt(-res.potential(res.grid.nodes)) * res.phi
 
 
-_b_table = functools.lru_cache(maxsize=8)(BKernelTable)
-
-
 def _a_vanishes(a: float, mu0: float) -> bool:
     """The a = 0 rule: |a| < A_ZERO_TOL_REL mu0.
 
@@ -97,7 +93,7 @@ def _b_direct(res: SpectralResult) -> float:
     r = res.grid.nodes
     w = res.grid.weights
     m = res.params.m
-    table = _b_table(m, 2.0 * res.grid.radius * 1.001)
+    table = BKernelTable(m, 2.0 * res.grid.radius * 1.001)
     i, j = np.triu_indices(len(r), 1)
     kappa = subtract_singularity(table.ring_integral(r[i], r[j]), w,
                                  table.ring_row_integral(r, res.grid.radius))
@@ -257,29 +253,25 @@ def energy_of_lambda(exp: ThresholdExpansion, lam: float) -> float:
     return -alpha * alpha
 
 
+def _tail_k1_over_z(lo: float, hi: float) -> CubicSpline:
+    """T(x) = int_x^inf K1(z)/z dz on [lo, hi], lo > 0, splined on 800 nodes.
+    T(hi) comes from (hi, hi + 40), past which lies below e^-40 of it; K1 + C0
+    - pi/2 would cancel to ~3e-12 and leave no digit at x = 40."""
+    grid = np.linspace(lo, hi, 800)
+    cum, tail = (_cumulative(lambda z: k1(z) / z, x)
+                 for x in (grid, np.linspace(hi, hi + 40.0, 81)))
+    return CubicSpline(grid, tail[-1] + (cum[-1] - cum))
+
+
 def _kappa_far(r: np.ndarray, rho: np.ndarray, m: float) -> np.ndarray:
     """2 pi int_|r-rho|^(r+rho) t G_0(t) dt for r - rho > 0, closed form.
 
     At E = 0 the profile t G_0(t) is m/(2 pi) plus (m/(2 pi^2)) T(mt) with
     T(x) = int_x^inf K1(z)/z dz, whose primitive is x T(x) - K0(x).
     """
-    # T is tabulated: K1 + C0 - pi/2 cancels to ~3e-12, no digit left at x = 40
-    hi = m * (r + rho)
-    lo = m * (r - rho)
-    grid = np.linspace(float(np.min(lo)) * 0.999, float(np.max(hi)) * 1.001, 800)
-    a, b = grid[:-1], grid[1:]
-    mid = 0.5 * (a + b)[:, None]
-    half = 0.5 * (b - a)[:, None]
-    z = mid + half * _GLX16[None, :]
-    fz = k1(z) / z
-    cum = np.concatenate([[0.0], np.cumsum((half * _GLW16 * fz).sum(axis=1))])
-    t_end = k0_weighted_integral("tail_k1_over_z", grid[-1])
-    t_spline = CubicSpline(grid, t_end + (cum[-1] - cum))
-
-    def prim(x):
-        return x * t_spline(x) - k0(x)
-
-    return 2.0 * m * rho + (prim(hi) - prim(lo)) / math.pi
+    hi, lo = m * (r + rho), m * (r - rho)
+    t = _tail_k1_over_z(float(np.min(lo)) * 0.999, float(np.max(hi)) * 1.001)
+    return 2.0 * m * rho + ((hi * t(hi) - k0(hi)) - (lo * t(lo) - k0(lo))) / math.pi
 
 
 @dataclass(frozen=True)
@@ -379,18 +371,18 @@ def small_x_constants(res: SpectralResult) -> SmallXConstants:
                            a2_finite=bool(np.isfinite(a2)))
 
 
-def synthetic_zero_overlap_state(potential: RadialPotential, grid: QuadGrid,
-                                 m: float = 1.0) -> SpectralResult:
+def synthetic_zero_overlap_state(matrix: BsMatrix) -> SpectralResult:
     """A sign-balanced trial state with exactly cancelling overlap integral.
 
     Not an eigenfunction: it projects a smooth trial vector orthogonal to
     the overlap functional, for exercising the a = 0 formulas.  mu0 is the
-    Rayleigh quotient of the trial state.
+    Rayleigh quotient of the trial state in ``matrix``, which must be
+    assembled at E = 0.
     """
-    p = PhysParams(m=m, E=0.0)
-    mat = s_wave_reduce(potential, p, grid)
-    r = grid.nodes
-    w = grid.weights
+    if matrix.params.E != 0.0:
+        raise ValueError("the zero-overlap state is defined at threshold (E = 0)")
+    potential, grid = matrix.potential, matrix.grid
+    r, w = grid.nodes, grid.weights
     u = np.sqrt(4.0 * math.pi * w) * r * np.sqrt(-potential(r))
     g = np.exp(-((2.0 * r / grid.radius) ** 2)) * u
     v = g - (u @ g / (u @ u)) * u
@@ -398,10 +390,10 @@ def synthetic_zero_overlap_state(potential: RadialPotential, grid: QuadGrid,
     if nrm < 1e-200:
         raise ValueError("potential too degenerate for the sign-balanced state")
     v /= nrm
-    mu = float(v @ mat.entries @ v)
+    mu = float(v @ matrix.entries @ v)
     phi = v / (np.sqrt(4.0 * math.pi * w) * r)
     return SpectralResult(mu0=mu, lambda0=1.0 / mu, phi=phi, vector=v,
-                          gap=np.inf, residual=np.nan, index=-1, matrix=mat)
+                          gap=np.inf, residual=np.nan, index=-1, matrix=matrix)
 
 
 def tune_zero_overlap(grid: QuadGrid,

@@ -26,9 +26,9 @@ def state200(bump, grid200):
 
 
 @pytest.fixture(scope="session")
-def zero_overlap_state(bump, grid200):
+def zero_overlap_state(state200):
     """Synthetic sign-balanced state with vanishing first-order overlap."""
-    return synthetic_zero_overlap_state(bump, grid200)
+    return synthetic_zero_overlap_state(state200.matrix)
 
 
 @pytest.fixture

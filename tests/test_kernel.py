@@ -12,9 +12,9 @@ from herbst.kernel import (H3_ROOT_REFERENCE, BKernelTable, GreenKernelTable,
                            PhysParams, a_profile, b_profile, b_profile_grid,
                            envelope_bound, envelope_holds, f_profile,
                            green_function, h3_root, l0_profile,
-                           series_remainder)
+                           _cumulative, series_remainder)
 from herbst.quad import RadialFunction, radial_fourier3
-from herbst.specfun import k0_weighted_integral
+from herbst.specfun import k0, k0_weighted_integral, k1
 
 
 class TestPhysParams:
@@ -149,7 +149,8 @@ class TestEnvelope:
 
 
 class TestRingTables:
-    @pytest.mark.parametrize("mu", [0.0, 0.3])
+    # mu = 0.0035 is where the table's division by mu / m cancels most
+    @pytest.mark.parametrize("mu", [0.0, 0.0035, 0.3])
     def test_green_table_matches_direct_quadrature(self, mu):
         p = PhysParams.from_mu(mu, 1.0)
         table = GreenKernelTable(p, s_max=4.0)
@@ -174,6 +175,35 @@ class TestRingTables:
                              epsabs=1e-13, epsrel=1e-11, limit=200)
             assert_allclose(table.ring_integral(r, rho),
                             2.0 * math.pi * oracle, rtol=1e-8)
+
+    @pytest.mark.parametrize("m", [0.3, 1.0, 2.5])
+    def test_b_table_nodes_match_quadrature(self, m):
+        # the closed-form int_0^s t B(t) dt at the nodes the spline passes
+        # through, against adaptive quadrature of t B(t)
+        table = BKernelTable(m=m, s_max=4.0)
+        s = table._cum.x
+        for i in (1, 2, 10, 100, 400, 800):
+            oracle, _ = quad(lambda t: t * b_profile_grid(t, m), 0.0, s[i],
+                             epsabs=0.0, epsrel=1e-13, limit=200)
+            assert_allclose(table._cum(s[i]), oracle, rtol=1e-11)
+
+    @pytest.mark.parametrize("singular", [False, True])
+    def test_cumulative_from_a_positive_start_matches_quadrature(self, singular):
+        # the far field's smooth K1(z)/z, and a log singularity at x0 for the
+        # first interval's u^4 map, which is anchored at x0 = xgrid[0]; on
+        # that singularity the map's 16 nodes are good to about 5e-10,
+        # whether x0 is 0 or not
+        x0 = 0.7
+        xgrid = x0 + 4.0 * np.linspace(0.0, 1.0, 41) ** 1.5
+
+        def f(z):
+            return k0(z - x0) * np.cosh(0.3 * z) if singular else k1(z) / z
+
+        cum = _cumulative(f, xgrid)
+        assert cum[0] == 0.0
+        for x, val in zip(xgrid[1:], cum[1:]):
+            oracle, _ = quad(f, x0, x, epsabs=0.0, epsrel=1e-13, limit=200)
+            assert_allclose(val, oracle, rtol=1e-9 if singular else 1e-13)
 
     def test_b_table_diagonal_is_finite(self):
         # t B(t) is bounded, so the coincidence limit exists (equals the

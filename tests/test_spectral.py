@@ -13,7 +13,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from herbst import threshold
-from herbst.kernel import GreenKernelTable, PhysParams, green_function
+from herbst.kernel import BKernelTable, GreenKernelTable, PhysParams, green_function
 from herbst.spectral import (BsMatrix, DegenerateEigenvalueError,
                              Discretization, QuadGrid, RadialPotential,
                              _reference_rule,
@@ -203,7 +203,7 @@ class TestAssembly:
             threshold._b_direct(res)
         (kb,) = b_kernels
         assert np.array_equal(kb, kb.T)
-        b_table = threshold._b_table(m, 2.0 * radius * 1.001)
+        b_table = BKernelTable(m, 2.0 * radius * 1.001)
         assert np.array_equal(kb[i, j], b_table.ring_integral(r[i], r[j]))
 
     def test_assembly_allocates_no_full_matrix_temporaries(self):
@@ -238,6 +238,21 @@ class TestAssembly:
         disc = Discretization.build(QuadGrid.gauss_legendre(20, 1.0), 1.0)
         with pytest.raises(ValueError):
             disc.kernel(PhysParams(m=2.0))
+
+    def test_kernel_rejects_a_table_for_another_energy(self):
+        # an E = 0 table under an E = -0.09 matrix would give mu0 = 0.486,
+        # not 0.405, while the matrix records E = -0.09
+        grid = QuadGrid.gauss_legendre(100, 1.0)
+        table = GreenKernelTable(PhysParams(), s_max=2.002)
+        with pytest.raises(ValueError, match="does not serve"):
+            s_wave_reduce(bump_potential(), PhysParams(E=-0.09), grid, table=table)
+
+    def test_kernel_rejects_a_table_short_of_the_grid(self):
+        # a table reaching s = 0.5 on an R = 1 grid would extrapolate
+        grid = QuadGrid.gauss_legendre(100, 1.0)
+        table = GreenKernelTable(PhysParams(), s_max=0.5)
+        with pytest.raises(ValueError, match="does not serve"):
+            Discretization.build(grid, 1.0).kernel(PhysParams(), table)
 
 
 def bs_matrix(entries):

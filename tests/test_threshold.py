@@ -5,14 +5,16 @@ import math
 import weakref
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from herbst import threshold
-from herbst.kernel import BKernelTable, PhysParams
+import herbst.specfun
+from herbst import cli, threshold
+from herbst.kernel import PhysParams
 from herbst.specfun import QuadratureError, k0_weighted_integral
 from herbst.spectral import (Discretization, QuadGrid, bump_potential,
                              leading_eigenpair, s_wave_reduce,
@@ -24,6 +26,7 @@ from herbst.threshold import (BelowThresholdError, BRoutes,
                               coefficient_b, energy_of_lambda,
                               expansion_from_state, lambda_of_alpha,
                               overlap_integral, small_x_constants,
+                              synthetic_zero_overlap_state,
                               tune_zero_overlap, u_reconstruct,
                               zero_energy_condition)
 
@@ -126,21 +129,6 @@ class TestCoefficients:
                         b_quadratic + _eigh_second_order_term(res, res.matrix.entries),
                         rtol=1e-12)
 
-    def test_b_direct_builds_its_table_once_per_grid(self, state200,
-                                                      monkeypatch):
-        builds = []
-        build = BKernelTable.__post_init__
-
-        def counting(table):
-            builds.append(table.s_max)
-            build(table)
-
-        threshold._b_table.cache_clear()
-        monkeypatch.setattr(BKernelTable, "__post_init__", counting)
-        first = _b_direct(state200)
-        assert _b_direct(state200) == first
-        assert len(builds) == 1
-
     def test_unknown_route_rejected(self, state200):
         with pytest.raises(ValueError):
             coefficient_b(state200, "sideways")
@@ -152,6 +140,11 @@ class TestExpansion:
         assert_allclose(exp0.lambda0 * exp0.mu0, 1.0, rtol=1e-14)
         assert exp0.a <= 0.0
         assert exp0.branch == "a_nonzero"
+
+    def test_zero_overlap_state_requires_threshold_energy(self, bump, grid200):
+        mat = s_wave_reduce(bump, PhysParams(m=1.0, E=-0.01), grid200)
+        with pytest.raises(ValueError, match="E = 0"):
+            synthetic_zero_overlap_state(mat)
 
     def test_zero_overlap_state_lands_on_a_zero_branch(self, zero_overlap_state):
         exp0 = expansion_from_state(zero_overlap_state)
@@ -277,6 +270,36 @@ class TestDecay:
             s_wave_reduce(bump, PhysParams(m=1.0, E=-0.01), grid))
         with pytest.raises(ValueError):
             u_reconstruct(res, [5.0, 10.0])
+
+    @pytest.mark.parametrize("x", [1.0, 4.0, 20.0, 51.0, 100.0, 200.0])
+    def test_far_field_tail_end_matches_mpmath(self, x):
+        # T(x) = int_x^inf K1(z)/z dz = K1 + C0 - pi/2, with C0 in its
+        # Struve form (DLMF 10.43) at 120 digits, far past the cancellation
+        with mpmath.workdps(120):
+            xm = mpmath.mpf(x)
+            k0, k1 = mpmath.besselk(0, xm), mpmath.besselk(1, xm)
+            c0 = mpmath.pi * xm / 2 * (k0 * mpmath.struvel(-1, xm)
+                                       + k1 * mpmath.struvel(0, xm))
+            ref = float(k1 + c0 - mpmath.pi / 2)
+        # the spline passes through its end node
+        assert_allclose(threshold._tail_k1_over_z(0.5 * x, x)(x), ref, rtol=1e-13)
+
+
+def test_threshold_path_runs_no_adaptive_quadrature(state200, zero_overlap_state,
+                                                    monkeypatch, capsys):
+    # at E = 0 every integral has a closed form or a fixed rule: the
+    # adaptive quadrature is an oracle only
+    def refuse(*args, **kwargs):
+        raise AssertionError("adaptive quadrature on the E = 0 path")
+
+    monkeypatch.setattr(herbst.specfun, "quad", refuse)
+    for command in ("spectrum", "threshold"):
+        assert cli.main([command]) == 0
+    capsys.readouterr()
+    for res in (state200, zero_overlap_state):
+        expansion_from_state(res)
+        u_reconstruct(res, np.geomspace(5.0, 50.0, 25))
+        zero_energy_condition(res, check_decay=True)
 
 
 class TestZeroEnergyCondition:
