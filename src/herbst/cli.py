@@ -329,7 +329,8 @@ def _suite_continuation() -> list[dict]:
     a = coefficient_a(res)
     b = coefficient_b(res, "direct")
     alphas = [0.0, 0.0025, 0.005, 0.0075, 0.01, 0.015, 0.02, 0.025, 0.03]
-    pts = eigen_continuation(pot, grid, alphas)
+    # the alpha = 0 point is res itself
+    pts = [(0.0, res.mu0), *eigen_continuation(pot, grid, alphas[1:])]
     mus = np.array([m for _, m in pts])
     coeffs = np.polyfit(np.asarray(alphas), mus, 4)
     da, half_d2 = float(coeffs[-2]), float(coeffs[-3])

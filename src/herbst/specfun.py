@@ -227,7 +227,11 @@ def k0_weighted_integral(
     if kind == "tail_k1_over_z":
         if x == 0.0:
             raise ValueError("tail_k1_over_z diverges at x = 0 (integrand ~ 1/z^2)")
-        return checked_quad(lambda z: _sc.k1(z) / z, x, np.inf)
+        # K1(x + t) = e^-x e^-t k1e(x + t): the integral in the exponentially
+        # scaled form is O(1), so the tolerance is relative to e^-x
+        scaled = checked_quad(lambda t: _sc.k1e(x + t) * math.exp(-t) / (x + t),
+                              0.0, np.inf)
+        return math.exp(-x) * scaled
     # tail_zk0
     return checked_quad(lambda z: z * _sc.k0(z), x, np.inf)
 

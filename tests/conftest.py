@@ -1,11 +1,12 @@
 """Shared fixtures: the default bump-well eigenpair and derived states."""
 
+import numpy as np
 import pytest
 
 import herbst.specfun
 from herbst import (PhysParams, QuadGrid, bump_potential, leading_eigenpair,
                     s_wave_reduce, synthetic_zero_overlap_state)
-from herbst.spectral import Discretization
+from herbst.spectral import BsMatrix, Discretization
 
 
 @pytest.fixture(scope="session")
@@ -29,6 +30,25 @@ def state200(bump, grid200):
 def zero_overlap_state(state200):
     """Synthetic sign-balanced state with vanishing first-order overlap."""
     return synthetic_zero_overlap_state(state200.matrix)
+
+
+@pytest.fixture(scope="session")
+def with_spectrum(grid200):
+    """Builder of BsMatrix instances on ``grid200`` whose eigenvalues are
+    ``top`` followed by a simple tail below them, in a random orthonormal
+    basis of the first n - ``zeros`` coordinates.  The last ``zeros`` rows
+    are exactly zero, as the bump's are where |V| underflows."""
+    def build(top, seed=3, zeros=0):
+        n = grid200.size - zeros
+        vals = np.concatenate([top, np.geomspace(0.1, 1e-6, n - len(top))])
+        q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+        entries = np.zeros((grid200.size, grid200.size))
+        entries[:n, :n] = (q * vals) @ q.T
+        entries = 0.5 * (entries + entries.T)
+        return BsMatrix(entries=entries, params=PhysParams(),
+                        potential=bump_potential(), grid=grid200)
+
+    return build
 
 
 @pytest.fixture

@@ -182,6 +182,37 @@ class TestWeightedIntegrals:
                          epsabs=1e-14, epsrel=1e-12, limit=200)
         assert_allclose(ours, oracle, rtol=1e-10)
 
+    @staticmethod
+    def _tail_k1_over_z_mpmath(x):
+        # K1 + C0 - pi/2, with C0 in its Struve form (DLMF 10.43), at 50
+        # digits: enough past the cancellation up to x of about 60
+        with mpmath.workdps(50):
+            xm = mpmath.mpf(x)
+            k0m, k1m = mpmath.besselk(0, xm), mpmath.besselk(1, xm)
+            c0 = mpmath.pi * xm / 2 * (k0m * mpmath.struvel(-1, xm)
+                                       + k1m * mpmath.struvel(0, xm))
+            return float(k1m + c0 - mpmath.pi / 2)
+
+    @pytest.mark.parametrize("x", [1.0, 4.0, 20.0, 51.0])
+    def test_tail_k1_over_z_matches_mpmath(self, x):
+        # the unscaled integrand had a tolerance absolute in K1 itself and
+        # was 1e-5 off from x of about 20 up, without raising
+        assert_allclose(k0_weighted_integral("tail_k1_over_z", x),
+                        self._tail_k1_over_z_mpmath(x), rtol=1e-14)
+
+    def test_tail_k1_over_z_near_zero_raises_or_is_right(self):
+        # below x of about 3.6e-6 the 1/z^2 integrand defeats QUADPACK at
+        # some x; there it must raise, and elsewhere be right
+        raised = 0
+        for x in np.geomspace(1e-8, 3.6e-6, 12):
+            try:
+                value = k0_weighted_integral("tail_k1_over_z", float(x))
+            except QuadratureError:
+                raised += 1
+                continue
+            assert_allclose(value, self._tail_k1_over_z_mpmath(x), rtol=1e-10)
+        assert raised > 0
+
     def test_monotone_decreasing_tail(self):
         vals = [k0_weighted_integral("tail_zk0", x) for x in (0.1, 0.5, 2.0)]
         assert vals[0] > vals[1] > vals[2] > 0.0

@@ -8,7 +8,7 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -16,7 +16,8 @@ import herbst.specfun
 from herbst import cli, threshold
 from herbst.kernel import PhysParams
 from herbst.specfun import QuadratureError, k0_weighted_integral
-from herbst.spectral import (Discretization, QuadGrid, bump_potential,
+from herbst.spectral import (Discretization, QuadGrid, _reference_rule,
+                             bump_potential,
                              leading_eigenpair, s_wave_reduce,
                              square_well_potential,
                              truncated_gaussian_potential)
@@ -53,10 +54,10 @@ _FAMILIES = {"bump": (bump_potential, 1.0),
              "well": (square_well_potential, 3.0)}
 
 
-def _eigh_second_order_term(res, entries):
-    """2m sum_(j != index) (c o_j o_index)^2 / (mu_index - mu_j) over the
-    full eigendecomposition of ``entries``, with o_j the overlaps of the
-    eigenvectors: the sum the bordered solve of ``_b_direct`` replaces."""
+def _eigh_second_order_terms(res, entries):
+    """The terms 2m (c o_j o_index)^2 / (mu_index - mu_j), j != index, over
+    the full eigendecomposition of ``entries``, with o_j the overlaps of the
+    eigenvectors: the sum MINRES gives ``_b_direct`` in one solve."""
     r, w, m = res.grid.nodes, res.grid.weights, res.params.m
     vals, vecs = np.linalg.eigh(entries)
     vals, vecs = vals[::-1], vecs[:, ::-1]
@@ -64,8 +65,8 @@ def _eigh_second_order_term(res, entries):
                 * np.sqrt(-res.potential(r))) @ vecs
     others = np.arange(len(vals)) != res.index
     c = -m / (2.0 * math.pi)
-    return 2.0 * m * np.sum((c * overlaps[others] * overlaps[res.index]) ** 2
-                            / (vals[res.index] - vals[others]))
+    return 2.0 * m * ((c * overlaps[others] * overlaps[res.index]) ** 2
+                      / (vals[res.index] - vals[others]))
 
 
 class TestCoefficients:
@@ -112,13 +113,13 @@ class TestCoefficients:
         # a trial state (index -1) gets the quadratic-kernel average alone
         b_quadratic = _b_direct(replace(res, index=-1))
         assert_allclose(_b_direct(res),
-                        b_quadratic + _eigh_second_order_term(res, fresh),
+                        b_quadratic + _eigh_second_order_terms(res, fresh).sum(),
                         rtol=1e-12)
 
     @pytest.mark.parametrize("family, index", [("bump", 0), ("gauss", 0),
                                                ("well", 0), ("bump", 1)])
     def test_bordered_solve_matches_the_full_decomposition(self, family, index):
-        # index 1 makes the bordered system indefinite
+        # index 1 makes the projected resolvent system indefinite
         make, radius = _FAMILIES[family]
         res = leading_eigenpair(s_wave_reduce(
             make(1.0, radius), PhysParams(), QuadGrid.gauss_legendre(200, radius)),
@@ -126,8 +127,55 @@ class TestCoefficients:
         assert not threshold._a_vanishes(coefficient_a(res), res.mu0)
         b_quadratic = _b_direct(replace(res, index=-1))
         assert_allclose(_b_direct(res),
-                        b_quadratic + _eigh_second_order_term(res, res.matrix.entries),
+                        b_quadratic + _eigh_second_order_terms(res, res.matrix.entries).sum(),
                         rtol=1e-12)
+
+    @given(gaps=st.lists(st.floats(min_value=-9.0, max_value=math.log10(0.3)),
+                         min_size=3, max_size=3),
+           index=st.integers(min_value=0, max_value=1),
+           zeros=st.sampled_from([0, 37]),
+           seed=st.integers(min_value=0, max_value=2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_minres_sum_matches_the_full_decomposition(self, with_spectrum, gaps,
+                                                       index, zeros, seed):
+        # the pair is eigh's, so that only the resolvent solve is compared.
+        # The term of the nearest neighbour, at distance gap, is conditioned
+        # like eps / gap in the oracle and in any backward-stable solve: on
+        # 300 draws both differed by at most 6 eps / gap of the absolute terms
+        top = 1.0 - np.cumsum([0.0, *10.0 ** np.array(gaps)])
+        mat = with_spectrum(top, seed=seed, zeros=zeros)
+        vals, vecs = np.linalg.eigh(mat.entries)
+        res = replace(leading_eigenpair(mat, index=index),
+                      mu0=float(vals[-1 - index]), vector=vecs[:, -1 - index])
+        assume(not threshold._a_vanishes(coefficient_a(res), res.mu0))
+        gap = min(abs(top[j] - top[index]) for j in (index - 1, index + 1) if j >= 0)
+        terms = _eigh_second_order_terms(res, mat.entries)
+        second = _b_direct(res) - _b_direct(replace(res, index=-1))
+        tol = 1e-12 + 32.0 * np.finfo(float).eps / gap
+        assert abs(second - terms.sum()) <= tol * np.abs(terms).sum()
+
+    def test_nearly_singular_resolvent_is_solved_to_its_conditioning(self, with_spectrum):
+        # a neighbour 1e-8 below mu0, with the Krylov pair: the sum is within
+        # a few eps / gap of the eigh oracle, the conditioning of both (4.8
+        # eps / gap here; up to 125 over 300 random draws, whose Krylov and
+        # eigh vectors differ by O(eps / gap))
+        res = leading_eigenpair(with_spectrum([1.0, 1.0 - 1e-8, 0.5]))
+        assert not threshold._a_vanishes(coefficient_a(res), res.mu0)
+        terms = _eigh_second_order_terms(res, res.matrix.entries)
+        second = _b_direct(res) - _b_direct(replace(res, index=-1))
+        tol = 32.0 * np.finfo(float).eps / 1e-8
+        assert abs(second - terms.sum()) <= tol * np.abs(terms).sum()
+
+    def test_unconverged_resolvent_solve_raises_with_its_residual(self, state200,
+                                                                  monkeypatch):
+        # MINRES cut to two steps does not converge: the solve raises and
+        # carries the residual it reached
+        solve = threshold.minres
+        monkeypatch.setattr(threshold, "minres", lambda op, rhs, **kwargs:
+                            solve(op, rhs, **{**kwargs, "maxiter": 2}))
+        with pytest.raises(threshold.ResolventSolveError) as exc:
+            _b_direct(state200)
+        assert exc.value.residual > 1e-6
 
     def test_unknown_route_rejected(self, state200):
         with pytest.raises(ValueError):
@@ -302,6 +350,30 @@ def test_threshold_path_runs_no_adaptive_quadrature(state200, zero_overlap_state
         zero_energy_condition(res, check_decay=True)
 
 
+def test_threshold_path_runs_no_dense_factorization(monkeypatch, capsys):
+    # the eigenpair and b's resolvent sum only multiply by the matrix: no
+    # O(n^3) eigensolver or LU is left on the main path
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense factorization on the main path")
+
+    # numpy's leggauss takes the Gauss-Legendre nodes from eigvalsh of the
+    # n x n Jacobi matrix, once per n: build the cached rules first
+    for n in (150, 200, 400):
+        _reference_rule(n)
+    for name in ("eigvalsh", "eigh", "solve"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    for command in ("spectrum", "threshold"):
+        assert cli.main([command]) == 0
+    capsys.readouterr()
+    well = square_well_potential(1.0, 3.0)
+    res = leading_eigenpair(s_wave_reduce(well, PhysParams(),
+                                          QuadGrid.gauss_legendre(200, 3.0)))
+    exp0 = expansion_from_state(res)
+    assert exp0.branch == "a_nonzero" and math.isfinite(exp0.b)
+    _, tuned = tune_zero_overlap(QuadGrid.gauss_legendre(150, 1.0))
+    assert expansion_from_state(tuned).branch == "a_zero"
+
+
 class TestZeroEnergyCondition:
     def test_generic_state_is_resonance(self, state200):
         rep = zero_energy_condition(state200)
@@ -351,14 +423,28 @@ class TestTunedTwoWell:
             solves.append(1)
             return leading_eigenpair(*args, **kwargs)
 
+        root_search = []
+        brentq = threshold.brentq
+
+        def bracketing(*args, **kwargs):
+            root_search.append(len(solves))
+            root = brentq(*args, **kwargs)
+            root_search.append(len(solves))
+            return root
+
         monkeypatch.setattr(threshold, "leading_eigenpair", counting)
+        monkeypatch.setattr(threshold, "brentq", bracketing)
         grid = QuadGrid.gauss_legendre(150, 1.0)
         pot, res = tune_zero_overlap(grid)
         # every solve of the scan and of the root search shares one geometry
         assert geometry_builds == [150]
-        # the scan stops at the first sign change: 24 solves, not the 34 of
-        # a scan over all 25 ratios
-        assert len(solves) == 24
+        # the scan stops at the first sign change, the 15th of 25 ratios;
+        # brentq takes 7 or 8 steps, which move with the rounding of the
+        # objective; one more solve gives the state at the root
+        scan, after = root_search
+        assert scan == 15
+        assert 1 <= after - scan <= 10
+        assert len(solves) == after + 1
         assert res.index == 1
         assert abs(overlap_integral(res)) < 1e-9
         assert expansion_from_state(res).branch == "a_zero"
