@@ -63,6 +63,11 @@ class RunConfig:
             raise ConfigError(f"unknown potential family {fam!r}")
         if fam == "table" and ":" not in self.potential:
             raise ConfigError("table potential needs a path: table:PATH")
+        for name in ("depth", "radius", "mass", "alpha_max"):
+            x = getattr(self, name)
+            if (isinstance(x, bool) or not isinstance(x, (int, float))
+                    or not math.isfinite(x)):
+                raise ConfigError(f"{name.replace('_', '-')} must be a finite number")
         # depth 0 is allowed: spectrum reports mu0 = 0, threshold undefined
         if self.depth < 0.0:
             raise ConfigError("depth must be nonnegative")
@@ -70,10 +75,10 @@ class RunConfig:
             raise ConfigError("radius must be positive")
         if self.mass <= 0.0:
             raise ConfigError("mass must be positive")
-        if not (4 <= self.grid_n <= 2000):
-            raise ConfigError("grid-n must be in [4, 2000]")
-        if not (0.0 < self.alpha_max < math.sqrt(2.0 * self.mass)):
-            raise ConfigError("alpha-max must be in (0, sqrt(2 m))")
+        if type(self.grid_n) is not int or not 4 <= self.grid_n <= 2000:
+            raise ConfigError("grid-n must be an integer in [4, 2000]")
+        if self.alpha_max <= 0.0:
+            raise ConfigError("alpha-max must be positive")
         if self.fmt not in ("csv", "json"):
             raise ConfigError("format must be csv or json")
 
@@ -128,6 +133,8 @@ def _meta(cfg: RunConfig, command: str) -> dict:
 
 def _green_rows(cfg: RunConfig, r_max: float) -> list[tuple]:
     """(r, G_E(r), envelope bound) at E = -alpha_max^2 on r in [0.02, r_max] R."""
+    if cfg.alpha_max >= math.sqrt(2.0 * cfg.mass):
+        raise ConfigError("alpha-max must be in (0, sqrt(2 m))")
     p = PhysParams.from_alpha(cfg.alpha_max, cfg.mass)
     return [(float(r), green_function(float(r), p), envelope_bound(float(r), p))
             for r in np.geomspace(0.02 * cfg.radius, r_max * cfg.radius, 100)]

@@ -20,7 +20,8 @@ kernel is evaluated on its packed upper triangle, i < j, only.
 
 The Birman-Schwinger principle needs only the top eigenvalues of M, the gap
 and one eigenvector, so ``leading_eigenpair`` takes them from a block Krylov
-space (``_ritz_pairs``) that only multiplies by M: no n x n factorization.
+space (``_ritz_pairs``) that only multiplies by M, by Rayleigh-Ritz with a
+symmetric eigensolver on the k x k projected matrix: no n x n factorization.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+import scipy.linalg
 from scipy.interpolate import PchipInterpolator
 
 from .kernel import GreenKernelTable, PhysParams
@@ -339,8 +341,9 @@ def _ritz_pairs(a: np.ndarray, want: int) -> tuple[np.ndarray, np.ndarray]:
     Block Lanczos with block size 2 and full reorthogonalization, done
     twice (Golub & Van Loan, 4th ed., 10.3), started from a [1, g] with g a
     fixed pseudo-random vector.  Starting inside the range of ``a`` keeps
-    the rows where |V| underflows exactly zero.  Rayleigh-Ritz runs every
-    two block steps and stops once the first ``want`` Ritz residuals are at
+    the rows where |V| underflows exactly zero.  Every two block steps the
+    Ritz pairs are taken from a symmetric eigensolver on the k x k projected
+    matrix (Rayleigh-Ritz), until the first ``want`` Ritz residuals are at
     most 4 eps scale sqrt(n), scale the largest |Ritz value|.  A new vector
     already in the space to that tolerance is dropped.  When the whole space
     is invariant, the iteration restarts from a fresh vector, in the range
@@ -387,53 +390,13 @@ def _ritz_pairs(a: np.ndarray, want: int) -> tuple[np.ndarray, np.ndarray]:
         if steps % _RITZ_EVERY and k < n:
             continue
         t = basis[:k] @ prods[:k].T
-        # t + |t|_inf I is positive semidefinite, so its SVD is its symmetric
-        # eigendecomposition, with the eigenvalues in descending order; t is
-        # block tridiagonal, so the shift stays within a small factor of
-        # |t|_2, and with it the rounding of the Ritz vectors
-        shift = np.linalg.norm(t, np.inf)
-        x, s, _ = np.linalg.svd(0.5 * (t + t.T) + shift * np.eye(k))
-        theta, x = s - shift, x[:, :want].T
+        theta, x = scipy.linalg.eigh(0.5 * (t + t.T), check_finite=False)
+        theta, x = theta[::-1], x[:, ::-1][:, :want].T
         vecs = x @ basis[:k]
         resid = np.linalg.norm(x @ prods[:k] - theta[:len(x), None] * vecs, axis=1)
         if k == n or (len(x) == want
                       and resid.max() <= tol * np.max(np.abs(theta))):
             return theta, vecs
-
-
-def _polish(a: np.ndarray, v: np.ndarray, av: np.ndarray
-            ) -> tuple[np.ndarray, np.ndarray, float]:
-    """One Rayleigh-Ritz step for the unit vector ``v`` of the symmetric
-    ``a``, ``av = a @ v``: on span{v, r}, r the residual a v - mu v of the
-    Rayleigh quotient mu.  It returns the new (v, a v, mu), or the old
-    ones when they have the smaller residual.
-
-    The Ritz vectors of the Krylov space carry the rounding of the k x k
-    decomposition, a residual of 20-100 eps scale on the matrices here;
-    this step lowers it 5-20x, to 1-2 eps scale at index 0.  The 2 x 2
-    problem [[mu, q], [q, s]] is solved in closed form for its eigenvector
-    nearest v, at angle 1/2 atan(2 q / (mu - s)).  Rows where ``a``
-    vanishes stay zero.
-    """
-    mu = float(v @ av)
-    r = av - mu * v
-    resid = float(np.linalg.norm(r))
-    r -= (v @ r) * v
-    size = float(np.linalg.norm(r))
-    if size == 0.0:
-        return v, av, mu
-    r /= size
-    ar = a @ r
-    q, s = float(r @ av), float(r @ ar)
-    angle = 0.5 * math.atan2(2.0 * q if mu >= s else -2.0 * q, abs(mu - s))
-    v2 = math.cos(angle) * v + math.sin(angle) * r
-    av2 = math.cos(angle) * av + math.sin(angle) * ar
-    size = float(np.linalg.norm(v2))
-    v2, av2 = v2 / size, av2 / size
-    mu2 = float(v2 @ av2)
-    if float(np.linalg.norm(av2 - mu2 * v2)) < resid:
-        return v2, av2, mu2
-    return v, av, mu
 
 
 def leading_eigenpair(mat: BsMatrix, index: int = 0,
@@ -442,15 +405,14 @@ def leading_eigenpair(mat: BsMatrix, index: int = 0,
 
     The pair is a Ritz pair of a block Krylov space of the matrix
     (``_ritz_pairs``), which only multiplies by the matrix: no n x n
-    factorization and no other eigenvector is formed.  One more
-    Rayleigh-Ritz step on the vector and its residual (``_polish``) lowers
-    the residual 5-20x, to 1-2 eps scale at index 0.  The eigenvalues
-    index - 1 to index + 1 are converged with it, and ``gap`` is the
-    distance to the nearer of them.  A gap below 1e-12 of the largest
-    |Ritz value| raises ``DegenerateEigenvalueError``.  The block of two
-    start vectors finds two copies of a repeated eigenvalue, and two are
-    enough to trip that rule.  A matrix with no entry above 1e-200 counts
-    as the zero matrix: mu = 0 with the index-th unit vector.
+    factorization and no other eigenvector is formed.  Its residual is a few
+    eps mu here, at index 0 and 1.  The eigenvalues index - 1 to index + 1
+    are converged with it, and ``gap`` is the distance to the nearer of them.
+    A gap below 1e-12 of the largest |Ritz value| raises
+    ``DegenerateEigenvalueError``.  The block of two start vectors finds two
+    copies of a repeated eigenvalue, and two are enough to trip that rule.
+    A matrix with no entry above 1e-200 counts as the zero matrix: mu = 0
+    with the index-th unit vector.
 
     The eigenfunction is returned as physical samples phi(r_i), normalized
     so that 4 pi sum_i w_i r_i^2 phi_i^2 = 1.  Its sign makes the overlap
@@ -465,8 +427,9 @@ def leading_eigenpair(mat: BsMatrix, index: int = 0,
         theta, vecs = _ritz_pairs(a, min(index + 2, n))
         v = vecs[index] / np.linalg.norm(vecs[index])
         # mu is the Rayleigh quotient taken on a itself: theta carries the
-        # rounding of the projected matrix, up to about 9 eps at n = 800
-        v, av, mu = _polish(a, v, a @ v)
+        # rounding of the projected matrix, up to about 4.5 eps mu at n <= 1000
+        av = a @ v
+        mu = float(v @ av)
         gap = min((abs(float(theta[j]) - mu) for j in (index - 1, index + 1)
                    if 0 <= j < len(theta)), default=math.inf)
         if gap < 1e-12 * float(np.max(np.abs(theta))):

@@ -4,6 +4,7 @@ import json
 import os
 import stat
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ class TestRunConfig:
         with pytest.raises(Exception):
             RunConfig(grid_n=3)
         with pytest.raises(Exception):
-            RunConfig(alpha_max=5.0)
+            RunConfig(alpha_max=0.0)
         with pytest.raises(Exception):
             RunConfig(fmt="yaml")
 
@@ -77,6 +78,15 @@ class TestKernelCommand:
     def test_invalid_alpha_exits_validation(self, capsys):
         assert run_cli("kernel", "--alpha-max", "2.0") == EXIT_VALIDATION
         assert "alpha-max" in capsys.readouterr().err
+
+    def test_alpha_max_is_checked_against_the_mass_where_it_is_read(self, capsys):
+        # the default alpha-max 0.2 exceeds sqrt(2 m) at m = 0.01; only the
+        # kernel and bound tables read it
+        assert run_cli("kernel", "--mass", "0.01") == EXIT_VALIDATION
+        assert "alpha-max must be in (0, sqrt(2 m))" in capsys.readouterr().err
+        for command in ("spectrum", "threshold"):
+            assert run_cli(command, "--mass", "0.01", "--grid-n", "40",
+                           "--out", os.devnull) == EXIT_OK
 
 
 class TestSpectrumCommand:
@@ -308,6 +318,23 @@ class TestConfigPlumbing:
         cfg.write_text(json.dumps({"grid_n": 40, "tol": 1e-8}))
         assert run_cli("spectrum", "--config", str(cfg)) == EXIT_VALIDATION
         assert "unknown config keys: ['tol']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, flags, message", [
+        ({"grid_n": 20.5}, [], "grid-n must be an integer in [4, 2000]"),
+        ({"depth": "deep"}, [], "depth must be a finite number"),
+        (None, ["--radius", "nan"], "radius must be a finite number"),
+        (None, ["--depth", "inf"], "depth must be a finite number"),
+    ], ids=["grid_n_float", "depth_string", "radius_nan", "depth_inf"])
+    def test_bad_value_is_one_error_line(self, tmp_path, capsys, config,
+                                         flags, message):
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            flags = ["--config", str(cfg)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("spectrum", *flags) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_table_potential(self, tmp_path):
         r = np.linspace(0.0, 1.0, 50)

@@ -506,12 +506,21 @@ _SIZES = (200, 400, 800)
 
 @pytest.mark.parametrize("family", sorted(_FAMILIES))
 def test_polished_pair_has_a_residual_at_rounding_level(family):
-    # the Krylov pair alone leaves 24-39 eps mu0 on these matrices; the
-    # closing Rayleigh-Ritz step on the vector and its residual 1.1-1.5 eps
+    # Ritz vectors from a symmetric eigensolver on the projected matrix:
+    # 1.8-2.8 eps mu0 on these matrices
     make, radius = _FAMILIES[family]
     res = leading_eigenpair(s_wave_reduce(
         make(1.0, radius), PhysParams(), QuadGrid.gauss_legendre(200, radius)))
     assert res.residual <= 4.0 * np.finfo(float).eps * res.mu0
+
+
+def test_excited_pair_has_a_residual_at_rounding_level():
+    # the second eigenpair of a two-well matrix: 3.3 eps mu, with no step
+    # after Rayleigh-Ritz
+    res = leading_eigenpair(s_wave_reduce(
+        two_well_potential(8.0, 12.0), PhysParams(), QuadGrid.gauss_legendre(200, 1.0)),
+        index=1)
+    assert res.residual <= 8.0 * np.finfo(float).eps * res.mu0
 
 
 @pytest.fixture(scope="module")

@@ -8,6 +8,7 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -356,12 +357,25 @@ def test_threshold_path_runs_no_dense_factorization(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("dense factorization on the main path")
 
+    def refuse_large(original):
+        # the k x k Rayleigh-Ritz problem (k <= 32) may be factorized; every
+        # grid here has n >= 150
+        def guarded(*args, **kwargs):
+            if any(max(np.shape(x), default=0) >= 100
+                   for x in (*args, *kwargs.values())):
+                refuse()
+            return original(*args, **kwargs)
+        return guarded
+
     # numpy's leggauss takes the Gauss-Legendre nodes from eigvalsh of the
     # n x n Jacobi matrix, once per n: build the cached rules first
     for n in (150, 200, 400):
         _reference_rule(n)
     for name in ("eigvalsh", "eigh", "solve"):
         monkeypatch.setattr(np.linalg, name, refuse)
+    for name in ("eigh", "eigvalsh", "solve", "lu_factor", "cho_factor"):
+        monkeypatch.setattr(scipy.linalg, name,
+                            refuse_large(getattr(scipy.linalg, name)))
     for command in ("spectrum", "threshold"):
         assert cli.main([command]) == 0
     capsys.readouterr()
