@@ -58,6 +58,8 @@ class RunConfig:
     out: str | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.potential, str):
+            raise ConfigError("potential must be a string")
         fam = self.potential.split(":", 1)[0]
         if fam not in ("bump", "gauss", "well", "table"):
             raise ConfigError(f"unknown potential family {fam!r}")
@@ -65,8 +67,10 @@ class RunConfig:
             raise ConfigError("table potential needs a path: table:PATH")
         for name in ("depth", "radius", "mass", "alpha_max"):
             x = getattr(self, name)
+            # an int compares with a float exactly, so one beyond the float
+            # range fails here like inf and nan do
             if (isinstance(x, bool) or not isinstance(x, (int, float))
-                    or not math.isfinite(x)):
+                    or not abs(x) <= sys.float_info.max):
                 raise ConfigError(f"{name.replace('_', '-')} must be a finite number")
         # depth 0 is allowed: spectrum reports mu0 = 0, threshold undefined
         if self.depth < 0.0:
@@ -81,6 +85,8 @@ class RunConfig:
             raise ConfigError("alpha-max must be positive")
         if self.fmt not in ("csv", "json"):
             raise ConfigError("format must be csv or json")
+        if not isinstance(self.out, (str, type(None))):
+            raise ConfigError("out must be a path or null")
 
     def make_potential(self) -> RadialPotential:
         fam, _, rest = self.potential.partition(":")
@@ -400,6 +406,8 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     if args.config:
         with open(args.config) as fh:
             base = json.load(fh)
+        if not isinstance(base, dict):
+            raise ConfigError("config must be a JSON object")
         unknown = set(base) - set(RunConfig.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -428,7 +436,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "bound":
             return cmd_bound(cfg)
         return cmd_verify(args.suite, cfg)
-    except (EvaluationFailure, EigensolverError, FloatingPointError) as exc:
+    except (EvaluationFailure, EigensolverError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ConfigError, ValueError, OSError) as exc:

@@ -10,19 +10,19 @@ with
                                     - sinh(nu x) int_x^inf e^(-nu z) K0(z) dz ],
 
 together with the small-coupling expansion kernels (the V-stripped L0, A, B
-profiles), the pointwise envelope bound, and fast cumulative tables used by
-the Nystrom discretization.  The Yukawa decay rate is tied to the energy by
-mu^2 = m^2 - (m + E)^2, i.e. mu^2 = 2 m alpha^2 - alpha^4 for E = -alpha^2.
+profiles), the pointwise envelope bound, and the ring-integral tables of G_E
+and B for the Nystrom discretization.  The Yukawa decay rate is tied to the
+energy by mu^2 = m^2 - (m + E)^2, i.e. mu^2 = 2 m alpha^2 - alpha^4 for E = -alpha^2.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.interpolate import CubicSpline, PPoly
+from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
 from . import specfun
@@ -229,13 +229,30 @@ def _cumulative(fvec, xgrid: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _ring_row_integral(prim: PPoly, x, x_max: float):
-    """int_0^x_max [F(x + y) - F(|x - y|)] dy, 0 < x < x_max, for prim = int_0 F."""
-    return prim(x + x_max) - 2.0 * prim(x) - prim(x_max - x)
+class _RingTable:
+    """A cubic spline in s of the cumulative c(s) = int_0^s t k(t) dt of a
+    radial kernel k (of its smooth part, when k has a singular part split off
+    in closed form) on 800 graded nodes, and the spline's antiderivative.
+    A subclass gives the dataclass fields and ``_node_values(s)``."""
+
+    def __post_init__(self) -> None:
+        s = _graded_grid(self.s_max * 1.0000001, 800)
+        self._cum = CubicSpline(s, self._node_values(s))
+        self._prim = self._cum.antiderivative()
+
+    def ring(self, hi, lo):
+        """2 pi [c(hi) - c(lo)]."""
+        return 2.0 * math.pi * (self._cum(hi) - self._cum(lo))
+
+    def row_integral(self, r, radius: float):
+        """int_0^radius ring(r + rho, |r - rho|) drho, 0 < r < radius, exact
+        for the spline: 2 pi [P(r + radius) - 2 P(r) - P(radius - r)], P = int c."""
+        prim = self._prim
+        return 2.0 * math.pi * (prim(r + radius) - 2.0 * prim(r) - prim(radius - r))
 
 
 @dataclass
-class GreenKernelTable:
+class GreenKernelTable(_RingTable):
     """Precomputed smooth part of the cumulative int t G_E(t) dt.
 
     Supports fast evaluation of the ring integral
@@ -248,13 +265,11 @@ class GreenKernelTable:
 
     params: PhysParams
     s_max: float
-    _smooth: CubicSpline = field(init=False, repr=False)
-    _smooth_prim: PPoly = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
+    def _node_values(self, s: np.ndarray) -> np.ndarray:
         p = self.params
         m, nu = p.m, p.nu
-        x = _graded_grid(m * self.s_max * 1.0000001, 800)
+        x = m * s
         if nu == 0.0:
             # int_0^x (x - z) K0(z) dz = x C0(x) - (1 - x K1(x)), 0 at x = 0
             w = np.zeros_like(x)
@@ -270,53 +285,33 @@ class GreenKernelTable:
                  - (np.cosh(nu * x) - 1.0) * (tail_full - exp_c)) / nu
             t1 = (m / (4.0 * math.pi)) * math.sqrt(1.0 - nu * nu) \
                 * (1.0 - np.exp(-nu * x)) / p.mu
-        smooth = t1 + (1.0 - nu * nu) / (2.0 * math.pi**2) * w
-        self._smooth = CubicSpline(x, smooth)
-        self._smooth_prim = self._smooth.antiderivative()
-
-    def cumulative_smooth(self, b):
-        """The cumulative with the K0 primitive excluded, valid down to a = 0."""
-        return self._smooth(np.asarray(b, dtype=float) * self.params.m)
-
-    def smooth_row_integral(self, r, radius: float):
-        """int_0^radius of cumulative_smooth(r + rho) - cumulative_smooth(|r - rho|)."""
-        m = self.params.m
-        return _ring_row_integral(self._smooth_prim, m * r, m * radius) / m
+        return t1 + (1.0 - nu * nu) / (2.0 * math.pi**2) * w
 
     def ring_integral(self, r, rho):
         """kappa(r, rho) = 2 pi int_|r-rho|^(r+rho) t G_E(t) dt, r != rho."""
+        lo, hi = np.abs(r - rho), r + rho
         m = self.params.m
-        lo, hi = m * np.abs(r - rho), m * (r + rho)
-        return (2.0 * math.pi * (self._smooth(hi) - self._smooth(lo))
-                + (k0(lo) - k0(hi)) / math.pi)
+        return self.ring(hi, lo) + (k0(m * lo) - k0(m * hi)) / math.pi
 
 
 @dataclass
-class BKernelTable:
+class BKernelTable(_RingTable):
     """Cumulative int_0^s t B(t) dt of the (bounded) second-order profile."""
 
     m: float
     s_max: float
-    _cum: CubicSpline = field(init=False, repr=False)
-    _cum_prim: PPoly = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
+    def _node_values(self, s: np.ndarray) -> np.ndarray:
         # splined closed form cb(m s) / m^3, cb(x) = x^3/6 - x/2 + [(x^3/3 - x)
         # C0 - x^2 K0/3 + (x^3 - 2x) K1/3 + 2/3] / pi, with cb(0) = 0
-        s = _graded_grid(self.s_max * 1.0000001, 800)
         x = self.m * s[1:]
         x2 = x * x
         cb = np.zeros_like(s)
         cb[1:] = (x * (x2 / 6.0 - 0.5)
                   + ((x2 / 3.0 - 1.0) * x * k0_integral(x) - x2 * k0(x) / 3.0
                      + (x2 - 2.0) * x * k1(x) / 3.0 + 2.0 / 3.0) / math.pi)
-        self._cum = CubicSpline(s, cb / self.m**3)
-        self._cum_prim = self._cum.antiderivative()
+        return cb / self.m**3
 
     def ring_integral(self, r, rho):
         """2 pi int_|r-rho|^(r+rho) t B(t) dt (no singular part)."""
-        return 2.0 * math.pi * (self._cum(r + rho) - self._cum(np.abs(r - rho)))
-
-    def ring_row_integral(self, r, radius: float):
-        """int_0^radius ring_integral(r, rho) drho, exact for the spline."""
-        return 2.0 * math.pi * _ring_row_integral(self._cum_prim, r, radius)
+        return self.ring(r + rho, np.abs(r - rho))

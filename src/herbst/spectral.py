@@ -15,8 +15,8 @@ exactly.  The matrix stays symmetric, and the rule is third order in n.
 
 Assembly has three layers, so that repeated solves on one grid share work:
 ``Discretization.build`` (grid and mass only), ``kernel`` (one energy) and
-``matrix`` (the sqrt(w |V|) scaling for one potential).  The symmetric ring
-kernel is evaluated on its packed upper triangle, i < j, only.
+``matrix`` (the sqrt(w |V|) scaling for one potential); ``b_kernel`` is the
+rule for the profile B.  Both sample a ring kernel for i < j only (packed).
 
 The Birman-Schwinger principle needs only the top eigenvalues of M, the gap
 and one eigenvector, so ``leading_eigenpair`` takes them from a block Krylov
@@ -37,7 +37,7 @@ from numpy.polynomial.legendre import leggauss
 import scipy.linalg
 from scipy.interpolate import PchipInterpolator
 
-from .kernel import GreenKernelTable, PhysParams
+from .kernel import BKernelTable, GreenKernelTable, PhysParams
 from .specfun import k0, k0_integral
 
 class EigensolverError(RuntimeError):
@@ -227,8 +227,8 @@ class BsMatrix:
             raise ValueError("matrix assembly lost symmetry")
 
 
-def subtract_singularity(upper: np.ndarray, weights: np.ndarray,
-                         row_integral: np.ndarray) -> np.ndarray:
+def _subtract_singularity(upper: np.ndarray, weights: np.ndarray,
+                          row_integral: np.ndarray) -> np.ndarray:
     """The symmetric kappa with strict upper triangle ``upper`` (packed, i < j)
     and the diagonal of the subtraction rule: kappa @ weights == row_integral."""
     above = ~np.tri(len(weights), dtype=bool)
@@ -280,11 +280,9 @@ class Discretization:
         elif table.params != p or table.s_max < 2.0 * grid.radius:
             raise ValueError(f"kernel table for {table.params} up to s = {table.s_max} "
                              f"does not serve {p} up to 2 R = {2.0 * grid.radius}")
-        smooth = table.cumulative_smooth(self.rr) - table.cumulative_smooth(self.dd)
-        upper = 2.0 * math.pi * smooth + self.singular
-        row = (2.0 * math.pi * table.smooth_row_integral(grid.nodes, grid.radius)
-               + self.singular_row)
-        return subtract_singularity(upper, grid.weights, row)
+        upper = table.ring(self.rr, self.dd) + self.singular
+        row = table.row_integral(grid.nodes, grid.radius) + self.singular_row
+        return _subtract_singularity(upper, grid.weights, row)
 
     def matrix(self, potential: RadialPotential, p: PhysParams,
                kappa: np.ndarray) -> BsMatrix:
@@ -295,6 +293,15 @@ class Discretization:
         entries = np.multiply.outer(s, s)
         entries *= kappa
         return BsMatrix(entries=entries, params=p, potential=potential, grid=self.grid)
+
+
+def b_kernel(grid: QuadGrid, m: float) -> np.ndarray:
+    """2 pi int_|ri-rj|^(ri+rj) t B(t) dt (i != j) of the bounded profile B."""
+    table = BKernelTable(m, 2.0 * grid.radius * 1.001)
+    r = grid.nodes
+    i, j = np.triu_indices(grid.size, 1)
+    return _subtract_singularity(table.ring(r[i] + r[j], r[j] - r[i]), grid.weights,
+                                 table.row_integral(r, grid.radius))
 
 
 def s_wave_reduce(potential: RadialPotential, p: PhysParams, grid: QuadGrid,
@@ -309,13 +316,21 @@ class SpectralResult:
     """Leading (or selected) eigenpair of the discretized operator."""
 
     mu0: float
-    lambda0: float
-    phi: np.ndarray       # physical eigenfunction samples, ||phi||_2 = 1
     vector: np.ndarray    # unit eigenvector in the weighted coordinates
     gap: float            # distance to the nearest other eigenvalue
     residual: float
     index: int            # 0 = leading; -1 = a trial state, not an eigenpair
     matrix: BsMatrix      # the operator the pair belongs to
+
+    @property
+    def lambda0(self) -> float:
+        """The threshold coupling 1/mu0; infinite when mu0 <= 0."""
+        return 1.0 / self.mu0 if self.mu0 > 0.0 else math.inf
+
+    @property
+    def phi(self) -> np.ndarray:
+        """Physical eigenfunction samples, 4 pi sum_i w_i r_i^2 phi_i^2 = 1."""
+        return self.vector / (np.sqrt(4.0 * math.pi * self.grid.weights) * self.grid.nodes)
 
     @property
     def grid(self) -> QuadGrid:
@@ -414,10 +429,9 @@ def leading_eigenpair(mat: BsMatrix, index: int = 0,
     A matrix with no entry above 1e-200 counts as the zero matrix: mu = 0
     with the index-th unit vector.
 
-    The eigenfunction is returned as physical samples phi(r_i), normalized
-    so that 4 pi sum_i w_i r_i^2 phi_i^2 = 1.  Its sign makes the overlap
-    with ``sign_reference`` positive when that is given and nonzero, and the
-    largest-magnitude component positive otherwise.
+    The eigenvector's sign makes its overlap with ``sign_reference``
+    positive when that is given and nonzero, and its largest-magnitude
+    component positive otherwise.
     """
     a = mat.entries
     n = a.shape[0]
@@ -447,13 +461,8 @@ def leading_eigenpair(mat: BsMatrix, index: int = 0,
     flip = ref < 0.0 if ref != 0.0 else v[np.argmax(np.abs(v))] < 0.0
     if flip:
         v = -v
-    r = mat.grid.nodes
-    w = mat.grid.weights
-    phi = v / (np.sqrt(4.0 * math.pi * w) * r)
-    lam0 = 1.0 / mu if mu > 0.0 else math.inf
-    return SpectralResult(
-        mu0=mu, lambda0=lam0, phi=phi, vector=v, gap=gap, residual=residual,
-        index=index, matrix=mat)
+    return SpectralResult(mu0=mu, vector=v, gap=gap, residual=residual,
+                          index=index, matrix=mat)
 
 
 def eigen_continuation(

@@ -23,9 +23,9 @@ from scipy.optimize import brentq
 from scipy.sparse.linalg import LinearOperator, minres
 
 from .fourierb import b_hat
-from .kernel import BKernelTable, PhysParams, _cumulative
+from .kernel import PhysParams, _cumulative
 from .spectral import (BsMatrix, Discretization, QuadGrid, RadialPotential,
-                       SpectralResult, leading_eigenpair, subtract_singularity,
+                       SpectralResult, b_kernel, leading_eigenpair,
                        two_well_potential)
 from .specfun import EvaluationFailure, checked_quad, k0, k0_integral, k1
 
@@ -152,13 +152,8 @@ def _b_direct(res: SpectralResult) -> float:
     r = res.grid.nodes
     w = res.grid.weights
     m = res.params.m
-    table = BKernelTable(m, 2.0 * res.grid.radius * 1.001)
-    i, j = np.triu_indices(len(r), 1)
-    kappa = subtract_singularity(table.ring_integral(r[i], r[j]), w,
-                                 table.ring_row_integral(r, res.grid.radius))
-    f = _weighted_f(res)
-    u = w * r * f
-    b = float(2.0 * m * u @ kappa @ u)
+    u = w * r * _weighted_f(res)
+    b = float(2.0 * m * u @ b_kernel(res.grid, m) @ u)
 
     if res.index < 0 or _a_vanishes(coefficient_a(res), res.mu0):
         return b
@@ -443,9 +438,8 @@ def synthetic_zero_overlap_state(matrix: BsMatrix) -> SpectralResult:
         raise ValueError("potential too degenerate for the sign-balanced state")
     v /= nrm
     mu = float(v @ matrix.entries @ v)
-    phi = v / (np.sqrt(4.0 * math.pi * w) * r)
-    return SpectralResult(mu0=mu, lambda0=1.0 / mu, phi=phi, vector=v,
-                          gap=np.inf, residual=np.nan, index=-1, matrix=matrix)
+    return SpectralResult(mu0=mu, vector=v, gap=np.inf, residual=np.nan,
+                          index=-1, matrix=matrix)
 
 
 def tune_zero_overlap(grid: QuadGrid,

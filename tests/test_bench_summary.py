@@ -86,3 +86,43 @@ def test_main_prints_the_summary_with_a_note(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["note"] == "n"
     assert doc["workloads"]["a"]["metrics"]["wall_s"]["change_wins"] == 0
+
+
+def test_verdicts_and_gains_of_the_fixture(summary):
+    a = summary["workloads"]["a"]["metrics"]
+    # wall_s: better median, but the parent's IQR is 2/3 of its median,
+    # above the 0.25 bound, and the runs overlap
+    assert (a["wall_s"]["verdict"], a["wall_s"]["gain"]) == ("unresolved", False)
+    # rate: the parent never varies, the change's median is better, 3/5 wins
+    assert (a["rate"]["verdict"], a["rate"]["gain"]) == ("no_worse", False)
+    # one pair, won, by more than the parent's zero IQR
+    b = summary["workloads"]["b"]["metrics"]["wall_s"]
+    assert (b["verdict"], b["gain"]) == ("no_worse", True)
+
+
+@pytest.mark.parametrize("change, verdict, gain", [
+    ((1.5, 1.5, 1.5, 1.5, 1.5), "worse", False),
+    ((1.05, 1.05, 1.1, 1.1, 1.2), "no_worse", False),
+    ((0.1, 0.2, 0.3, 0.4, 0.5), "no_worse", True),
+], ids=["worse", "within_bound", "gain"])
+def test_verdict_against_a_steady_parent(tmp_path, change, verdict, gain):
+    # parent medians 1.0 and 5.0 with small spreads; lower wall_s and
+    # higher rate are better, so the change's rate mirrors its wall_s
+    walls = (0.98, 1.0, 1.0, 1.01, 1.02)
+    parent = _checkout(tmp_path / "parent", {
+        ("w", s): (x, 5.0 / x, 0) for s, x in enumerate(walls)}, "p")
+    change = _checkout(tmp_path / "change", {
+        ("w", s): (x, 5.0 / x, 0) for s, x in enumerate(change)}, "c")
+    metrics = bench_summary.summarize(parent, change)["workloads"]["w"]["metrics"]
+    for key in ("wall_s", "rate"):
+        assert (metrics[key]["verdict"], metrics[key]["gain"]) == (verdict, gain)
+
+
+def test_spread_parent_is_resolved_when_every_run_wins(tmp_path):
+    parent = _checkout(tmp_path / "parent", {
+        ("w", s): (x, 1.0, 0) for s, x in enumerate((1.0, 2.0, 3.0, 4.0, 5.0))}, "p")
+    change = _checkout(tmp_path / "change", {
+        ("w", s): (x, 1.0, 0) for s, x in enumerate((0.9, 0.8, 0.7, 0.6, 0.5))}, "c")
+    wall = bench_summary.summarize(parent, change)["workloads"]["w"]["metrics"]["wall_s"]
+    # no_worse despite a relative IQR of 2/3; a median gain of 2.3 beats the IQR of 2
+    assert (wall["verdict"], wall["gain"]) == ("no_worse", True)

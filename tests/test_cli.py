@@ -1,5 +1,7 @@
 """Command-line surface: formats, determinism, exit codes, config plumbing."""
 
+import contextlib
+import io
 import json
 import os
 import stat
@@ -8,6 +10,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from herbst.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION,
                         EXIT_VERIFY_FAILED, RunConfig, main)
@@ -324,7 +328,12 @@ class TestConfigPlumbing:
         ({"depth": "deep"}, [], "depth must be a finite number"),
         (None, ["--radius", "nan"], "radius must be a finite number"),
         (None, ["--depth", "inf"], "depth must be a finite number"),
-    ], ids=["grid_n_float", "depth_string", "radius_nan", "depth_inf"])
+        ({"potential": 3}, [], "potential must be a string"),
+        ({"out": 1}, [], "out must be a path or null"),
+        ({"depth": 10**400}, [], "depth must be a finite number"),
+        ([], [], "config must be a JSON object"),
+    ], ids=["grid_n_float", "depth_string", "radius_nan", "depth_inf",
+            "potential_int", "out_int", "depth_beyond_float", "config_list"])
     def test_bad_value_is_one_error_line(self, tmp_path, capsys, config,
                                          flags, message):
         if config is not None:
@@ -335,6 +344,14 @@ class TestConfigPlumbing:
             warnings.simplefilter("error")
             assert run_cli("spectrum", *flags) == EXIT_VALIDATION
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_overflow_is_one_numerical_failure_line(self, capsys):
+        # the grid's moment check overflows R^3 at R = 1e200
+        assert run_cli("spectrum", "--radius", "1e200",
+                       "--grid-n", "8") == EXIT_NUMERICAL
+        err = capsys.readouterr().err.splitlines()  # after numpy's warning
+        assert [line for line in err if line.startswith(("error:", "numerical"))] \
+            == [err[-1]] and err[-1].startswith("numerical failure: ")
 
     def test_table_potential(self, tmp_path):
         r = np.linspace(0.0, 1.0, 50)
@@ -351,3 +368,53 @@ class TestConfigPlumbing:
         assert run_cli("spectrum",
                        "--potential", "table:/no/such.csv") == EXIT_VALIDATION
         assert "not found" in capsys.readouterr().err
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=4)
+
+
+def _or_json(valid):
+    """A valid value half the time, any JSON value otherwise."""
+    return st.one_of(valid, _JSON)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=150, deadline=None)
+@given(config=st.fixed_dictionaries(
+    {"grid_n": st.one_of(st.integers(min_value=4, max_value=16),
+                         st.integers(max_value=16),
+                         _JSON.filter(lambda v: type(v) is not int))},
+    optional={
+        "potential": _or_json(st.sampled_from(["bump", "gauss", "well", "table:",
+                                               "table:/no/such.csv", "cone"])),
+        "depth": _or_json(st.floats(min_value=0.0, max_value=1e3)),
+        "radius": _or_json(st.floats(min_value=1e-3, max_value=1e3)),
+        "mass": _or_json(st.floats(min_value=1e-3, max_value=1e3)),
+        "alpha_max": _or_json(st.floats(min_value=1e-3, max_value=2.0)),
+        "fmt": _or_json(st.sampled_from(["csv", "json"])),
+        # any JSON but a string, or a file name inside the fuzz directory
+        "out": st.one_of(st.sampled_from([None, "", "out.txt"]),
+                         _JSON.filter(lambda v: not isinstance(v, str)))}))
+def test_config_fuzz_ends_in_an_exit_code(fuzz_dir, config):
+    # every JSON value of every RunConfig key, grid_n capped at 16 so that
+    # no large solve starts: main returns 0-3, and a failure is one line
+    if isinstance(config.get("out"), str) and config["out"]:
+        config["out"] = str(fuzz_dir / config["out"])
+    path = fuzz_dir / "cfg.json"
+    path.write_text(json.dumps(config))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["spectrum", "--config", str(path)])
+    assert code in (0, 1, 2, 3)
+    if code:
+        lines = err.getvalue().splitlines()
+        assert sum(line.startswith(("error:", "numerical failure:"))
+                   for line in lines) == 1

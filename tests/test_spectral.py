@@ -12,11 +12,10 @@ from numpy.polynomial.legendre import leggauss
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from herbst import threshold
 from herbst.kernel import BKernelTable, GreenKernelTable, PhysParams, green_function
 from herbst.spectral import (BsMatrix, DegenerateEigenvalueError,
                              Discretization, QuadGrid, RadialPotential,
-                             _reference_rule,
+                             _reference_rule, b_kernel,
                              bump_potential, eigen_continuation,
                              leading_eigenpair,
                              s_wave_reduce, square_well_potential,
@@ -156,20 +155,38 @@ class TestAssembly:
             assert np.array_equal(disc.matrix(pot, p, kappa).entries,
                                   s_wave_reduce(pot, p, grid).entries)
 
-    @pytest.mark.parametrize("E", [0.0, -0.01])
+    @pytest.mark.parametrize("E", [0.0, -0.01, pytest.param(None, id="B")])
     def test_rows_integrate_one_exactly(self, E):
         # the subtraction rule integrates g = 1 exactly: kappa @ w is the
-        # row integral of the ring kernel, here by adaptive quadrature split
-        # at the logarithmic singularity rho = r_i
+        # row integral of the ring kernel; E = None takes the B kernel of
+        # the coefficient b
         grid = QuadGrid.gauss_legendre(40, 1.0)
-        p = PhysParams(m=1.0, E=E)
-        table = GreenKernelTable(p, s_max=2.002)
-        rows = Discretization.build(grid, p.m).kernel(p, table) @ grid.weights
+        if E is None:
+            table = BKernelTable(1.0, s_max=2.002)
+            rows = b_kernel(grid, 1.0) @ grid.weights
+        else:
+            p = PhysParams(m=1.0, E=E)
+            table = GreenKernelTable(p, s_max=2.002)
+            rows = Discretization.build(grid, p.m).kernel(p, table) @ grid.weights
         for i in (0, 13, 39):
             ri = grid.nodes[i]
-            exact = sum(quad(lambda rho: float(table.ring_integral(ri, rho)),
-                             lo, hi, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
-                        for lo, hi in ((0.0, ri), (ri, 1.0)))
+            if E is None:
+                # B is bounded, so its splined ring kernel is a cubic between
+                # the rho where ri + rho or |ri - rho| meets a knot: 4-point
+                # Gauss-Legendre between them is exact.  quad stalls near
+                # 2e-14 on row 0, which cancels to -0.0055
+                s = table._cum.x
+                cuts = np.concatenate([s - ri, ri - s, s + ri, [0.0, ri, 1.0]])
+                cuts = np.unique(cuts[(cuts >= 0.0) & (cuts <= 1.0)])
+                x, w = leggauss(4)
+                half, mid = 0.5 * np.diff(cuts), 0.5 * (cuts[1:] + cuts[:-1])
+                rho = mid[:, None] + half[:, None] * x
+                exact = float((half[:, None] * w * table.ring_integral(ri, rho)).sum())
+            else:
+                # adaptive quadrature split at the log singularity rho = ri
+                exact = sum(quad(lambda rho: float(table.ring_integral(ri, rho)),
+                                 lo, hi, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+                            for lo, hi in ((0.0, ri), (ri, 1.0)))
             assert_allclose(rows[i], exact, rtol=1e-12)
 
     @given(n=st.integers(min_value=8, max_value=120),
@@ -190,18 +207,7 @@ class TestAssembly:
         i, j = np.nonzero(~np.eye(n, dtype=bool))
         assert np.array_equal(k[i, j], table.ring_integral(r[i], r[j]))
 
-        b_kernels = []
-        subtract = threshold.subtract_singularity
-
-        def recording(*args):
-            b_kernels.append(subtract(*args))
-            return b_kernels[-1]
-
-        res = leading_eigenpair(disc.matrix(bump_potential(radius=radius), p, k))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(threshold, "subtract_singularity", recording)
-            threshold._b_direct(res)
-        (kb,) = b_kernels
+        kb = b_kernel(grid, m)
         assert np.array_equal(kb, kb.T)
         b_table = BKernelTable(m, 2.0 * radius * 1.001)
         assert np.array_equal(kb[i, j], b_table.ring_integral(r[i], r[j]))

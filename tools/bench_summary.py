@@ -6,9 +6,19 @@ and seed, and prints one JSON object. For every end-to-end metric that the
 change's ``BENCHMARK.json`` declares it gives, per workload: the median,
 inclusive quartiles and n of each side; in how many pairs the change is
 better (ties count for neither); the change's median minus the parent's;
-the parent's interquartile range; and the relative change of the medians
-against the metric's bound. It also gives the failed and attempted checks
-of each side and the provenance the runs recorded.
+the parent's interquartile range; the relative change of the medians
+against the metric's bound; and two judgements:
+
+- ``verdict``: ``worse`` when the change's median is worse than the
+  parent's by more than the bound, relative to the parent's median;
+  otherwise ``unresolved`` when the parent's IQR, relative to its median,
+  exceeds the bound and not every change run beats every parent run;
+  otherwise ``no_worse``.
+- ``gain``: true when the change wins at least 9 in 10 pairs and its
+  median is better than the parent's by more than the parent's IQR.
+
+It also gives the failed and attempted checks of each side and the
+provenance the runs recorded.
 
     python3 tools/bench_summary.py PARENT_CHECKOUT CHANGE_CHECKOUT [--note TEXT]
 
@@ -43,6 +53,22 @@ def describe(values: list[float]) -> dict:
     else:
         q1 = median = q3 = values[0]
     return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
+
+
+def judge(p: list[float], c: list[float], bound: float, sign: float) -> dict:
+    """Verdict and gain of paired runs ``p`` (parent) and ``c`` (change);
+    ``sign`` is 1 when lower is better and -1 when higher is."""
+    ps, cs = describe(p), describe(c)
+    scale, iqr = abs(ps["median"]), ps["q3"] - ps["q1"]
+    worse_by = sign * (cs["median"] - ps["median"])
+    if worse_by > bound * scale:
+        verdict = "worse"
+    elif iqr > bound * scale and not all(sign * (a - b) > 0.0 for a in p for b in c):
+        verdict = "unresolved"
+    else:
+        verdict = "no_worse"
+    wins = sum(sign * (a - b) > 0.0 for a, b in zip(p, c))
+    return {"verdict": verdict, "gain": wins >= 0.9 * len(p) and -worse_by > iqr}
 
 
 def provenance(records: list[dict]) -> dict:
@@ -87,6 +113,7 @@ def summarize(parent_dir: Path, change_dir: Path) -> dict:
                 "parent_iqr": ps["q3"] - ps["q1"],
                 "median_rel_change": ((cs["median"] - ps["median"]) / abs(ps["median"])
                                       if ps["median"] else None),
+                **judge(p, c, metric["bound"], sign),
             }
         workloads[name] = {"pairs": len(seeds), "seeds": seeds,
                            "parent": side(before), "change": side(after),
