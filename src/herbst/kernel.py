@@ -26,7 +26,7 @@ from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
 from . import specfun
-from .specfun import k0, k0_integral, k1
+from .specfun import EULER_GAMMA, k0, k0_integral, k1
 
 H3_ROOT_REFERENCE = 0.7451315  # root of int_z^inf K0 = z K0(z)
 
@@ -259,8 +259,11 @@ class GreenKernelTable(_RingTable):
 
         kappa(r, rho) = 2 pi int_|r-rho|^(r+rho) t G_E(t) dt
 
-    with the logarithmically divergent K1 contribution split off in closed
-    form (its primitive is -K0), so that only smooth functions are splined.
+    with the short-distance singularity G_E(t) ~ 1/(2 pi^2 t^2) split off in
+    closed form: its share of kappa is ln((r + rho)/|r - rho|) / pi.  The
+    rest of the K1 term, whose primitive is -K0, is regular (K0(x) + ln x is
+    bounded, DLMF 10.31.2) and is splined with the other smooth parts, so
+    K0 is evaluated on the table's nodes only.
     """
 
     params: PhysParams
@@ -277,21 +280,30 @@ class GreenKernelTable(_RingTable):
             t1 = (m / (4.0 * math.pi)) * (x / m)
         else:
             cosh_c = _cumulative(lambda z: np.cosh(nu * z) * k0(z), x)
-            exp_c = _cumulative(lambda z: np.exp(-nu * z) * k0(z), x)
-            # Fubini-swapped primitives of e^(-nu x) C(x) - sinh(nu x) S(x), with
-            # S(0) = int_0^inf e^(-nu z) K0 = arccos(nu) / sqrt(1 - nu^2)
+            # T(x) = int_x^inf e^(-nu z) K0, summed from x_max + 40 (past which
+            # lies below e^-40 of T(x_max)) down to x[1], so that cosh(nu x) T(x)
+            # keeps its digits; T(x[0] = 0) = arccos(nu) / sqrt(1 - nu^2)
             tail_full = math.acos(nu) / math.sqrt(1.0 - nu * nu)
-            w = (exp_c - np.exp(-nu * x) * cosh_c
-                 - (np.cosh(nu * x) - 1.0) * (tail_full - exp_c)) / nu
+            down = np.concatenate([np.linspace(x[-1] + 40.0, x[-1], 81), x[-2:0:-1]])
+            tail = np.empty_like(x)
+            tail[0] = tail_full
+            tail[:0:-1] = -_cumulative(lambda z: np.exp(-nu * z) * k0(z), down)[80:]
+            # Fubini-swapped primitive of e^(-nu x) C(x) - sinh(nu x) T(x),
+            # C(x) = int_0^x cosh(nu z) K0
+            w = (tail_full - np.exp(-nu * x) * cosh_c - np.cosh(nu * x) * tail) / nu
             t1 = (m / (4.0 * math.pi)) * math.sqrt(1.0 - nu * nu) \
                 * (1.0 - np.exp(-nu * x)) / p.mu
-        return t1 + (1.0 - nu * nu) / (2.0 * math.pi**2) * w
+        # the regular part H(x) = K0(x) + ln x of the K1 primitive -K0/(2 pi^2)
+        h = np.full_like(x, math.log(2.0) - EULER_GAMMA)
+        h[1:] = k0(x[1:]) + np.log(x[1:])
+        return t1 + (1.0 - nu * nu) / (2.0 * math.pi**2) * w - h / (2.0 * math.pi**2)
 
     def ring_integral(self, r, rho):
         """kappa(r, rho) = 2 pi int_|r-rho|^(r+rho) t G_E(t) dt, r != rho."""
         lo, hi = np.abs(r - rho), r + rho
-        m = self.params.m
-        return self.ring(hi, lo) + (k0(m * lo) - k0(m * hi)) / math.pi
+        if np.any(lo <= 0.0):
+            raise ValueError("the ring integral diverges at r = rho")
+        return self.ring(hi, lo) + np.log(hi / lo) / math.pi
 
 
 @dataclass

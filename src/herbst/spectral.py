@@ -6,15 +6,16 @@ reduces to a one-dimensional symmetric kernel
 
     M_ij = sqrt(w_i w_j) |V_i V_j|^(1/2) * 2 pi int_|ri-rj|^(ri+rj) t G_E(t) dt
 
-on a Gauss-Legendre grid over (0, R).  The kernel is log-singular (the K1
-part of the Green's function) and kinked on the diagonal, so the rule is
+on a Gauss-Legendre grid over (0, R).  Its only singular part is the
+logarithm ln((r + rho)/|r - rho|) / pi that G_E(t) ~ 1/(2 pi^2 t^2) puts on
+the diagonal; ``GreenKernelTable`` splines the rest.  The rule is
 singularity subtraction (Kress, Linear Integral Equations, ch. 12): off the
 diagonal the kernel is sampled, and k_ii = (I_i - sum_(j != i) w_j k_ij) / w_i
 with I_i the exact row integral over (0, R), so each row integrates g = 1
 exactly.  The matrix stays symmetric, and the rule is third order in n.
 
 Assembly has three layers, so that repeated solves on one grid share work:
-``Discretization.build`` (grid and mass only), ``kernel`` (one energy) and
+``Discretization.build`` (the grid and the logarithm), ``kernel`` (one energy) and
 ``matrix`` (the sqrt(w |V|) scaling for one potential); ``b_kernel`` is the
 rule for the profile B.  Both sample a ring kernel for i < j only (packed).
 
@@ -38,7 +39,6 @@ import scipy.linalg
 from scipy.interpolate import PchipInterpolator
 
 from .kernel import BKernelTable, GreenKernelTable, PhysParams
-from .specfun import k0, k0_integral
 
 class EigensolverError(RuntimeError):
     pass
@@ -248,24 +248,25 @@ class Discretization:
     m: float
     rr: np.ndarray            # r_i + r_j, packed upper triangle, i < j
     dd: np.ndarray            # r_j - r_i = |r_i - r_j|, packed likewise
-    singular: np.ndarray      # (1/pi)(K0(m dd) - K0(m rr)), packed likewise
+    singular: np.ndarray      # (1/pi) ln(rr / dd), packed likewise
     singular_row: np.ndarray  # its exact integral over rho in (0, R), per node
 
     @classmethod
     def build(cls, grid: QuadGrid, m: float) -> "Discretization":
         r = grid.nodes
         R = grid.radius
-        if r[-1] >= R:
+        if r[0] <= 0.0 or r[-1] >= R:
             raise ValueError("grid must lie strictly inside (0, R)")
         i, j = np.triu_indices(grid.size, 1)
         rr = r[i] + r[j]
         dd = r[j] - r[i]
 
-        # singular K1 part, primitive -K0/(2 pi^2); ``kernel`` sets the
-        # diagonal by the subtraction rule
-        singular = (k0(m * dd) - k0(m * rr)) / math.pi
-        singular_row = (2.0 * k0_integral(m * r) + k0_integral(m * (R - r))
-                        - k0_integral(m * (r + R))) / (math.pi * m)
+        # the log singularity of the ring kernel, from G_E(t) ~ 1/(2 pi^2 t^2);
+        # the table splines the rest, and ``kernel`` sets the diagonal by the
+        # subtraction rule.  No part of it depends on m.
+        singular = np.log(rr / dd) / math.pi
+        singular_row = ((r + R) * np.log(r + R) - 2.0 * r * np.log(r)
+                        - (R - r) * np.log(R - r)) / math.pi
         return cls(grid=grid, m=m, rr=rr, dd=dd, singular=singular,
                    singular_row=singular_row)
 
@@ -349,9 +350,10 @@ _RITZ_EVERY = 2     # block steps between Rayleigh-Ritz extractions
 _BASIS_ROWS = 32    # first allocation of the Krylov basis; it doubles as needed
 
 
-def _ritz_pairs(a: np.ndarray, want: int) -> tuple[np.ndarray, np.ndarray]:
-    """Ritz values of the symmetric ``a``, descending, and the unit Ritz
-    vectors (rows) of the first ``want`` of them.
+def _ritz_pairs(a: np.ndarray, c: float, want: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ritz values of the symmetric ``c a``, descending, and the unit Ritz
+    vectors (rows) of the first ``want`` of them.  ``c`` is a power of two
+    that scales the vectors ``a`` multiplies, so ``c a`` is never formed.
 
     Block Lanczos with block size 2 and full reorthogonalization, done
     twice (Golub & Van Loan, 4th ed., 10.3), started from a [1, g] with g a
@@ -370,21 +372,21 @@ def _ritz_pairs(a: np.ndarray, want: int) -> tuple[np.ndarray, np.ndarray]:
     rng = np.random.default_rng(0)
     tol = 4.0 * np.finfo(float).eps * math.sqrt(n)
     basis = np.empty((min(n, _BASIS_ROWS), n))  # orthonormal rows
-    prods = np.empty_like(basis)                # prods[i] = a @ basis[i]
+    prods = np.empty_like(basis)                # prods[i] = c a @ basis[i]
     k = steps = 0
     in_range = True
-    block = np.stack([np.ones(n), rng.standard_normal(n)]) @ a
+    block = (c * np.stack([np.ones(n), rng.standard_normal(n)])) @ a
     while True:
         start = k
         sizes = np.linalg.norm(block, axis=1)
-        for _ in range(2):
-            block = block - (block @ basis[:k].T) @ basis[:k]
         for w, size in zip(block, sizes):
             if k == n:
                 break
-            if k > start:  # against this block's rows added before it
-                for _ in range(2):
-                    w = w - (basis[start:k] @ w) @ basis[start:k]
+            # against the whole basis, this block's rows included, twice: a
+            # second vector nearly in the span of the first loses the digits
+            # of any projection taken before that one
+            for _ in range(2):
+                w = w - (basis[:k] @ w) @ basis[:k]
             nrm = math.sqrt(w @ w)
             if nrm <= tol * size:
                 continue
@@ -395,11 +397,11 @@ def _ritz_pairs(a: np.ndarray, want: int) -> tuple[np.ndarray, np.ndarray]:
             k += 1
         if k == start:
             g = rng.standard_normal(n)
-            block = (g @ a if in_range else g)[None]
+            block = ((c * g) @ a if in_range else g)[None]
             in_range = not in_range
             continue
         in_range = True
-        prods[start:k] = basis[start:k] @ a
+        prods[start:k] = (c * basis[start:k]) @ a
         block = prods[start:k]
         steps += 1
         if steps % _RITZ_EVERY and k < n:
@@ -429,6 +431,12 @@ def leading_eigenpair(mat: BsMatrix, index: int = 0,
     A matrix with no entry above 1e-200 counts as the zero matrix: mu = 0
     with the index-th unit vector.
 
+    The problem is homogeneous, mu(c M) = c mu(M), so the solve runs on c M
+    with c the power of two that puts max|c M| in [1/2, 1): no norm of the
+    iteration overflows near the float ceiling, and mu, gap and residual
+    scale back exactly.  A non-finite mu or residual raises
+    ``EigensolverError``.
+
     The eigenvector's sign makes its overlap with ``sign_reference``
     positive when that is given and nonzero, and its largest-magnitude
     component positive otherwise.
@@ -437,26 +445,33 @@ def leading_eigenpair(mat: BsMatrix, index: int = 0,
     n = a.shape[0]
     if index < 0 or index >= n:
         raise ValueError("eigenpair index out of range")
-    if max(a.max(), -a.min()) > 1e-200:
-        theta, vecs = _ritz_pairs(a, min(index + 2, n))
+    scale = max(float(a.max()), -float(a.min()))
+    if scale > 1e-200:
+        c = math.ldexp(1.0, -math.frexp(scale)[1])
+        theta, vecs = _ritz_pairs(a, c, min(index + 2, n))
         v = vecs[index] / np.linalg.norm(vecs[index])
-        # mu is the Rayleigh quotient taken on a itself: theta carries the
+        # mu is the Rayleigh quotient taken on c a itself: theta carries the
         # rounding of the projected matrix, up to about 4.5 eps mu at n <= 1000
-        av = a @ v
+        av = a @ (c * v)
         mu = float(v @ av)
         gap = min((abs(float(theta[j]) - mu) for j in (index - 1, index + 1)
                    if 0 <= j < len(theta)), default=math.inf)
         if gap < 1e-12 * float(np.max(np.abs(theta))):
             raise DegenerateEigenvalueError(
-                f"eigenvalue {mu} is degenerate within {gap}; "
+                f"eigenvalue {mu / c} is degenerate within {gap / c}; "
                 "the threshold expansion assumes a simple eigenvalue")
     else:
         # the potential vanishes: every unit vector is an eigenvector
-        mu, gap = 0.0, (0.0 if n > 1 else math.inf)
+        c, mu, gap = 1.0, 0.0, (0.0 if n > 1 else math.inf)
         v = np.zeros(n)
         v[index] = 1.0
         av = a @ v
-    residual = float(np.linalg.norm(av - mu * v))
+    residual = float(np.linalg.norm(av - mu * v)) / c
+    mu, gap = mu / c, gap / c
+    if not (math.isfinite(mu) and math.isfinite(residual)):
+        raise EigensolverError(
+            f"eigenvalue {mu} with residual {residual} is not finite "
+            f"(largest |matrix entry| {scale})")
     ref = 0.0 if sign_reference is None else float(v @ sign_reference)
     flip = ref < 0.0 if ref != 0.0 else v[np.argmax(np.abs(v))] < 0.0
     if flip:

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import stat
 import threading
@@ -353,6 +354,17 @@ class TestConfigPlumbing:
         assert [line for line in err if line.startswith(("error:", "numerical"))] \
             == [err[-1]] and err[-1].startswith("numerical failure: ")
 
+    @pytest.mark.parametrize("flag, value", [("--mass", "1e200"), ("--depth", "1e300")])
+    def test_matrix_near_the_float_ceiling_has_a_finite_residual(self, flag, value, capsys):
+        # entries near 1e199-1e299: the eigensolve runs on the matrix scaled
+        # to max|M| < 1, so none of its norms overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("spectrum", "--grid-n", "8", flag, value,
+                           "--format", "json") == EXIT_OK
+        meta = json.loads(capsys.readouterr().out)["meta"]
+        assert 0.0 < meta["residual"] <= 1e-14 * meta["mu0"]
+
     def test_table_potential(self, tmp_path):
         r = np.linspace(0.0, 1.0, 50)
         v = -np.exp(-3.0 * r * r) * (1.0 - r) ** 2
@@ -410,11 +422,16 @@ def test_config_fuzz_ends_in_an_exit_code(fuzz_dir, config):
         config["out"] = str(fuzz_dir / config["out"])
     path = fuzz_dir / "cfg.json"
     path.write_text(json.dumps(config))
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["spectrum", "--config", str(path)])
     assert code in (0, 1, 2, 3)
     if code:
         lines = err.getvalue().splitlines()
         assert sum(line.startswith(("error:", "numerical failure:"))
                    for line in lines) == 1
+    elif config.get("fmt") == "json":
+        # exit 0 implies a finite residual (none is reported when mu0 = 0)
+        text = open(config["out"]).read() if config.get("out") else out.getvalue()
+        meta = json.loads(text)["meta"]
+        assert meta["mu0"] == 0.0 or math.isfinite(meta["residual"])

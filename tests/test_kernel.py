@@ -167,6 +167,27 @@ class TestRingTables:
         with pytest.raises(ValueError):
             table.ring_integral(0.5, 0.5)
 
+    @pytest.mark.parametrize("m", [1.0, 2.5])
+    @pytest.mark.parametrize("E", [-0.1, -0.3])
+    def test_green_table_slope_matches_green_function_far_out(self, m, E):
+        # the table's slope plus the split-off logarithm's, 1/(2 pi^2 s), is
+        # s G_E(s); the E < 0 tail int_x^inf e^(-nu z) K0 is summed from the
+        # far end, or cosh(nu x) times its rounding grows to 1e12 s G_E at
+        # m s = 40.  The error is measured on the scale of the log's slope,
+        # the part of the cumulative the spline carries out there
+        p = PhysParams(m=m, E=E)
+        table = GreenKernelTable(p, s_max=40.0 / m)
+        s = np.geomspace(0.01, 40.0, 40) / m
+        log_slope = 1.0 / (2.0 * math.pi**2 * s)
+        slope = table._cum(s, 1) + log_slope
+        exact = np.array([t * green_function(t, p) for t in s])
+        assert np.all(np.abs(slope - exact) <= 1e-7 * (np.abs(exact) + log_slope))
+
+    def test_green_table_diagonal_is_rejected_at_any_pair(self):
+        table = GreenKernelTable(PhysParams(m=1.0, E=-0.3), s_max=2.0)
+        with pytest.raises(ValueError, match="diverges at r = rho"):
+            table.ring_integral(np.array([0.2, 0.5]), np.array([0.3, 0.5]))
+
     def test_b_table_matches_direct_quadrature(self):
         table = BKernelTable(m=1.0, s_max=4.0)
         for r, rho in ((0.4, 0.9), (1.3, 0.6)):

@@ -13,8 +13,9 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from herbst.kernel import BKernelTable, GreenKernelTable, PhysParams, green_function
+from herbst.specfun import checked_quad
 from herbst.spectral import (BsMatrix, DegenerateEigenvalueError,
-                             Discretization, QuadGrid, RadialPotential,
+                             Discretization, EigensolverError, QuadGrid, RadialPotential,
                              _reference_rule, b_kernel,
                              bump_potential, eigen_continuation,
                              leading_eigenpair,
@@ -259,6 +260,54 @@ class TestAssembly:
         table = GreenKernelTable(PhysParams(), s_max=0.5)
         with pytest.raises(ValueError, match="does not serve"):
             Discretization.build(grid, 1.0).kernel(PhysParams(), table)
+
+    @pytest.mark.parametrize("E", [0.0, -0.01])
+    def test_no_bessel_function_on_the_packed_pairs(self, monkeypatch, E):
+        # K0 runs on the table's nodes only, not on the n(n-1)/2 = 79800
+        # packed pairs at n = 400: no point at all with the table passed in,
+        # and without it a count that does not grow with n
+        import scipy.special
+        points = []
+        for name in ("k0", "k0e", "k1", "k1e"):
+            ufunc = getattr(scipy.special, name)
+            monkeypatch.setattr(scipy.special, name,
+                                lambda x, ufunc=ufunc: points.append(np.size(x)) or ufunc(x))
+        p = PhysParams(m=1.0, E=E)
+
+        def count(n, table=None):
+            points.clear()
+            s_wave_reduce(bump_potential(), p, QuadGrid.gauss_legendre(n, 1.0), table)
+            return sum(points)
+
+        table = GreenKernelTable(p, s_max=2.002)
+        assert count(400, table) == 0
+        assert count(400) == count(100)
+        if E == 0.0:
+            assert count(400) <= 2000
+
+    @pytest.mark.parametrize("radius", [0.3, 1.0, 5.0])
+    def test_log_row_integral_matches_quadrature(self, radius):
+        # int_0^R ln((r + rho)/|r - rho|) / pi drho in closed form, against
+        # adaptive quadrature split at the singularity rho = r
+        grid = QuadGrid.gauss_legendre(40, radius)
+        row = Discretization.build(grid, 1.0).singular_row
+        for i in (0, 7, 20, 39):
+            r = grid.nodes[i]
+            exact = sum(checked_quad(lambda rho: math.log((r + rho) / abs(r - rho)) / math.pi,
+                                     lo, hi, abs_tol=1e-16, rel_tol=2e-14)
+                        for lo, hi in ((0.0, r), (r, radius)))
+            assert_allclose(row[i], exact, rtol=1e-13)
+
+    @pytest.mark.parametrize("first", [0.0, -0.2])
+    def test_build_rejects_a_node_at_or_below_zero(self, first):
+        # the logarithm needs r_i + r_j > 0 and r ln r needs r > 0; the
+        # weights pass the grid's second-moment check
+        w0 = 0.1 if first == 0.0 else 1.0
+        grid = QuadGrid(nodes=np.array([first, 0.5]),
+                        weights=np.array([w0, (1.0 / 3.0 - w0 * first**2) / 0.25]),
+                        radius=1.0)
+        with pytest.raises(ValueError, match="strictly inside"):
+            Discretization.build(grid, 1.0)
 
 
 def bs_matrix(entries):
@@ -527,6 +576,39 @@ def test_excited_pair_has_a_residual_at_rounding_level():
         two_well_potential(8.0, 12.0), PhysParams(), QuadGrid.gauss_legendre(200, 1.0)),
         index=1)
     assert res.residual <= 8.0 * np.finfo(float).eps * res.mu0
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+@pytest.mark.parametrize("n", [8, 12, 16, 24])
+def test_small_grid_pair_has_a_residual_at_rounding_level(family, n):
+    # the Krylov basis reaches n here; a new vector nearly in the span of
+    # its block's first one must be orthogonalized against the whole basis
+    # after that one, or the basis loses up to 1e-6 of orthogonality
+    make, radius = _FAMILIES[family]
+    res = leading_eigenpair(s_wave_reduce(
+        make(1.0, radius), PhysParams(), QuadGrid.gauss_legendre(n, radius)))
+    assert res.residual <= 4.0 * np.finfo(float).eps * res.mu0
+
+
+@pytest.mark.parametrize("power", [-60, 60, 600, 900])
+def test_scaling_by_a_power_of_two_is_exact(state200, power):
+    # mu(c M) = c mu(M): the solve runs on the matrix scaled to max|M| in
+    # [1/2, 1), so a power-of-two scale changes no bit of the pair; the
+    # smallest nonzero entry, 2.9e-254, stays a normal float at 2^-60
+    c = math.ldexp(1.0, power)
+    mat = state200.matrix
+    res = leading_eigenpair(BsMatrix(entries=c * mat.entries, params=mat.params,
+                                     potential=mat.potential, grid=mat.grid))
+    assert res.mu0 == c * state200.mu0
+    assert res.gap == c * state200.gap
+    assert res.residual == c * state200.residual
+    assert np.array_equal(res.vector, state200.vector)
+
+
+def test_overflowing_eigenvalue_raises():
+    # every entry 1.5e308: the top eigenvalue 6e308 is not a float
+    with pytest.raises(EigensolverError, match="not finite"):
+        leading_eigenpair(bs_matrix(np.full((4, 4), 1.5e308)))
 
 
 @pytest.fixture(scope="module")
