@@ -26,7 +26,7 @@ from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
 from . import specfun
-from .specfun import EULER_GAMMA, k0, k0_integral, k1
+from .specfun import EULER_GAMMA, k0, k0_integral, k0e, k1
 
 H3_ROOT_REFERENCE = 0.7451315  # root of int_z^inf K0 = z K0(z)
 
@@ -229,6 +229,9 @@ def _cumulative(fvec, xgrid: np.ndarray) -> np.ndarray:
     return vals
 
 
+_RING_NODES = 800  # intervals of the graded grid of a ring table
+
+
 class _RingTable:
     """A cubic spline in s of the cumulative c(s) = int_0^s t k(t) dt of a
     radial kernel k (of its smooth part, when k has a singular part split off
@@ -236,13 +239,44 @@ class _RingTable:
     A subclass gives the dataclass fields and ``_node_values(s)``."""
 
     def __post_init__(self) -> None:
-        s = _graded_grid(self.s_max * 1.0000001, 800)
+        s = _graded_grid(self.s_max * 1.0000001, _RING_NODES)
         self._cum = CubicSpline(s, self._node_values(s))
         self._prim = self._cum.antiderivative()
+        # the right end of each interval, the last one open to the right
+        self._ends = np.append(s[1:-1], np.inf)
+
+    def _cum_at(self, s: np.ndarray) -> np.ndarray:
+        """The spline c(s) at s >= 0, bit for bit as ``CubicSpline.__call__``.
+
+        The interval k with x_k <= s < x_(k+1) (the last one from x_max on)
+        needs no search on the graded nodes x_k = x_max (k/800)^1.5: k is
+        800 (s/x_max)^(2/3), rounded down from a value biased low by 2^-40
+        relative, which is then one too low at most, and one step up where s
+        has reached x_(k+1) makes it exact.  The cubic is summed in PPoly's
+        own ascending-power order, c3 + c2 dx + c1 dx^2 + c0 dx^3."""
+        x, c = self._cum.x, self._cum.c
+        t = s * (1.0 / x[-1])
+        t *= t
+        t = np.cbrt(t)
+        t *= _RING_NODES * (1.0 - 2.0**-40)
+        k = np.minimum(t.astype(np.intp), _RING_NODES - 1)
+        k += s >= self._ends[k]
+        # in place, one temporary at a time: ((c3 + c2 dx) + c1 dx^2) + c0 dx^3
+        dx = s - x[k]
+        cum = c[2][k]
+        cum *= dx
+        cum += c[3][k]
+        t = dx * dx
+        dx *= t
+        t *= c[1][k]
+        cum += t
+        dx *= c[0][k]
+        cum += dx
+        return cum
 
     def ring(self, hi, lo):
-        """2 pi [c(hi) - c(lo)]."""
-        return 2.0 * math.pi * (self._cum(hi) - self._cum(lo))
+        """2 pi [c(hi) - c(lo)], 0 <= lo <= hi."""
+        return 2.0 * math.pi * (self._cum_at(hi) - self._cum_at(lo))
 
     def row_integral(self, r, radius: float):
         """int_0^radius ring(r + rho, |r - rho|) drho, 0 < r < radius, exact
@@ -279,7 +313,10 @@ class GreenKernelTable(_RingTable):
             w[1:] = x[1:] * k0_integral(x[1:]) - 1.0 + x[1:] * k1(x[1:])
             t1 = (m / (4.0 * math.pi)) * (x / m)
         else:
-            cosh_c = _cumulative(lambda z: np.cosh(nu * z) * k0(z), x)
+            # cosh(nu z) K0(z) = (e^((nu-1) z) + e^(-(nu+1) z)) k0e(z) / 2: no
+            # cosh(nu z) to overflow where K0 has underflowed
+            cosh_c = _cumulative(lambda z: 0.5 * (np.exp((nu - 1.0) * z)
+                                                  + np.exp(-(nu + 1.0) * z)) * k0e(z), x)
             # T(x) = int_x^inf e^(-nu z) K0, summed from x_max + 40 (past which
             # lies below e^-40 of T(x_max)) down to x[1], so that cosh(nu x) T(x)
             # keeps its digits; T(x[0] = 0) = arccos(nu) / sqrt(1 - nu^2)
@@ -290,7 +327,11 @@ class GreenKernelTable(_RingTable):
             tail[:0:-1] = -_cumulative(lambda z: np.exp(-nu * z) * k0(z), down)[80:]
             # Fubini-swapped primitive of e^(-nu x) C(x) - sinh(nu x) T(x),
             # C(x) = int_0^x cosh(nu z) K0
-            w = (tail_full - np.exp(-nu * x) * cosh_c - np.cosh(nu * x) * tail) / nu
+            # cosh(nu x) T(x) <= int_x^inf K0, of order e^-x: where T(x) has
+            # underflowed to 0 the product is 0 to the last digit of w, and
+            # cosh(nu x), which may overflow there, is not formed
+            cosh_t = np.cosh(nu * x, where=tail > 0.0, out=np.zeros_like(x)) * tail
+            w = (tail_full - np.exp(-nu * x) * cosh_c - cosh_t) / nu
             t1 = (m / (4.0 * math.pi)) * math.sqrt(1.0 - nu * nu) \
                 * (1.0 - np.exp(-nu * x)) / p.mu
         # the regular part H(x) = K0(x) + ln x of the K1 primitive -K0/(2 pi^2)

@@ -2,7 +2,8 @@
 
 Everything here is evaluated in m = 1 internal units; callers rescale their
 arguments.  The library evaluates K0/K1 through ``k0``/``k1`` and the K0
-integral through ``k0_integral``, thin checked wrappers over the compiled
+integral through ``k0_integral``, and the scaled e^x K0(x) through ``k0e``,
+thin checked wrappers over the compiled
 ``scipy.special`` ufuncs.  ``bessel_k`` computes K0/K1 from scratch
 (ascending series below the switch point, a generalized Gauss-Laguerre
 representation above it); it is the oracle the wrappers are tested against,
@@ -158,6 +159,11 @@ def k0(x):
 def k1(x):
     """K1 of a positive scalar or ndarray via scipy.special.k1 (see k0)."""
     return _compiled_k(_sc.k1, x)
+
+
+def k0e(x):
+    """e^x K0(x) via scipy.special.k0e (see k0): finite where K0 underflows."""
+    return _compiled_k(_sc.k0e, x)
 
 
 def k0_integral(x):

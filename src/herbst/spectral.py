@@ -15,9 +15,12 @@ with I_i the exact row integral over (0, R), so each row integrates g = 1
 exactly.  The matrix stays symmetric, and the rule is third order in n.
 
 Assembly has three layers, so that repeated solves on one grid share work:
-``Discretization.build`` (the grid and the logarithm), ``kernel`` (one energy) and
-``matrix`` (the sqrt(w |V|) scaling for one potential); ``b_kernel`` is the
-rule for the profile B.  Both sample a ring kernel for i < j only (packed).
+``Discretization.build`` (the grid and the logarithm's row integral),
+``kernel`` (one energy) and ``matrix`` (the sqrt(w |V|) scaling for one
+potential).  ``b_form`` is the same rule for the profile B, reduced to the
+one quadratic form the coefficient b needs, so its matrix is never formed.
+Both run over square tiles of at most 128 x 128 pairs (``_tiles``), so no
+temporary is larger than a tile.
 
 The Birman-Schwinger principle needs only the top eigenvalues of M, the gap
 and one eigenvector, so ``leading_eigenpair`` takes them from a block Krylov
@@ -227,29 +230,38 @@ class BsMatrix:
             raise ValueError("matrix assembly lost symmetry")
 
 
-def _subtract_singularity(upper: np.ndarray, weights: np.ndarray,
-                          row_integral: np.ndarray) -> np.ndarray:
-    """The symmetric kappa with strict upper triangle ``upper`` (packed, i < j)
-    and the diagonal of the subtraction rule: kappa @ weights == row_integral."""
-    above = ~np.tri(len(weights), dtype=bool)
-    kappa = np.empty(above.shape)
-    kappa[above] = upper
-    kappa.T[above] = upper
-    np.fill_diagonal(kappa, 0.0)
-    np.fill_diagonal(kappa, (row_integral - kappa @ weights) / weights)
-    return kappa
+_TILE = 128  # at most this many rows and columns per tile of the pair loops
+
+
+def _tiles(r: np.ndarray):
+    """Square tiles over the upper triangle of the pairs (i, j) of nodes r:
+    (rows, cols, hi, lo) with rows and cols slices, hi = r_i + r_j and
+    lo = |r_i - r_j|.  On the diagonal pairs lo is set to hi, where a ring
+    kernel then reads 0 and the logarithm ln(hi/lo) too."""
+    n = len(r)
+    count = -(-n // _TILE)
+    edges = [(k * n) // count for k in range(count + 1)]
+    strips = [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
+    for t, rows in enumerate(strips):
+        for cols in strips[t:]:
+            hi = np.add.outer(r[rows], r[cols])
+            lo = np.subtract.outer(r[rows], r[cols])
+            np.abs(lo, out=lo)
+            if cols == rows:
+                np.fill_diagonal(lo, hi.diagonal())
+            yield rows, cols, hi, lo
 
 
 @dataclass(frozen=True, eq=False)
 class Discretization:
-    """Nystrom geometry of one grid and mass, shared by every solve on it."""
+    """Nystrom rule of one grid and mass, shared by every solve on it.
+
+    It holds only O(n) data, the logarithm's row integrals: ``kernel`` forms
+    the pair geometry r_i + r_j, |r_i - r_j| tile by tile (``_tiles``)."""
 
     grid: QuadGrid
     m: float
-    rr: np.ndarray            # r_i + r_j, packed upper triangle, i < j
-    dd: np.ndarray            # r_j - r_i = |r_i - r_j|, packed likewise
-    singular: np.ndarray      # (1/pi) ln(rr / dd), packed likewise
-    singular_row: np.ndarray  # its exact integral over rho in (0, R), per node
+    singular_row: np.ndarray  # exact int_0^R ln((r + rho)/|r - rho|)/pi drho, per node
 
     @classmethod
     def build(cls, grid: QuadGrid, m: float) -> "Discretization":
@@ -257,22 +269,19 @@ class Discretization:
         R = grid.radius
         if r[0] <= 0.0 or r[-1] >= R:
             raise ValueError("grid must lie strictly inside (0, R)")
-        i, j = np.triu_indices(grid.size, 1)
-        rr = r[i] + r[j]
-        dd = r[j] - r[i]
-
         # the log singularity of the ring kernel, from G_E(t) ~ 1/(2 pi^2 t^2);
         # the table splines the rest, and ``kernel`` sets the diagonal by the
         # subtraction rule.  No part of it depends on m.
-        singular = np.log(rr / dd) / math.pi
         singular_row = ((r + R) * np.log(r + R) - 2.0 * r * np.log(r)
                         - (R - r) * np.log(R - r)) / math.pi
-        return cls(grid=grid, m=m, rr=rr, dd=dd, singular=singular,
-                   singular_row=singular_row)
+        return cls(grid=grid, m=m, singular_row=singular_row)
 
     def kernel(self, p: PhysParams,
                table: GreenKernelTable | None = None) -> np.ndarray:
-        """kappa_ij = 2 pi int_|ri-rj|^(ri+rj) t G_E(t) dt (i != j) at p.E."""
+        """kappa_ij = 2 pi int_|ri-rj|^(ri+rj) t G_E(t) dt (i != j) at p.E,
+        and the diagonal of the subtraction rule: kappa @ w is the exact row
+        integral.  Filled tile by tile (``_tiles``), each tile and its mirror
+        image, so no temporary is larger than a tile."""
         if p.m != self.m:
             raise ValueError("energy parameters carry a different mass")
         grid = self.grid
@@ -281,9 +290,20 @@ class Discretization:
         elif table.params != p or table.s_max < 2.0 * grid.radius:
             raise ValueError(f"kernel table for {table.params} up to s = {table.s_max} "
                              f"does not serve {p} up to 2 R = {2.0 * grid.radius}")
-        upper = table.ring(self.rr, self.dd) + self.singular
+        kappa = np.empty((grid.size, grid.size))
+        for rows, cols, hi, lo in _tiles(grid.nodes):
+            block = table.ring(hi, lo)
+            singular = np.divide(hi, lo, out=lo)
+            np.log(singular, out=singular)
+            singular /= math.pi
+            block += singular
+            kappa[rows, cols] = block
+            kappa[cols, rows] = block.T
+        # the tiles leave the diagonal 0, so kappa @ w sums j != i only
         row = table.row_integral(grid.nodes, grid.radius) + self.singular_row
-        return _subtract_singularity(upper, grid.weights, row)
+        w = grid.weights
+        np.fill_diagonal(kappa, (row - kappa @ w) / w)
+        return kappa
 
     def matrix(self, potential: RadialPotential, p: PhysParams,
                kappa: np.ndarray) -> BsMatrix:
@@ -296,13 +316,29 @@ class Discretization:
         return BsMatrix(entries=entries, params=p, potential=potential, grid=self.grid)
 
 
-def b_kernel(grid: QuadGrid, m: float) -> np.ndarray:
-    """2 pi int_|ri-rj|^(ri+rj) t B(t) dt (i != j) of the bounded profile B."""
+def b_form(grid: QuadGrid, m: float, u: np.ndarray) -> float:
+    """(u, K_B u) for the subtraction-rule matrix K_B of the bounded profile B,
+    whose off-diagonal entries are k_ij = 2 pi int_|ri-rj|^(ri+rj) t B(t) dt,
+    without forming K_B.
+
+    With v = u / w and I_i the exact row integral of k, the rule's diagonal
+    (I_i - sum_(j != i) w_j k_ij) / w_i makes the form exactly
+
+        sum_i u_i v_i I_i - sum_(i < j) k_ij w_i w_j (v_i - v_j)^2,
+
+    summed here tile by tile (``_tiles``): no temporary is larger than a tile.
+    """
     table = BKernelTable(m, 2.0 * grid.radius * 1.001)
-    r = grid.nodes
-    i, j = np.triu_indices(grid.size, 1)
-    return _subtract_singularity(table.ring(r[i] + r[j], r[j] - r[i]), grid.weights,
-                                 table.row_integral(r, grid.radius))
+    w = grid.weights
+    v = u / w
+    pairs = 0.0
+    for rows, cols, hi, lo in _tiles(grid.nodes):
+        d = np.subtract.outer(v[rows], v[cols])
+        d *= d
+        d *= table.ring(hi, lo)
+        # a diagonal tile holds each of its pairs twice and d = 0 on i = j
+        pairs += float(w[rows] @ d @ w[cols]) * (0.5 if rows == cols else 1.0)
+    return float((u * v) @ table.row_integral(grid.nodes, grid.radius)) - pairs
 
 
 def s_wave_reduce(potential: RadialPotential, p: PhysParams, grid: QuadGrid,
@@ -344,6 +380,14 @@ class SpectralResult:
     @property
     def params(self) -> PhysParams:
         return self.matrix.params
+
+
+def unit_scale(a: np.ndarray) -> tuple[float, float]:
+    """max|a| and the power of two c that puts max|c a| in [1/2, 1), or
+    c = 1.0 when max|a| <= 1e-200 (a counts as zero).  Products by c are
+    exact rescalings."""
+    scale = max(float(a.max()), -float(a.min()))
+    return scale, (math.ldexp(1.0, -math.frexp(scale)[1]) if scale > 1e-200 else 1.0)
 
 
 _RITZ_EVERY = 2     # block steps between Rayleigh-Ritz extractions
@@ -445,9 +489,8 @@ def leading_eigenpair(mat: BsMatrix, index: int = 0,
     n = a.shape[0]
     if index < 0 or index >= n:
         raise ValueError("eigenpair index out of range")
-    scale = max(float(a.max()), -float(a.min()))
+    scale, c = unit_scale(a)
     if scale > 1e-200:
-        c = math.ldexp(1.0, -math.frexp(scale)[1])
         theta, vecs = _ritz_pairs(a, c, min(index + 2, n))
         v = vecs[index] / np.linalg.norm(vecs[index])
         # mu is the Rayleigh quotient taken on c a itself: theta carries the
@@ -462,7 +505,7 @@ def leading_eigenpair(mat: BsMatrix, index: int = 0,
                 "the threshold expansion assumes a simple eigenvalue")
     else:
         # the potential vanishes: every unit vector is an eigenvector
-        c, mu, gap = 1.0, 0.0, (0.0 if n > 1 else math.inf)
+        mu, gap = 0.0, (0.0 if n > 1 else math.inf)
         v = np.zeros(n)
         v[index] = 1.0
         av = a @ v

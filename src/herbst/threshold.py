@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
+import scipy.linalg
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 from scipy.sparse.linalg import LinearOperator, minres
@@ -25,8 +26,8 @@ from scipy.sparse.linalg import LinearOperator, minres
 from .fourierb import b_hat
 from .kernel import PhysParams, _cumulative
 from .spectral import (BsMatrix, Discretization, QuadGrid, RadialPotential,
-                       SpectralResult, b_kernel, leading_eigenpair,
-                       two_well_potential)
+                       SpectralResult, b_form, leading_eigenpair,
+                       two_well_potential, unit_scale)
 from .specfun import EvaluationFailure, checked_quad, k0, k0_integral, k1
 
 A_ZERO_TOL_REL = 1e-8
@@ -104,28 +105,37 @@ def _projected_resolvent_solve(entries: np.ndarray, mu: float, v: np.ndarray,
     n steps do not converge.  A backward-stable solve stays below that bound
     however small the gap: on random spectra with gaps of 1e-9 to 0.3 the
     ratio was at most 0.006 of it, while |r| itself rose to 0.1 |rhs|.
+
+    The solve runs on c M and d rhs, c and d the powers of two of
+    ``unit_scale``, and scales x back exactly, so no norm of the iteration
+    overflows near the float ceiling; |M|_F is taken by BLAS nrm2, which
+    does not square the entries in floating point.
     """
     n = len(rhs)
+    _, d = unit_scale(rhs)
+    rhs = d * rhs
     size = float(np.linalg.norm(rhs))
     if size == 0.0:
         return np.zeros(n)
+    _, c = unit_scale(entries)
+    cmu = c * mu
 
     def projected(x):
         x = x - (v @ x) * v
-        y = mu * x - entries @ x
+        y = cmu * x - entries @ (c * x)
         return y - (v @ y) * v
 
     x, info = minres(LinearOperator((n, n), matvec=projected, dtype=float), rhs,
                      rtol=_MINRES_RTOL, maxiter=n)
     r = rhs - projected(x)
     error = abs(float(x @ r))
-    op_norm = abs(mu) + float(np.linalg.norm(entries))
+    op_norm = abs(cmu) + c * float(scipy.linalg.norm(entries.ravel(), check_finite=False))
     if info != 0 or error > 10.0 * _MINRES_RTOL * op_norm * float(x @ x):
         residual = float(np.linalg.norm(r)) / size
         raise ResolventSolveError(
             f"MINRES stopped at relative residual {residual:.3e}, "
             f"error estimate |(x, r)| = {error:.3e}", residual=residual)
-    return x
+    return x * (c / d)
 
 
 def _b_direct(res: SpectralResult) -> float:
@@ -152,8 +162,7 @@ def _b_direct(res: SpectralResult) -> float:
     r = res.grid.nodes
     w = res.grid.weights
     m = res.params.m
-    u = w * r * _weighted_f(res)
-    b = float(2.0 * m * u @ b_kernel(res.grid, m) @ u)
+    b = 2.0 * m * b_form(res.grid, m, w * r * _weighted_f(res))
 
     if res.index < 0 or _a_vanishes(coefficient_a(res), res.mu0):
         return b

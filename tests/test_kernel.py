@@ -1,6 +1,7 @@
 """Green's function, series kernels, envelope bound, and ring-integral tables."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,26 @@ from herbst.kernel import (H3_ROOT_REFERENCE, BKernelTable, GreenKernelTable,
                            green_function, h3_root, l0_profile,
                            _cumulative, series_remainder)
 from herbst.quad import RadialFunction, radial_fourier3
-from herbst.specfun import k0, k0_weighted_integral, k1
+from herbst.specfun import EULER_GAMMA, k0, k0_weighted_integral, k1
+
+
+def _node_values_with_cosh(p, s):
+    """The E < 0 node values of GreenKernelTable as formed with cosh(nu z) K0(z)
+    and cosh(nu x) T(x), which give inf * 0 = nan far out."""
+    m, nu = p.m, p.nu
+    x = m * s
+    with np.errstate(over="ignore", invalid="ignore"):
+        cosh_c = _cumulative(lambda z: np.cosh(nu * z) * k0(z), x)
+        tail_full = math.acos(nu) / math.sqrt(1.0 - nu * nu)
+        down = np.concatenate([np.linspace(x[-1] + 40.0, x[-1], 81), x[-2:0:-1]])
+        tail = np.empty_like(x)
+        tail[0] = tail_full
+        tail[:0:-1] = -_cumulative(lambda z: np.exp(-nu * z) * k0(z), down)[80:]
+        w = (tail_full - np.exp(-nu * x) * cosh_c - np.cosh(nu * x) * tail) / nu
+    t1 = (m / (4.0 * math.pi)) * math.sqrt(1.0 - nu * nu) * (1.0 - np.exp(-nu * x)) / p.mu
+    h = np.full_like(x, math.log(2.0) - EULER_GAMMA)
+    h[1:] = k0(x[1:]) + np.log(x[1:])
+    return t1 + (1.0 - nu * nu) / (2.0 * math.pi**2) * w - h / (2.0 * math.pi**2)
 
 
 class TestPhysParams:
@@ -225,6 +245,42 @@ class TestRingTables:
         for x, val in zip(xgrid[1:], cum[1:]):
             oracle, _ = quad(f, x0, x, epsabs=0.0, epsrel=1e-13, limit=200)
             assert_allclose(val, oracle, rtol=1e-9 if singular else 1e-13)
+
+    @pytest.mark.parametrize("make", [
+        lambda: GreenKernelTable(PhysParams(m=1.0, E=0.0), s_max=2.002),
+        lambda: GreenKernelTable(PhysParams(m=2.5, E=-0.3), s_max=7.0),
+        lambda: BKernelTable(m=1.3, s_max=3.0),
+    ], ids=["green_E0", "green_E-0.3", "B"])
+    def test_lookup_is_the_spline_bit_for_bit(self, make):
+        # the interval from the graded grid's closed form and PPoly's sum:
+        # equal to CubicSpline.__call__ at random points up to 1.2 s_max
+        # (extrapolation included), on every node and one ulp either side
+        table = make()
+        nodes = table._cum.x
+        s = np.concatenate([np.random.default_rng(7).uniform(0.0, 1.2 * table.s_max, 200_000),
+                            nodes, np.nextafter(nodes, 0.0), np.nextafter(nodes, np.inf),
+                            [table.s_max, 1.2 * table.s_max]])
+        assert np.array_equal(table._cum_at(s), table._cum(s))
+        assert table._cum_at(0.7) == table._cum(0.7)
+        hi, lo = s[:1000] + s[1000:2000], np.abs(s[:1000] - s[1000:2000])
+        assert np.array_equal(table.ring(hi, lo),
+                              2.0 * math.pi * (table._cum(hi) - table._cum(lo)))
+
+    def test_negative_energy_table_builds_far_out(self):
+        # cosh(nu z) K0(z) and cosh(nu x) T(x) overflowed to inf * 0 once
+        # nu m s passed about 710; the node values agree with that formula
+        # wherever it was finite, here up to s of about 990
+        p = PhysParams(m=1.0, E=-0.3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = GreenKernelTable(p, s_max=1100.0)
+        s = table._cum.x
+        new = table._node_values(s)
+        old = _node_values_with_cosh(p, s)
+        finite = np.isfinite(old)
+        assert np.all(np.isfinite(new))
+        assert 700 < finite.sum() < len(s)
+        assert_allclose(new[finite], old[finite], rtol=1e-12)
 
     def test_b_table_diagonal_is_finite(self):
         # t B(t) is bounded, so the coincidence limit exists (equals the

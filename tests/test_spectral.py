@@ -16,7 +16,7 @@ from herbst.kernel import BKernelTable, GreenKernelTable, PhysParams, green_func
 from herbst.specfun import checked_quad
 from herbst.spectral import (BsMatrix, DegenerateEigenvalueError,
                              Discretization, EigensolverError, QuadGrid, RadialPotential,
-                             _reference_rule, b_kernel,
+                             _reference_rule, b_form,
                              bump_potential, eigen_continuation,
                              leading_eigenpair,
                              s_wave_reduce, square_well_potential,
@@ -160,11 +160,11 @@ class TestAssembly:
     def test_rows_integrate_one_exactly(self, E):
         # the subtraction rule integrates g = 1 exactly: kappa @ w is the
         # row integral of the ring kernel; E = None takes the B kernel of
-        # the coefficient b
+        # the coefficient b, densified by the reference rule below
         grid = QuadGrid.gauss_legendre(40, 1.0)
         if E is None:
             table = BKernelTable(1.0, s_max=2.002)
-            rows = b_kernel(grid, 1.0) @ grid.weights
+            rows = dense_b_kernel(grid, 1.0) @ grid.weights
         else:
             p = PhysParams(m=1.0, E=E)
             table = GreenKernelTable(p, s_max=2.002)
@@ -190,14 +190,16 @@ class TestAssembly:
                             for lo, hi in ((0.0, ri), (ri, 1.0)))
             assert_allclose(rows[i], exact, rtol=1e-12)
 
-    @given(n=st.integers(min_value=8, max_value=120),
+    @given(n=st.integers(min_value=8, max_value=300),
            radius=st.floats(min_value=0.2, max_value=5.0),
            m=st.floats(min_value=0.1, max_value=10.0),
            energy=st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=0.9)))
     @settings(max_examples=30, deadline=None)
     def test_kernels_are_exactly_symmetric_samples(self, n, radius, m, energy):
-        # off the diagonal both assembled kernels are the ring integrals of
-        # their tables, bit for bit, and mirror across the diagonal exactly
+        # off the diagonal the assembled kernel is the ring integrals of its
+        # table, bit for bit, and mirrors across the diagonal exactly, over
+        # one tile (n <= 128) or several; the B form is the reference
+        # rule's, whose off-diagonal entries are the B table's ring integrals
         grid = QuadGrid.gauss_legendre(n, radius)
         p = PhysParams(m=m, E=-energy * m)
         table = GreenKernelTable(p, s_max=2.0 * radius * 1.001)
@@ -208,22 +210,38 @@ class TestAssembly:
         i, j = np.nonzero(~np.eye(n, dtype=bool))
         assert np.array_equal(k[i, j], table.ring_integral(r[i], r[j]))
 
-        kb = b_kernel(grid, m)
-        assert np.array_equal(kb, kb.T)
-        b_table = BKernelTable(m, 2.0 * radius * 1.001)
-        assert np.array_equal(kb[i, j], b_table.ring_integral(r[i], r[j]))
+        u = grid.weights * r * np.exp(-(r / radius) ** 2)
+        kb = dense_b_kernel(grid, m)
+        assert_allclose(b_form(grid, m, u), u @ kb @ u, rtol=1e-13)
+
+    @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 300])
+    @pytest.mark.parametrize("m", [0.4, 1.0, 3.0])
+    def test_b_form_is_the_quadratic_form_of_the_rule(self, n, m):
+        # one tile, one tile exactly full, a partial second tile and several;
+        # n = 1 is a one-node rule that passes the grid's moment check
+        if n == 1:
+            grid = QuadGrid(nodes=np.array([0.5]), weights=np.array([4.0 / 3.0]),
+                            radius=1.0)
+        else:
+            grid = QuadGrid.gauss_legendre(n, 1.0)
+        r = grid.nodes
+        rng = np.random.default_rng(n)
+        u = grid.weights * r * np.exp(-r * r) * rng.uniform(0.5, 1.5, n)
+        kb = dense_b_kernel(grid, m)
+        assert_allclose(b_form(grid, m, u), u @ kb @ u, rtol=1e-13)
 
     def test_assembly_allocates_no_full_matrix_temporaries(self):
-        # the geometry is three packed triangles; the kernel adds kappa
-        n = 400
-        grid = QuadGrid.gauss_legendre(n, 1.0)
-        tracemalloc.start()
-        try:
-            Discretization.build(grid, 1.0).kernel(PhysParams())
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 5 * 8 * n * n
+        # kappa and tile-sized temporaries (about 1.3 MB at any n): at
+        # n = 400 a tile is 100 x 100, and the table builds inside kernel
+        for n, bound in ((400, 1.8), (1600, 1.1)):
+            grid = QuadGrid.gauss_legendre(n, 1.0)
+            tracemalloc.start()
+            try:
+                Discretization.build(grid, 1.0).kernel(PhysParams())
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound * 8 * n * n
 
     def test_matrix_is_exactly_symmetric_with_one_full_array(self):
         # entries = (s s^T) * kappa: no transpose temporary, and symmetric
@@ -264,7 +282,7 @@ class TestAssembly:
     @pytest.mark.parametrize("E", [0.0, -0.01])
     def test_no_bessel_function_on_the_packed_pairs(self, monkeypatch, E):
         # K0 runs on the table's nodes only, not on the n(n-1)/2 = 79800
-        # packed pairs at n = 400: no point at all with the table passed in,
+        # pairs at n = 400: no point at all with the table passed in,
         # and without it a count that does not grow with n
         import scipy.special
         points = []
@@ -308,6 +326,18 @@ class TestAssembly:
                         radius=1.0)
         with pytest.raises(ValueError, match="strictly inside"):
             Discretization.build(grid, 1.0)
+
+
+def dense_b_kernel(grid, m):
+    """The subtraction-rule matrix of the B kernel, formed in full: the B
+    table's ring integrals off the diagonal, and the diagonal that makes each
+    row integrate 1 exactly, (I_i - sum_(j != i) w_j k_ij) / w_i."""
+    table = BKernelTable(m, 2.0 * grid.radius * 1.001)
+    r, w = grid.nodes, grid.weights
+    k = table.ring_integral(r[:, None], r[None, :])
+    np.fill_diagonal(k, 0.0)
+    np.fill_diagonal(k, (table.row_integral(r, grid.radius) - k @ w) / w)
+    return k
 
 
 def bs_matrix(entries):

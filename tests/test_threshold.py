@@ -2,6 +2,8 @@
 
 import gc
 import math
+import tracemalloc
+import warnings
 import weakref
 from dataclasses import replace
 
@@ -196,6 +198,32 @@ class TestCoefficients:
         with pytest.raises(threshold.ResolventSolveError) as exc:
             _b_direct(state200)
         assert exc.value.residual > 1e-6
+
+    def test_b_near_the_float_ceiling_scales_exactly(self):
+        # b is homogeneous of degree one in the depth; at depth 1e300 the
+        # resolvent solve runs on the matrix and right-hand side scaled by
+        # powers of two, with no overflow in MINRES or in |M|_F
+        grid = QuadGrid.gauss_legendre(8, 1.0)
+        ratios = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for depth in (1.0, 1e150, 1e300):
+                res = leading_eigenpair(s_wave_reduce(bump_potential(depth), PhysParams(), grid))
+                ratios.append(expansion_from_state(res).b / depth)
+        assert_allclose(ratios[1:], ratios[0], rtol=1e-10)
+
+    def test_expansion_allocates_no_matrix_sized_array(self, bump):
+        # b's quadratic form is summed tile by tile and MINRES keeps vectors:
+        # at n = 800 an array of n^2 elements would be 5.1 MB
+        res = leading_eigenpair(s_wave_reduce(bump, PhysParams(),
+                                              QuadGrid.gauss_legendre(800, 1.0)))
+        tracemalloc.start()
+        try:
+            expansion_from_state(res)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2e6
 
     def test_unknown_route_rejected(self, state200):
         with pytest.raises(ValueError):
