@@ -49,8 +49,11 @@ class PhysParams:
             raise ValueError("mass must be positive")
         if self.E > 0.0:
             raise ValueError("energy must satisfy E <= 0")
-        mu_sq = -2.0 * self.m * self.E - self.E * self.E
-        if mu_sq < 0.0 or mu_sq >= self.m * self.m:
+        # scale-free, so that no m^2 underflows or overflows: with e = E/m,
+        # nu^2 = (mu/m)^2 = -e (2 + e)
+        e = self.E / self.m
+        nu_sq = -e * (2.0 + e)
+        if nu_sq < 0.0 or nu_sq >= 1.0:
             raise ValueError("derived mu must satisfy 0 <= mu < m (need |E| < 2m)")
 
     @property
@@ -229,6 +232,16 @@ def _cumulative(fvec, xgrid: np.ndarray) -> np.ndarray:
     return vals
 
 
+def _tail(fvec, xgrid: np.ndarray) -> np.ndarray:
+    """int_x^inf of a vectorized integrand that decays at least like e^-z,
+    at each x of the ascending xgrid, summed from xgrid[-1] + 40 (past which
+    lies below e^-40 of the tail at xgrid[-1]) down to xgrid[0]: each value
+    keeps its digits, where a forward cumulative subtracted from its end
+    would cancel them once the tail is small."""
+    down = np.concatenate([np.linspace(xgrid[-1] + 40.0, xgrid[-1], 81), xgrid[-2::-1]])
+    return -_cumulative(fvec, down)[:79:-1]
+
+
 _RING_NODES = 800  # intervals of the graded grid of a ring table
 
 
@@ -317,14 +330,10 @@ class GreenKernelTable(_RingTable):
             # cosh(nu z) to overflow where K0 has underflowed
             cosh_c = _cumulative(lambda z: 0.5 * (np.exp((nu - 1.0) * z)
                                                   + np.exp(-(nu + 1.0) * z)) * k0e(z), x)
-            # T(x) = int_x^inf e^(-nu z) K0, summed from x_max + 40 (past which
-            # lies below e^-40 of T(x_max)) down to x[1], so that cosh(nu x) T(x)
-            # keeps its digits; T(x[0] = 0) = arccos(nu) / sqrt(1 - nu^2)
+            # T(x) = int_x^inf e^(-nu z) K0 from the far end, so that
+            # cosh(nu x) T(x) keeps its digits; T(x[0] = 0) = arccos(nu) / sqrt(1 - nu^2)
             tail_full = math.acos(nu) / math.sqrt(1.0 - nu * nu)
-            down = np.concatenate([np.linspace(x[-1] + 40.0, x[-1], 81), x[-2:0:-1]])
-            tail = np.empty_like(x)
-            tail[0] = tail_full
-            tail[:0:-1] = -_cumulative(lambda z: np.exp(-nu * z) * k0(z), down)[80:]
+            tail = np.append(tail_full, _tail(lambda z: np.exp(-nu * z) * k0(z), x[1:]))
             # Fubini-swapped primitive of e^(-nu x) C(x) - sinh(nu x) T(x),
             # C(x) = int_0^x cosh(nu z) K0
             # cosh(nu x) T(x) <= int_x^inf K0, of order e^-x: where T(x) has
@@ -357,13 +366,22 @@ class BKernelTable(_RingTable):
     def _node_values(self, s: np.ndarray) -> np.ndarray:
         # splined closed form cb(m s) / m^3, cb(x) = x^3/6 - x/2 + [(x^3/3 - x)
         # C0 - x^2 K0/3 + (x^3 - 2x) K1/3 + 2/3] / pi, with cb(0) = 0
-        x = self.m * s[1:]
-        x2 = x * x
-        cb = np.zeros_like(s)
-        cb[1:] = (x * (x2 / 6.0 - 0.5)
-                  + ((x2 / 3.0 - 1.0) * x * k0_integral(x) - x2 * k0(x) / 3.0
-                     + (x2 - 2.0) * x * k1(x) / 3.0 + 2.0 / 3.0) / math.pi)
-        return cb / self.m**3
+        with np.errstate(all="ignore"):
+            x = self.m * s[1:]
+            x2 = x * x
+            cb = np.zeros_like(s)
+            cb[1:] = (x * (x2 / 6.0 - 0.5)
+                      + ((x2 / 3.0 - 1.0) * x * k0_integral(x) - x2 * k0(x) / 3.0
+                         + (x2 - 2.0) * x * k1(x) / 3.0 + 2.0 / 3.0) / math.pi)
+            try:
+                cb /= self.m**3
+            except OverflowError:
+                cb[:] = math.inf
+        if not np.all(np.isfinite(cb)):
+            raise specfun.EvaluationFailure(
+                f"B-kernel table: int_0^s t B(t) dt leaves the float range at mass "
+                f"{self.m} (m^3 or (m s)^3 over- or underflows)")
+        return cb
 
     def ring_integral(self, r, rho):
         """2 pi int_|r-rho|^(r+rho) t B(t) dt (no singular part)."""

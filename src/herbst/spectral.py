@@ -14,13 +14,13 @@ diagonal the kernel is sampled, and k_ii = (I_i - sum_(j != i) w_j k_ij) / w_i
 with I_i the exact row integral over (0, R), so each row integrates g = 1
 exactly.  The matrix stays symmetric, and the rule is third order in n.
 
-Assembly has three layers, so that repeated solves on one grid share work:
-``Discretization.build`` (the grid and the logarithm's row integral),
-``kernel`` (one energy) and ``matrix`` (the sqrt(w |V|) scaling for one
-potential).  ``b_form`` is the same rule for the profile B, reduced to the
-one quadratic form the coefficient b needs, so its matrix is never formed.
-Both run over square tiles of at most 128 x 128 pairs (``_tiles``), so no
-temporary is larger than a tile.
+Assembly is two functions: ``green_kernel(grid, p)`` gives the kernel at one
+energy, and ``BsMatrix.from_kernel`` scales it by sqrt(w |V|) for one
+potential, so solves at one energy share one kernel.  ``b_form`` is the
+same rule for the profile B, reduced to the one quadratic form the
+coefficient b needs, so its matrix is never formed.  Both run over square
+tiles of at most 128 x 128 pairs (``_tiles``), so no temporary is larger
+than a tile.
 
 The Birman-Schwinger principle needs only the top eigenvalues of M, the gap
 and one eigenvector, so ``leading_eigenpair`` takes them from a block Krylov
@@ -174,7 +174,7 @@ def _reference_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class QuadGrid:
-    """Quadrature nodes/weights on (0, R) for the radial discretization."""
+    """Quadrature nodes/weights strictly inside (0, R) for the Nystrom rule."""
 
     nodes: np.ndarray
     weights: np.ndarray
@@ -189,6 +189,9 @@ class QuadGrid:
         check = float((self.weights * self.nodes**2).sum())
         if abs(check - R**3 / 3.0) > 1e-8 * R**3:
             raise ValueError("grid fails the second-moment sanity check")
+        # the assembly's logarithms need r_i + r_j > 0, r ln r and R - r > 0
+        if self.nodes[0] <= 0.0 or self.nodes[-1] >= R:
+            raise ValueError("grid must lie strictly inside (0, R)")
 
     @property
     def size(self) -> int:
@@ -229,6 +232,17 @@ class BsMatrix:
         if asym > 1e-13 * max(1.0, hi, -lo):
             raise ValueError("matrix assembly lost symmetry")
 
+    @classmethod
+    def from_kernel(cls, potential: RadialPotential, p: PhysParams, grid: QuadGrid,
+                    kappa: np.ndarray) -> "BsMatrix":
+        """sqrt(w |V|) kappa sqrt(w |V|) for kappa = green_kernel(grid, p)."""
+        s = np.sqrt(grid.weights) * np.sqrt(-potential(grid.nodes))
+        # s_i s_j == s_j s_i and kappa is mirrored, so this is symmetric
+        # bit for bit, with no transpose temporary
+        entries = np.multiply.outer(s, s)
+        entries *= kappa
+        return cls(entries=entries, params=p, potential=potential, grid=grid)
+
 
 _TILE = 128  # at most this many rows and columns per tile of the pair loops
 
@@ -252,68 +266,41 @@ def _tiles(r: np.ndarray):
             yield rows, cols, hi, lo
 
 
-@dataclass(frozen=True, eq=False)
-class Discretization:
-    """Nystrom rule of one grid and mass, shared by every solve on it.
+def _log_row_integral(r: np.ndarray, R: float) -> np.ndarray:
+    """int_0^R ln((r + rho)/|r - rho|)/pi drho at each node r, in closed form:
+    the row integral of the log singularity of the ring kernel, from
+    G_E(t) ~ 1/(2 pi^2 t^2).  No part of it depends on the mass or energy."""
+    return ((r + R) * np.log(r + R) - 2.0 * r * np.log(r)
+            - (R - r) * np.log(R - r)) / math.pi
 
-    It holds only O(n) data, the logarithm's row integrals: ``kernel`` forms
-    the pair geometry r_i + r_j, |r_i - r_j| tile by tile (``_tiles``)."""
 
-    grid: QuadGrid
-    m: float
-    singular_row: np.ndarray  # exact int_0^R ln((r + rho)/|r - rho|)/pi drho, per node
-
-    @classmethod
-    def build(cls, grid: QuadGrid, m: float) -> "Discretization":
-        r = grid.nodes
-        R = grid.radius
-        if r[0] <= 0.0 or r[-1] >= R:
-            raise ValueError("grid must lie strictly inside (0, R)")
-        # the log singularity of the ring kernel, from G_E(t) ~ 1/(2 pi^2 t^2);
-        # the table splines the rest, and ``kernel`` sets the diagonal by the
-        # subtraction rule.  No part of it depends on m.
-        singular_row = ((r + R) * np.log(r + R) - 2.0 * r * np.log(r)
-                        - (R - r) * np.log(R - r)) / math.pi
-        return cls(grid=grid, m=m, singular_row=singular_row)
-
-    def kernel(self, p: PhysParams,
-               table: GreenKernelTable | None = None) -> np.ndarray:
-        """kappa_ij = 2 pi int_|ri-rj|^(ri+rj) t G_E(t) dt (i != j) at p.E,
-        and the diagonal of the subtraction rule: kappa @ w is the exact row
-        integral.  Filled tile by tile (``_tiles``), each tile and its mirror
-        image, so no temporary is larger than a tile."""
-        if p.m != self.m:
-            raise ValueError("energy parameters carry a different mass")
-        grid = self.grid
-        if table is None:
-            table = GreenKernelTable(p, s_max=2.0 * grid.radius * 1.001)
-        elif table.params != p or table.s_max < 2.0 * grid.radius:
-            raise ValueError(f"kernel table for {table.params} up to s = {table.s_max} "
-                             f"does not serve {p} up to 2 R = {2.0 * grid.radius}")
-        kappa = np.empty((grid.size, grid.size))
-        for rows, cols, hi, lo in _tiles(grid.nodes):
-            block = table.ring(hi, lo)
-            singular = np.divide(hi, lo, out=lo)
-            np.log(singular, out=singular)
-            singular /= math.pi
-            block += singular
-            kappa[rows, cols] = block
-            kappa[cols, rows] = block.T
-        # the tiles leave the diagonal 0, so kappa @ w sums j != i only
-        row = table.row_integral(grid.nodes, grid.radius) + self.singular_row
-        w = grid.weights
-        np.fill_diagonal(kappa, (row - kappa @ w) / w)
-        return kappa
-
-    def matrix(self, potential: RadialPotential, p: PhysParams,
-               kappa: np.ndarray) -> BsMatrix:
-        """sqrt(w |V|) kappa sqrt(w |V|) for kappa = self.kernel(p)."""
-        s = np.sqrt(self.grid.weights) * np.sqrt(-potential(self.grid.nodes))
-        # s_i s_j == s_j s_i and kappa is mirrored, so this is symmetric
-        # bit for bit, with no transpose temporary
-        entries = np.multiply.outer(s, s)
-        entries *= kappa
-        return BsMatrix(entries=entries, params=p, potential=potential, grid=self.grid)
+def green_kernel(grid: QuadGrid, p: PhysParams,
+                 table: GreenKernelTable | None = None) -> np.ndarray:
+    """kappa_ij = 2 pi int_|ri-rj|^(ri+rj) t G_E(t) dt (i != j) at p.E,
+    and the diagonal of the subtraction rule: kappa @ w is the exact row
+    integral.  The table splines the smooth part and the logarithm is added
+    in closed form.  Filled tile by tile (``_tiles``), each tile and its
+    mirror image, so no temporary is larger than a tile."""
+    if table is None:
+        table = GreenKernelTable(p, s_max=2.0 * grid.radius * 1.001)
+    elif table.params != p or table.s_max < 2.0 * grid.radius:
+        raise ValueError(f"kernel table for {table.params} up to s = {table.s_max} "
+                         f"does not serve {p} up to 2 R = {2.0 * grid.radius}")
+    kappa = np.empty((grid.size, grid.size))
+    for rows, cols, hi, lo in _tiles(grid.nodes):
+        block = table.ring(hi, lo)
+        singular = np.divide(hi, lo, out=lo)
+        np.log(singular, out=singular)
+        singular /= math.pi
+        block += singular
+        kappa[rows, cols] = block
+        kappa[cols, rows] = block.T
+    # the tiles leave the diagonal 0, so kappa @ w sums j != i only
+    row = (table.row_integral(grid.nodes, grid.radius)
+           + _log_row_integral(grid.nodes, grid.radius))
+    w = grid.weights
+    np.fill_diagonal(kappa, (row - kappa @ w) / w)
+    return kappa
 
 
 def b_form(grid: QuadGrid, m: float, u: np.ndarray) -> float:
@@ -344,8 +331,7 @@ def b_form(grid: QuadGrid, m: float, u: np.ndarray) -> float:
 def s_wave_reduce(potential: RadialPotential, p: PhysParams, grid: QuadGrid,
                   table: GreenKernelTable | None = None) -> BsMatrix:
     """Assemble the s-wave Nystrom matrix of K at the energy in ``p``."""
-    disc = Discretization.build(grid, p.m)
-    return disc.matrix(potential, p, disc.kernel(p, table))
+    return BsMatrix.from_kernel(potential, p, grid, green_kernel(grid, p, table))
 
 
 @dataclass(frozen=True)
@@ -534,10 +520,6 @@ def eigen_continuation(
     Brute-force oracle for the threshold expansion: mu(0) = mu0 and the
     alpha-derivatives at 0 reproduce the expansion coefficients.
     """
-    disc = Discretization.build(grid, m)
-    out = []
-    for alpha in alphas:
-        p = PhysParams.from_alpha(float(alpha), m)
-        res = leading_eigenpair(disc.matrix(potential, p, disc.kernel(p)))
-        out.append((float(alpha), res.mu0))
-    return out
+    return [(float(alpha), leading_eigenpair(s_wave_reduce(
+        potential, PhysParams.from_alpha(float(alpha), m), grid)).mu0)
+            for alpha in alphas]

@@ -24,9 +24,9 @@ from scipy.optimize import brentq
 from scipy.sparse.linalg import LinearOperator, minres
 
 from .fourierb import b_hat
-from .kernel import PhysParams, _cumulative
-from .spectral import (BsMatrix, Discretization, QuadGrid, RadialPotential,
-                       SpectralResult, b_form, leading_eigenpair,
+from .kernel import PhysParams, _tail
+from .spectral import (BsMatrix, QuadGrid, RadialPotential, SpectralResult,
+                       b_form, green_kernel, leading_eigenpair,
                        two_well_potential, unit_scale)
 from .specfun import EvaluationFailure, checked_quad, k0, k0_integral, k1
 
@@ -310,13 +310,11 @@ def energy_of_lambda(exp: ThresholdExpansion, lam: float) -> float:
 
 
 def _tail_k1_over_z(lo: float, hi: float) -> CubicSpline:
-    """T(x) = int_x^inf K1(z)/z dz on [lo, hi], lo > 0, splined on 800 nodes.
-    T(hi) comes from (hi, hi + 40), past which lies below e^-40 of it; K1 + C0
-    - pi/2 would cancel to ~3e-12 and leave no digit at x = 40."""
+    """T(x) = int_x^inf K1(z)/z dz on [lo, hi], lo > 0, splined on 800 nodes
+    whose values are summed from the far end (``kernel._tail``); K1 + C0 -
+    pi/2 would cancel to ~3e-12 and leave no digit at x = 40."""
     grid = np.linspace(lo, hi, 800)
-    cum, tail = (_cumulative(lambda z: k1(z) / z, x)
-                 for x in (grid, np.linspace(hi, hi + 40.0, 81)))
-    return CubicSpline(grid, tail[-1] + (cum[-1] - cum))
+    return CubicSpline(grid, _tail(lambda z: k1(z) / z, grid))
 
 
 def _kappa_far(r: np.ndarray, rho: np.ndarray, m: float) -> np.ndarray:
@@ -462,14 +460,13 @@ def tune_zero_overlap(grid: QuadGrid,
     """
     depth1 = 8.0
     p = PhysParams(m=m, E=0.0)
-    disc = Discretization.build(grid, m)
-    kappa = disc.kernel(p)
+    kappa = green_kernel(grid, p)
     ref_vec = {}
 
     def state_at(ratio: float) -> SpectralResult:
         # sign-continuous along the scan: each state follows the previous one
         pot = two_well_potential(depth1, ratio * depth1, radius=grid.radius)
-        res = leading_eigenpair(disc.matrix(pot, p, kappa), index=1,
+        res = leading_eigenpair(BsMatrix.from_kernel(pot, p, grid, kappa), index=1,
                                 sign_reference=ref_vec.get("v"))
         ref_vec["v"] = res.vector
         return res
@@ -494,5 +491,5 @@ def tune_zero_overlap(grid: QuadGrid,
     # brentq's wrapper of ``objective`` is a reference cycle that keeps this
     # closure until a full collection: release the arrays it reaches now
     ref_vec.clear()
-    del disc, kappa
+    del kappa
     return two_well_potential(depth1, root * depth1, radius=grid.radius), res

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 import herbst.specfun
+import herbst.spectral
+import herbst.threshold
 from herbst import (PhysParams, QuadGrid, bump_potential, leading_eigenpair,
                     s_wave_reduce, synthetic_zero_overlap_state)
-from herbst.spectral import BsMatrix, Discretization
+from herbst.spectral import BsMatrix
 
 
 @pytest.fixture(scope="session")
@@ -59,14 +61,15 @@ def unconverged_quad(monkeypatch):
 
 
 @pytest.fixture
-def geometry_builds(monkeypatch):
-    """Sizes of the grids passed to every ``Discretization.build`` call."""
+def kernel_builds(monkeypatch):
+    """Sizes of the grids passed to every ``green_kernel`` call."""
     builds = []
-    build = Discretization.build
+    build = herbst.spectral.green_kernel
 
-    def counting(grid, m):
+    def counting(grid, p, table=None):
         builds.append(grid.size)
-        return build(grid, m)
+        return build(grid, p, table)
 
-    monkeypatch.setattr(Discretization, "build", staticmethod(counting))
+    for module in (herbst.spectral, herbst.threshold):
+        monkeypatch.setattr(module, "green_kernel", counting)
     return builds

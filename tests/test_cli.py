@@ -354,16 +354,29 @@ class TestConfigPlumbing:
         assert [line for line in err if line.startswith(("error:", "numerical"))] \
             == [err[-1]] and err[-1].startswith("numerical failure: ")
 
-    @pytest.mark.parametrize("flag, value", [("--mass", "1e200"), ("--depth", "1e300")])
+    @pytest.mark.parametrize("flag, value", [("--mass", "1e200"), ("--depth", "1e300"),
+                                             ("--mass", "1e-200")])
     def test_matrix_near_the_float_ceiling_has_a_finite_residual(self, flag, value, capsys):
         # entries near 1e199-1e299: the eigensolve runs on the matrix scaled
-        # to max|M| < 1, so none of its norms overflows
+        # to max|M| < 1, so none of its norms overflows; at m = 1e-200 the
+        # energy check is scale-free, so m^2 does not underflow there
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run_cli("spectrum", "--grid-n", "8", flag, value,
                            "--format", "json") == EXIT_OK
         meta = json.loads(capsys.readouterr().out)["meta"]
         assert 0.0 < meta["residual"] <= 1e-14 * meta["mu0"]
+
+    @pytest.mark.parametrize("mass", ["1e-200", "1e200"])
+    def test_b_table_out_of_range_is_one_numerical_failure_line(self, mass, capsys):
+        # m^3 under- or overflows in the B-kernel table of the coefficient b:
+        # one line naming the table and the mass, and no warning before it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("threshold", "--grid-n", "8", "--mass", mass) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: B-kernel table") and err.count("\n") == 1
+        assert f"at mass {float(mass)} " in err
 
     def test_table_potential(self, tmp_path):
         r = np.linspace(0.0, 1.0, 50)

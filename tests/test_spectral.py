@@ -15,14 +15,14 @@ from scipy.integrate import quad
 from herbst.kernel import BKernelTable, GreenKernelTable, PhysParams, green_function
 from herbst.specfun import checked_quad
 from herbst.spectral import (BsMatrix, DegenerateEigenvalueError,
-                             Discretization, EigensolverError, QuadGrid, RadialPotential,
-                             _reference_rule, b_form,
-                             bump_potential, eigen_continuation,
+                             EigensolverError, QuadGrid, RadialPotential,
+                             _log_row_integral, _reference_rule, b_form,
+                             bump_potential, eigen_continuation, green_kernel,
                              leading_eigenpair,
                              s_wave_reduce, square_well_potential,
                              tabulated_potential,
                              truncated_gaussian_potential, two_well_potential)
-from herbst.threshold import expansion_from_state
+from herbst.threshold import energy_of_lambda, expansion_from_state, lambda_of_alpha
 
 
 class TestPotentials:
@@ -149,11 +149,10 @@ class TestAssembly:
         # the shared kernel as it was
         grid = QuadGrid.gauss_legendre(80, 1.0)
         p = PhysParams(m=1.0, E=E)
-        disc = Discretization.build(grid, p.m)
-        kappa = disc.kernel(p)
+        kappa = green_kernel(grid, p)
         for pot in (bump_potential(), square_well_potential(),
                     two_well_potential(8.0, 16.0)):
-            assert np.array_equal(disc.matrix(pot, p, kappa).entries,
+            assert np.array_equal(BsMatrix.from_kernel(pot, p, grid, kappa).entries,
                                   s_wave_reduce(pot, p, grid).entries)
 
     @pytest.mark.parametrize("E", [0.0, -0.01, pytest.param(None, id="B")])
@@ -168,7 +167,7 @@ class TestAssembly:
         else:
             p = PhysParams(m=1.0, E=E)
             table = GreenKernelTable(p, s_max=2.002)
-            rows = Discretization.build(grid, p.m).kernel(p, table) @ grid.weights
+            rows = green_kernel(grid, p, table) @ grid.weights
         for i in (0, 13, 39):
             ri = grid.nodes[i]
             if E is None:
@@ -203,8 +202,7 @@ class TestAssembly:
         grid = QuadGrid.gauss_legendre(n, radius)
         p = PhysParams(m=m, E=-energy * m)
         table = GreenKernelTable(p, s_max=2.0 * radius * 1.001)
-        disc = Discretization.build(grid, m)
-        k = disc.kernel(p, table)
+        k = green_kernel(grid, p, table)
         assert np.array_equal(k, k.T)
         r = grid.nodes
         i, j = np.nonzero(~np.eye(n, dtype=bool))
@@ -237,7 +235,7 @@ class TestAssembly:
             grid = QuadGrid.gauss_legendre(n, 1.0)
             tracemalloc.start()
             try:
-                Discretization.build(grid, 1.0).kernel(PhysParams())
+                green_kernel(grid, PhysParams())
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -248,21 +246,15 @@ class TestAssembly:
         # bit for bit since s_i s_j == s_j s_i and kappa is mirrored
         n = 800
         grid = QuadGrid.gauss_legendre(n, 1.0)
-        disc = Discretization.build(grid, 1.0)
-        kappa = disc.kernel(PhysParams())
+        kappa = green_kernel(grid, PhysParams())
         tracemalloc.start()
         try:
-            entries = disc.matrix(bump_potential(), PhysParams(), kappa).entries
+            entries = BsMatrix.from_kernel(bump_potential(), PhysParams(), grid, kappa).entries
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 1.2 * 8 * n * n
         assert np.array_equal(entries, entries.T)
-
-    def test_kernel_rejects_another_mass(self):
-        disc = Discretization.build(QuadGrid.gauss_legendre(20, 1.0), 1.0)
-        with pytest.raises(ValueError):
-            disc.kernel(PhysParams(m=2.0))
 
     def test_kernel_rejects_a_table_for_another_energy(self):
         # an E = 0 table under an E = -0.09 matrix would give mu0 = 0.486,
@@ -277,7 +269,7 @@ class TestAssembly:
         grid = QuadGrid.gauss_legendre(100, 1.0)
         table = GreenKernelTable(PhysParams(), s_max=0.5)
         with pytest.raises(ValueError, match="does not serve"):
-            Discretization.build(grid, 1.0).kernel(PhysParams(), table)
+            green_kernel(grid, PhysParams(), table)
 
     @pytest.mark.parametrize("E", [0.0, -0.01])
     def test_no_bessel_function_on_the_packed_pairs(self, monkeypatch, E):
@@ -308,7 +300,7 @@ class TestAssembly:
         # int_0^R ln((r + rho)/|r - rho|) / pi drho in closed form, against
         # adaptive quadrature split at the singularity rho = r
         grid = QuadGrid.gauss_legendre(40, radius)
-        row = Discretization.build(grid, 1.0).singular_row
+        row = _log_row_integral(grid.nodes, radius)
         for i in (0, 7, 20, 39):
             r = grid.nodes[i]
             exact = sum(checked_quad(lambda rho: math.log((r + rho) / abs(r - rho)) / math.pi,
@@ -318,14 +310,13 @@ class TestAssembly:
 
     @pytest.mark.parametrize("first", [0.0, -0.2])
     def test_build_rejects_a_node_at_or_below_zero(self, first):
-        # the logarithm needs r_i + r_j > 0 and r ln r needs r > 0; the
-        # weights pass the grid's second-moment check
+        # the logarithm needs r_i + r_j > 0 and r ln r needs r > 0, so the
+        # grid refuses to be built; the weights pass its second-moment check
         w0 = 0.1 if first == 0.0 else 1.0
-        grid = QuadGrid(nodes=np.array([first, 0.5]),
-                        weights=np.array([w0, (1.0 / 3.0 - w0 * first**2) / 0.25]),
-                        radius=1.0)
         with pytest.raises(ValueError, match="strictly inside"):
-            Discretization.build(grid, 1.0)
+            QuadGrid(nodes=np.array([first, 0.5]),
+                     weights=np.array([w0, (1.0 / 3.0 - w0 * first**2) / 0.25]),
+                     radius=1.0)
 
 
 def dense_b_kernel(grid, m):
@@ -552,19 +543,40 @@ class TestEigenpairs:
         assert np.linalg.norm(res.vector) == 1.0
         assert res.residual == 0.0
 
-    def test_depth_scaling_for_arbitrary_factor(self, bump, state200, grid200):
-        from hypothesis import given, settings
-        from hypothesis import strategies as st
+    @given(family=st.sampled_from(["bump", "gauss", "well", "two-well"]),
+           radius=st.floats(min_value=0.3, max_value=3.0),
+           m=st.floats(min_value=0.3, max_value=3.0),
+           n=st.integers(min_value=40, max_value=120),
+           c=st.floats(min_value=0.1, max_value=10.0))
+    @settings(max_examples=30, deadline=None)
+    def test_depth_scaling_for_arbitrary_factor(self, family, radius, m, n, c):
+        # the physics invariants for every family: the matrix is linear in
+        # the potential, so lambda0(c V) = lambda0(V) / c to rounding;
+        # a <= 0; E(lambda0) = 0 and E non-increasing in lambda; and the
+        # series inverts, E(lambda(alpha)) = -alpha^2, below its turning point
+        make = {"bump": bump_potential, "gauss": truncated_gaussian_potential,
+                "well": square_well_potential,
+                "two-well": lambda depth, r: two_well_potential(depth, 2.0 * depth, r)}
+        pot = make[family](1.0, radius)
+        grid = QuadGrid.gauss_legendre(n, radius)
+        res = leading_eigenpair(s_wave_reduce(pot, PhysParams(m=m), grid))
+        scaled = leading_eigenpair(s_wave_reduce(pot.scaled(c), PhysParams(m=m), grid))
+        assert_allclose(scaled.lambda0, res.lambda0 / c, rtol=1e-11)
 
-        @given(st.floats(min_value=0.1, max_value=10.0))
-        @settings(max_examples=20, deadline=None)
-        def check(c):
-            # the matrix is linear in the potential, so mu0 scales exactly
-            scaled = leading_eigenpair(
-                s_wave_reduce(bump.scaled(c), PhysParams(), grid200))
-            assert_allclose(scaled.mu0, c * state200.mu0, rtol=1e-11)
-
-        check()
+        exp = expansion_from_state(res)
+        assert exp.a <= 0.0
+        # 1/lambda = mu0 + a alpha + b alpha^2 falls (a < 0) up to its first
+        # positive zero or, when it has none (b > 0), its turning point
+        disc = exp.a**2 - 4.0 * exp.b * exp.mu0
+        top = (2.0 * exp.mu0 / (math.sqrt(disc) - exp.a) if disc >= 0.0
+               else -exp.a / (2.0 * exp.b))
+        lams = np.linspace(exp.lambda0, lambda_of_alpha(exp, 0.9 * top), 40)
+        energies = np.array([energy_of_lambda(exp, float(lam)) for lam in lams])
+        assert energies[0] == 0.0
+        assert np.all(np.diff(energies) <= 0.0)
+        alphas = top * np.linspace(0.1, 0.9, 9)
+        assert_allclose([energy_of_lambda(exp, lambda_of_alpha(exp, float(alpha)))
+                         for alpha in alphas], -alphas**2, rtol=1e-11)
 
     def test_continuation_is_monotone_decreasing(self, bump):
         grid = QuadGrid.gauss_legendre(80, 1.0)
@@ -572,12 +584,12 @@ class TestEigenpairs:
         mus = [mu for _, mu in pts]
         assert all(a > b for a, b in zip(mus, mus[1:]))
 
-    def test_continuation_builds_one_geometry_and_matches_fresh_solves(
-            self, bump, geometry_builds):
+    def test_continuation_builds_one_kernel_per_alpha_and_matches_fresh_solves(
+            self, bump, kernel_builds):
         grid = QuadGrid.gauss_legendre(80, 1.0)
         alphas = [0.0, 0.01, 0.05, 0.1]
         pts = eigen_continuation(bump, grid, alphas)
-        assert geometry_builds == [80]
+        assert kernel_builds == [80] * len(alphas)
         fresh = [leading_eigenpair(s_wave_reduce(
             bump, PhysParams.from_alpha(a), grid)).mu0 for a in alphas]
         assert [mu for _, mu in pts] == fresh

@@ -19,7 +19,7 @@ import herbst.specfun
 from herbst import cli, threshold
 from herbst.kernel import PhysParams
 from herbst.specfun import QuadratureError, k0_weighted_integral
-from herbst.spectral import (Discretization, QuadGrid, _reference_rule,
+from herbst.spectral import (QuadGrid, _reference_rule,
                              bump_potential,
                              leading_eigenpair, s_wave_reduce,
                              square_well_potential,
@@ -380,6 +380,15 @@ class TestDecay:
         # the spline passes through its end node
         assert_allclose(threshold._tail_k1_over_z(0.5 * x, x)(x), ref, rtol=1e-13)
 
+    @pytest.mark.parametrize("x", [20.0, 30.0, 40.0, 50.0])
+    def test_far_field_tail_keeps_its_digits_inside_the_range(self, x):
+        # [4, 51] is the span u_reconstruct needs for R = 1 and radii up to
+        # 50 R; its nodes are 1/17 apart, so each x is a node.  A forward
+        # cumulative subtracted from the end value would lose 3e-8 of T at
+        # x = 20, 3e-3 at 30 and every digit at 40
+        assert_allclose(threshold._tail_k1_over_z(4.0, 51.0)(x),
+                        k0_weighted_integral("tail_k1_over_z", x), rtol=1e-12)
+
 
 def test_threshold_path_runs_no_adaptive_quadrature(state200, zero_overlap_state,
                                                     monkeypatch, capsys):
@@ -476,7 +485,7 @@ class TestZeroEnergyCondition:
 
 
 class TestTunedTwoWell:
-    def test_excited_state_overlap_is_driven_to_zero(self, geometry_builds,
+    def test_excited_state_overlap_is_driven_to_zero(self, kernel_builds,
                                                      monkeypatch):
         solves = []
 
@@ -497,8 +506,8 @@ class TestTunedTwoWell:
         monkeypatch.setattr(threshold, "brentq", bracketing)
         grid = QuadGrid.gauss_legendre(150, 1.0)
         pot, res = tune_zero_overlap(grid)
-        # every solve of the scan and of the root search shares one geometry
-        assert geometry_builds == [150]
+        # every solve of the scan and of the root search shares one kernel
+        assert kernel_builds == [150]
         # the scan stops at the first sign change, the 15th of 25 ratios;
         # brentq takes 7 or 8 steps, which move with the rounding of the
         # objective; one more solve gives the state at the root
@@ -518,16 +527,16 @@ class TestTunedTwoWell:
     def test_frees_its_arrays_without_a_collection(self, monkeypatch):
         # brentq keeps the objective in a reference cycle, so with the cycle
         # collector off nothing the objective reaches may outlive the call:
-        # not the geometry and E = 0 kernel, nor the last state's arrays
+        # not the E = 0 kernel, nor the last state's arrays
         shared = []
-        kernel = Discretization.kernel
+        kernel = threshold.green_kernel
 
-        def recording(disc, p, table=None):
-            kappa = kernel(disc, p, table)
-            shared.extend([weakref.ref(disc), weakref.ref(kappa)])
+        def recording(grid, p, table=None):
+            kappa = kernel(grid, p, table)
+            shared.append(weakref.ref(kappa))
             return kappa
 
-        monkeypatch.setattr(Discretization, "kernel", recording)
+        monkeypatch.setattr(threshold, "green_kernel", recording)
         grid = QuadGrid.gauss_legendre(150, 1.0)
         enabled = gc.isenabled()
         gc.disable()
@@ -535,8 +544,8 @@ class TestTunedTwoWell:
             pot, res = tune_zero_overlap(grid)
             refs = [weakref.ref(res.vector), weakref.ref(res.matrix), *shared]
             del pot, res
-            assert len(refs) == 4
-            assert [ref() for ref in refs] == [None] * 4
+            assert len(refs) == 3
+            assert [ref() for ref in refs] == [None] * 3
         finally:
             if enabled:
                 gc.enable()
