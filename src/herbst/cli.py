@@ -142,6 +142,9 @@ def _green_rows(cfg: RunConfig, r_max: float) -> list[tuple]:
     if cfg.alpha_max >= math.sqrt(2.0 * cfg.mass):
         raise ConfigError("alpha-max must be in (0, sqrt(2 m))")
     p = PhysParams.from_alpha(cfg.alpha_max, cfg.mass)
+    if p.mu == 0.0:
+        raise EvaluationFailure(f"alpha-max {cfg.alpha_max} at mass {cfg.mass}: mu^2 = "
+                                "2 m alpha^2 - alpha^4 underflows to 0 (envelope bound)")
     return [(float(r), green_function(float(r), p), envelope_bound(float(r), p))
             for r in np.geomspace(0.02 * cfg.radius, r_max * cfg.radius, 100)]
 

@@ -11,7 +11,7 @@ with
 
 together with the small-coupling expansion kernels (the V-stripped L0, A, B
 profiles), the pointwise envelope bound, and the ring-integral tables of G_E
-and B for the Nystrom discretization.  The Yukawa decay rate is tied to the
+(log singularity in closed form) and B.  The Yukawa decay rate is tied to the
 energy by mu^2 = m^2 - (m + E)^2, i.e. mu^2 = 2 m alpha^2 - alpha^4 for E = -alpha^2.
 """
 
@@ -22,11 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicSpline, PPoly
 from scipy.optimize import brentq
 
 from . import specfun
-from .specfun import EULER_GAMMA, k0, k0_integral, k0e, k1
+from .specfun import EULER_GAMMA, EvaluationFailure, k0, k0_integral, k0e, k1
 
 H3_ROOT_REFERENCE = 0.7451315  # root of int_z^inf K0 = z K0(z)
 
@@ -101,8 +101,11 @@ def green_function(r: float, p: PhysParams) -> float:
     if r <= 0.0:
         raise ValueError("green_function requires r > 0")
     nu = p.nu
-    bracket = math.sqrt(1.0 - nu * nu) * math.exp(-p.mu * r) \
-        + (2.0 / math.pi) * f_profile(r, p)
+    try:
+        bracket = math.sqrt(1.0 - nu * nu) * math.exp(-p.mu * r) \
+            + (2.0 / math.pi) * f_profile(r, p)
+    except OverflowError as exc:
+        raise EvaluationFailure(f"Green's function at r = {r}, mass {p.m}: {exc}") from None
     return p.m / (4.0 * math.pi * r) * bracket
 
 
@@ -253,65 +256,72 @@ class _RingTable:
 
     def __post_init__(self) -> None:
         s = _graded_grid(self.s_max * 1.0000001, _RING_NODES)
-        self._cum = CubicSpline(s, self._node_values(s))
-        self._prim = self._cum.antiderivative()
+        with np.errstate(all="ignore"):
+            try:  # CubicSpline refuses non-finite node values and slopes
+                self._cum = CubicSpline(s, self._node_values(s))
+                self._prim = self._cum.antiderivative()
+            except ValueError:
+                self._prim = None
+        # the antiderivative's coefficients c_j / (4 - j) carry the spline's
+        if self._prim is None or not np.isfinite(self._prim.c).all():
+            raise EvaluationFailure(f"{self!r}: its spline leaves the float range")
         # the right end of each interval, the last one open to the right
         self._ends = np.append(s[1:-1], np.inf)
 
-    def _cum_at(self, s: np.ndarray) -> np.ndarray:
-        """The spline c(s) at s >= 0, bit for bit as ``CubicSpline.__call__``.
+    def _at(self, poly: PPoly, s: np.ndarray) -> np.ndarray:
+        """The spline c or its antiderivative P at s >= 0, as ``PPoly.__call__``.
 
         The interval k with x_k <= s < x_(k+1) (the last one from x_max on)
         needs no search on the graded nodes x_k = x_max (k/800)^1.5: k is
         800 (s/x_max)^(2/3), rounded down from a value biased low by 2^-40
         relative, which is then one too low at most, and one step up where s
-        has reached x_(k+1) makes it exact.  The cubic is summed in PPoly's
-        own ascending-power order, c3 + c2 dx + c1 dx^2 + c0 dx^3."""
-        x, c = self._cum.x, self._cum.c
-        t = s * (1.0 / x[-1])
-        t *= t
-        t = np.cbrt(t)
-        t *= _RING_NODES * (1.0 - 2.0**-40)
-        k = np.minimum(t.astype(np.intp), _RING_NODES - 1)
+        has reached x_(k+1) makes it exact.  The sum runs in PPoly's own
+        ascending-power order, c3 + c2 dx + c1 dx^2 + c0 dx^3 for the cubic."""
+        x, c = poly.x, poly.c
+        z = s * (1.0 / x[-1])
+        z *= z
+        z = np.cbrt(z)
+        z *= _RING_NODES * (1.0 - 2.0**-40)
+        k = np.minimum(z.astype(np.intp), _RING_NODES - 1)
         k += s >= self._ends[k]
-        # in place, one temporary at a time: ((c3 + c2 dx) + c1 dx^2) + c0 dx^3
+        # in place, ((c3 + c2 dx) + c1 dx^2) + ..., one term alive at a time
         dx = s - x[k]
-        cum = c[2][k]
-        cum *= dx
-        cum += c[3][k]
-        t = dx * dx
-        dx *= t
-        t *= c[1][k]
-        cum += t
-        dx *= c[0][k]
-        cum += dx
-        return cum
+        val = c[-2][k]
+        val *= dx
+        val += c[-1][k]
+        z = dx * dx
+        for j in range(len(c) - 3, -1, -1):
+            t = c[j][k]
+            t *= z
+            val += t
+            del t  # before the next gather
+            if j:
+                z *= dx
+        return val
 
     def ring(self, hi, lo):
         """2 pi [c(hi) - c(lo)], 0 <= lo <= hi."""
-        return 2.0 * math.pi * (self._cum_at(hi) - self._cum_at(lo))
+        val = self._at(self._cum, hi)
+        val -= self._at(self._cum, lo)
+        val *= 2.0 * math.pi
+        return val
 
     def row_integral(self, r, radius: float):
         """int_0^radius ring(r + rho, |r - rho|) drho, 0 < r < radius, exact
         for the spline: 2 pi [P(r + radius) - 2 P(r) - P(radius - r)], P = int c."""
-        prim = self._prim
-        return 2.0 * math.pi * (prim(r + radius) - 2.0 * prim(r) - prim(radius - r))
+        hi, mid, lo = (self._at(self._prim, s) for s in (r + radius, r, radius - r))
+        return 2.0 * math.pi * (hi - 2.0 * mid - lo)
 
 
 @dataclass
 class GreenKernelTable(_RingTable):
-    """Precomputed smooth part of the cumulative int t G_E(t) dt.
-
-    Supports fast evaluation of the ring integral
-
-        kappa(r, rho) = 2 pi int_|r-rho|^(r+rho) t G_E(t) dt
-
-    with the short-distance singularity G_E(t) ~ 1/(2 pi^2 t^2) split off in
-    closed form: its share of kappa is ln((r + rho)/|r - rho|) / pi.  The
-    rest of the K1 term, whose primitive is -K0, is regular (K0(x) + ln x is
-    bounded, DLMF 10.31.2) and is splined with the other smooth parts, so
-    K0 is evaluated on the table's nodes only.
-    """
+    """The ring integral kappa(r, rho) = 2 pi int_|r-rho|^(r+rho) t G_E(t) dt
+    and its row integrals.  The singularity G_E(t) ~ 1/(2 pi^2 t^2) gives
+    kappa the logarithm ln((r + rho)/|r - rho|)/pi, added in closed form; the
+    spline carries the rest of int t G_E(t) dt.  The rest of the K1 term,
+    whose primitive is -K0, is regular (K0(x) + ln x is bounded, DLMF
+    10.31.2) and is splined with the other smooth parts, so K0 is evaluated
+    on the table's nodes only."""
 
     params: PhysParams
     s_max: float
@@ -348,12 +358,20 @@ class GreenKernelTable(_RingTable):
         h[1:] = k0(x[1:]) + np.log(x[1:])
         return t1 + (1.0 - nu * nu) / (2.0 * math.pi**2) * w - h / (2.0 * math.pi**2)
 
-    def ring_integral(self, r, rho):
-        """kappa(r, rho) = 2 pi int_|r-rho|^(r+rho) t G_E(t) dt, r != rho."""
-        lo, hi = np.abs(r - rho), r + rho
-        if np.any(lo <= 0.0):
+    def ring(self, hi, lo):
+        """kappa = 2 pi [c(hi) - c(lo)] + ln(hi/lo)/pi at hi = r + rho > lo = |r - rho|."""
+        if np.min(lo) <= 0.0:
             raise ValueError("the ring integral diverges at r = rho")
-        return self.ring(hi, lo) + np.log(hi / lo) / math.pi
+        val = super().ring(hi, lo)
+        log = np.divide(hi, lo, out=np.empty_like(val))
+        val += np.divide(np.log(log, out=log), math.pi, out=log)
+        return val
+
+    def row_integral(self, r, radius: float):
+        """int_0^radius kappa(r, rho) drho, 0 < r < radius, the logarithm's share exact."""
+        log = ((r + radius) * np.log(r + radius) - 2.0 * r * np.log(r)
+               - (radius - r) * np.log(radius - r)) / math.pi
+        return super().row_integral(r, radius) + log
 
 
 @dataclass
@@ -366,23 +384,9 @@ class BKernelTable(_RingTable):
     def _node_values(self, s: np.ndarray) -> np.ndarray:
         # splined closed form cb(m s) / m^3, cb(x) = x^3/6 - x/2 + [(x^3/3 - x)
         # C0 - x^2 K0/3 + (x^3 - 2x) K1/3 + 2/3] / pi, with cb(0) = 0
-        with np.errstate(all="ignore"):
-            x = self.m * s[1:]
-            x2 = x * x
-            cb = np.zeros_like(s)
-            cb[1:] = (x * (x2 / 6.0 - 0.5)
-                      + ((x2 / 3.0 - 1.0) * x * k0_integral(x) - x2 * k0(x) / 3.0
-                         + (x2 - 2.0) * x * k1(x) / 3.0 + 2.0 / 3.0) / math.pi)
-            try:
-                cb /= self.m**3
-            except OverflowError:
-                cb[:] = math.inf
-        if not np.all(np.isfinite(cb)):
-            raise specfun.EvaluationFailure(
-                f"B-kernel table: int_0^s t B(t) dt leaves the float range at mass "
-                f"{self.m} (m^3 or (m s)^3 over- or underflows)")
-        return cb
-
-    def ring_integral(self, r, rho):
-        """2 pi int_|r-rho|^(r+rho) t B(t) dt (no singular part)."""
-        return self.ring(r + rho, np.abs(r - rho))
+        x = self.m * s[1:]
+        x2 = x * x
+        cb = (x * (x2 / 6.0 - 0.5)
+              + ((x2 / 3.0 - 1.0) * x * k0_integral(x) - x2 * k0(x) / 3.0
+                 + (x2 - 2.0) * x * k1(x) / 3.0 + 2.0 / 3.0) / math.pi)
+        return np.append(0.0, cb) / np.float64(self.m)**3

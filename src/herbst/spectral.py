@@ -8,7 +8,7 @@ reduces to a one-dimensional symmetric kernel
 
 on a Gauss-Legendre grid over (0, R).  Its only singular part is the
 logarithm ln((r + rho)/|r - rho|) / pi that G_E(t) ~ 1/(2 pi^2 t^2) puts on
-the diagonal; ``GreenKernelTable`` splines the rest.  The rule is
+the diagonal, added in closed form by ``GreenKernelTable``.  The rule is
 singularity subtraction (Kress, Linear Integral Equations, ch. 12): off the
 diagonal the kernel is sampled, and k_ii = (I_i - sum_(j != i) w_j k_ij) / w_i
 with I_i the exact row integral over (0, R), so each row integrates g = 1
@@ -42,6 +42,7 @@ import scipy.linalg
 from scipy.interpolate import PchipInterpolator
 
 from .kernel import BKernelTable, GreenKernelTable, PhysParams
+from .specfun import EvaluationFailure
 
 class EigensolverError(RuntimeError):
     pass
@@ -186,8 +187,9 @@ class QuadGrid:
         if np.any(self.weights <= 0.0):
             raise ValueError("grid weights must be positive")
         R = self.radius
-        check = float((self.weights * self.nodes**2).sum())
-        if abs(check - R**3 / 3.0) > 1e-8 * R**3:
+        # scale-free, so that no R^3 over- or underflows
+        check = float(((self.weights / R) * (self.nodes / R) ** 2).sum())
+        if abs(check - 1.0 / 3.0) > 1e-8:
             raise ValueError("grid fails the second-moment sanity check")
         # the assembly's logarithms need r_i + r_j > 0, r ln r and R - r > 0
         if self.nodes[0] <= 0.0 or self.nodes[-1] >= R:
@@ -251,7 +253,7 @@ def _tiles(r: np.ndarray):
     """Square tiles over the upper triangle of the pairs (i, j) of nodes r:
     (rows, cols, hi, lo) with rows and cols slices, hi = r_i + r_j and
     lo = |r_i - r_j|.  On the diagonal pairs lo is set to hi, where a ring
-    kernel then reads 0 and the logarithm ln(hi/lo) too."""
+    kernel then reads 0."""
     n = len(r)
     count = -(-n // _TILE)
     edges = [(k * n) // count for k in range(count + 1)]
@@ -266,40 +268,33 @@ def _tiles(r: np.ndarray):
             yield rows, cols, hi, lo
 
 
-def _log_row_integral(r: np.ndarray, R: float) -> np.ndarray:
-    """int_0^R ln((r + rho)/|r - rho|)/pi drho at each node r, in closed form:
-    the row integral of the log singularity of the ring kernel, from
-    G_E(t) ~ 1/(2 pi^2 t^2).  No part of it depends on the mass or energy."""
-    return ((r + R) * np.log(r + R) - 2.0 * r * np.log(r)
-            - (R - r) * np.log(R - r)) / math.pi
-
-
 def green_kernel(grid: QuadGrid, p: PhysParams,
                  table: GreenKernelTable | None = None) -> np.ndarray:
     """kappa_ij = 2 pi int_|ri-rj|^(ri+rj) t G_E(t) dt (i != j) at p.E,
-    and the diagonal of the subtraction rule: kappa @ w is the exact row
-    integral.  The table splines the smooth part and the logarithm is added
-    in closed form.  Filled tile by tile (``_tiles``), each tile and its
-    mirror image, so no temporary is larger than a tile."""
+    the table's ring integrals, and the diagonal of the subtraction rule:
+    kappa @ w is the table's exact row integral.  Filled tile by tile
+    (``_tiles``), each tile and its mirror image, so no temporary is larger
+    than a tile."""
+    where = f"Green kernel at E = {p.E}, m = {p.m}, R = {grid.radius}"
     if table is None:
-        table = GreenKernelTable(p, s_max=2.0 * grid.radius * 1.001)
+        try:
+            table = GreenKernelTable(p, s_max=2.0 * grid.radius * 1.001)
+        except EvaluationFailure as exc:
+            raise EvaluationFailure(f"{where}: {exc}") from None
     elif table.params != p or table.s_max < 2.0 * grid.radius:
         raise ValueError(f"kernel table for {table.params} up to s = {table.s_max} "
                          f"does not serve {p} up to 2 R = {2.0 * grid.radius}")
     kappa = np.empty((grid.size, grid.size))
     for rows, cols, hi, lo in _tiles(grid.nodes):
         block = table.ring(hi, lo)
-        singular = np.divide(hi, lo, out=lo)
-        np.log(singular, out=singular)
-        singular /= math.pi
-        block += singular
         kappa[rows, cols] = block
         kappa[cols, rows] = block.T
     # the tiles leave the diagonal 0, so kappa @ w sums j != i only
-    row = (table.row_integral(grid.nodes, grid.radius)
-           + _log_row_integral(grid.nodes, grid.radius))
     w = grid.weights
-    np.fill_diagonal(kappa, (row - kappa @ w) / w)
+    diag = (table.row_integral(grid.nodes, grid.radius) - kappa @ w) / w
+    if not np.isfinite(diag).all():  # kappa @ w carries a non-finite entry here
+        raise EvaluationFailure(f"{where}: an entry leaves the float range")
+    np.fill_diagonal(kappa, diag)
     return kappa
 
 

@@ -245,11 +245,6 @@ class ThresholdExpansion:
         return 1.0 / self.mu0
 
     @property
-    def a_zero_tol(self) -> float:
-        """The bound on |a| below which a counts as zero."""
-        return A_ZERO_TOL_REL * self.mu0
-
-    @property
     def branch(self) -> Branch:
         return "a_zero" if _a_vanishes(self.a, self.mu0) else "a_nonzero"
 

@@ -25,6 +25,23 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+# flags whose runs leave the float range, and what the failure line names
+_OUT_OF_RANGE = {
+    **{f"{command}-R{radius}": ((command, "--grid-n", "8", "--radius", radius),
+                                ("Green kernel at", f"R = {float(radius)}:",
+                                 "GreenKernelTable("))
+       for command in ("spectrum", "threshold")
+       for radius in ("1e-150", "1e100", "1e150", "1e200")},
+    "kernel-m1e100": (("kernel", "--mass", "1e100"),
+                      ("Green's function at r = ", "mass 1e+100")),
+    "bound-m1e200": (("bound", "--mass", "1e200"),
+                     ("Green's function at r = ", "mass 1e+200")),
+    **{f"{command}-alpha1e-170": ((command, "--alpha-max", "1e-170"),
+                                  ("alpha-max 1e-170", "underflows"))
+       for command in ("kernel", "bound")},
+}
+
+
 class TestRunConfig:
     def test_defaults(self):
         cfg = RunConfig()
@@ -346,13 +363,20 @@ class TestConfigPlumbing:
             assert run_cli("spectrum", *flags) == EXIT_VALIDATION
         assert capsys.readouterr().err == f"error: {message}\n"
 
-    def test_overflow_is_one_numerical_failure_line(self, capsys):
-        # the grid's moment check overflows R^3 at R = 1e200
-        assert run_cli("spectrum", "--radius", "1e200",
-                       "--grid-n", "8") == EXIT_NUMERICAL
-        err = capsys.readouterr().err.splitlines()  # after numpy's warning
-        assert [line for line in err if line.startswith(("error:", "numerical"))] \
-            == [err[-1]] and err[-1].startswith("numerical failure: ")
+    @pytest.mark.parametrize("argv, names", _OUT_OF_RANGE.values(), ids=_OUT_OF_RANGE.keys())
+    def test_overflow_is_one_numerical_failure_line(self, argv, names, capsys):
+        # each run ends in one line naming the stage and the flag's value,
+        # with no warning before it: radii where the kernel table leaves the
+        # float range (the grid's second-moment check is scale-free, so R^3
+        # no longer overflows first), masses where the Green's function
+        # overflows in QUADPACK's cosh(nu z), and an alpha-max whose
+        # mu^2 = 2 m alpha^2 - alpha^4 underflows to 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(*argv) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
+        assert all(name in err for name in names), err
 
     @pytest.mark.parametrize("flag, value", [("--mass", "1e200"), ("--depth", "1e300"),
                                              ("--mass", "1e-200")])
@@ -370,13 +394,14 @@ class TestConfigPlumbing:
     @pytest.mark.parametrize("mass", ["1e-200", "1e200"])
     def test_b_table_out_of_range_is_one_numerical_failure_line(self, mass, capsys):
         # m^3 under- or overflows in the B-kernel table of the coefficient b:
-        # one line naming the table and the mass, and no warning before it
+        # one line naming the table and its fields, the mass among them, and
+        # no warning before it
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run_cli("threshold", "--grid-n", "8", "--mass", mass) == EXIT_NUMERICAL
         err = capsys.readouterr().err
-        assert err.startswith("numerical failure: B-kernel table") and err.count("\n") == 1
-        assert f"at mass {float(mass)} " in err
+        assert err.startswith("numerical failure: BKernelTable(") and err.count("\n") == 1
+        assert f"(m={float(mass)!r}, " in err
 
     def test_table_potential(self, tmp_path):
         r = np.linspace(0.0, 1.0, 50)

@@ -178,14 +178,14 @@ class TestRingTables:
             oracle, _ = quad(lambda t: t * green_function(t, p),
                              abs(r - rho), r + rho,
                              epsabs=1e-13, epsrel=1e-11, limit=200)
-            assert_allclose(table.ring_integral(r, rho),
+            assert_allclose(table.ring(r + rho, abs(r - rho)),
                             2.0 * math.pi * oracle, rtol=1e-9)
 
     def test_green_table_diagonal_is_rejected(self):
         p = PhysParams(m=1.0, E=0.0)
         table = GreenKernelTable(p, s_max=2.0)
         with pytest.raises(ValueError):
-            table.ring_integral(0.5, 0.5)
+            table.ring(1.0, 0.0)
 
     @pytest.mark.parametrize("m", [1.0, 2.5])
     @pytest.mark.parametrize("E", [-0.1, -0.3])
@@ -206,7 +206,7 @@ class TestRingTables:
     def test_green_table_diagonal_is_rejected_at_any_pair(self):
         table = GreenKernelTable(PhysParams(m=1.0, E=-0.3), s_max=2.0)
         with pytest.raises(ValueError, match="diverges at r = rho"):
-            table.ring_integral(np.array([0.2, 0.5]), np.array([0.3, 0.5]))
+            table.ring(np.array([0.5, 1.0]), np.array([0.1, 0.0]))
 
     def test_b_table_matches_direct_quadrature(self):
         table = BKernelTable(m=1.0, s_max=4.0)
@@ -214,7 +214,7 @@ class TestRingTables:
             oracle, _ = quad(lambda t: t * b_profile(t),
                              abs(r - rho), r + rho,
                              epsabs=1e-13, epsrel=1e-11, limit=200)
-            assert_allclose(table.ring_integral(r, rho),
+            assert_allclose(table.ring(r + rho, abs(r - rho)),
                             2.0 * math.pi * oracle, rtol=1e-8)
 
     @pytest.mark.parametrize("m", [0.3, 1.0, 2.5])
@@ -253,18 +253,22 @@ class TestRingTables:
     ], ids=["green_E0", "green_E-0.3", "B"])
     def test_lookup_is_the_spline_bit_for_bit(self, make):
         # the interval from the graded grid's closed form and PPoly's sum:
-        # equal to CubicSpline.__call__ at random points up to 1.2 s_max
-        # (extrapolation included), on every node and one ulp either side
+        # equal to PPoly.__call__, for the spline and its antiderivative, at
+        # random points up to 1.2 s_max (extrapolation included), on every
+        # node and one ulp either side; the Green ring adds the logarithm
         table = make()
         nodes = table._cum.x
         s = np.concatenate([np.random.default_rng(7).uniform(0.0, 1.2 * table.s_max, 200_000),
                             nodes, np.nextafter(nodes, 0.0), np.nextafter(nodes, np.inf),
                             [table.s_max, 1.2 * table.s_max]])
-        assert np.array_equal(table._cum_at(s), table._cum(s))
-        assert table._cum_at(0.7) == table._cum(0.7)
+        for poly in (table._cum, table._prim):
+            assert np.array_equal(table._at(poly, s), poly(s))
+            assert table._at(poly, 0.7) == poly(0.7)
         hi, lo = s[:1000] + s[1000:2000], np.abs(s[:1000] - s[1000:2000])
-        assert np.array_equal(table.ring(hi, lo),
-                              2.0 * math.pi * (table._cum(hi) - table._cum(lo)))
+        ring = 2.0 * math.pi * (table._cum(hi) - table._cum(lo))
+        if isinstance(table, GreenKernelTable):
+            ring += np.log(hi / lo) / math.pi
+        assert np.array_equal(table.ring(hi, lo), ring)
 
     def test_negative_energy_table_builds_far_out(self):
         # cosh(nu z) K0(z) and cosh(nu x) T(x) overflowed to inf * 0 once
@@ -286,5 +290,5 @@ class TestRingTables:
         # t B(t) is bounded, so the coincidence limit exists (equals the
         # integral over (0, 2r))
         table = BKernelTable(m=1.0, s_max=4.0)
-        val = table.ring_integral(0.7, 0.7)
+        val = table.ring(1.4, 0.0)
         assert np.isfinite(val)

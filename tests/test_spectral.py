@@ -13,10 +13,10 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from herbst.kernel import BKernelTable, GreenKernelTable, PhysParams, green_function
-from herbst.specfun import checked_quad
+from herbst.specfun import EvaluationFailure, checked_quad
 from herbst.spectral import (BsMatrix, DegenerateEigenvalueError,
                              EigensolverError, QuadGrid, RadialPotential,
-                             _log_row_integral, _reference_rule, b_form,
+                             _reference_rule, b_form,
                              bump_potential, eigen_continuation, green_kernel,
                              leading_eigenpair,
                              s_wave_reduce, square_well_potential,
@@ -87,9 +87,14 @@ class TestQuadGrid:
         assert np.all(np.diff(g.nodes) > 0.0)
 
     def test_rejects_inconsistent_weights(self):
-        g = QuadGrid.gauss_legendre(16, 1.0)
-        with pytest.raises(ValueError):
-            QuadGrid(nodes=g.nodes, weights=2.0 * g.weights, radius=1.0)
+        # at any scale: the check is sum (w/R) (x/R)^2 = 1/3, so no R^3
+        # under- or overflows at R = 1e-150 or 1e200
+        for radius in (1.0, 1e-150, 1e200):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                g = QuadGrid.gauss_legendre(16, radius)
+                with pytest.raises(ValueError, match="second-moment"):
+                    QuadGrid(nodes=g.nodes, weights=2.0 * g.weights, radius=radius)
 
     @pytest.mark.parametrize("n, radius", [(16, 1.0), (200, 1.0), (75, 2.3)])
     def test_cached_rule_is_the_scaled_leggauss_rule(self, n, radius):
@@ -181,10 +186,10 @@ class TestAssembly:
                 x, w = leggauss(4)
                 half, mid = 0.5 * np.diff(cuts), 0.5 * (cuts[1:] + cuts[:-1])
                 rho = mid[:, None] + half[:, None] * x
-                exact = float((half[:, None] * w * table.ring_integral(ri, rho)).sum())
+                exact = float((half[:, None] * w * table.ring(ri + rho, np.abs(ri - rho))).sum())
             else:
                 # adaptive quadrature split at the log singularity rho = ri
-                exact = sum(quad(lambda rho: float(table.ring_integral(ri, rho)),
+                exact = sum(quad(lambda rho: float(table.ring(ri + rho, abs(ri - rho))),
                                  lo, hi, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
                             for lo, hi in ((0.0, ri), (ri, 1.0)))
             assert_allclose(rows[i], exact, rtol=1e-12)
@@ -206,7 +211,7 @@ class TestAssembly:
         assert np.array_equal(k, k.T)
         r = grid.nodes
         i, j = np.nonzero(~np.eye(n, dtype=bool))
-        assert np.array_equal(k[i, j], table.ring_integral(r[i], r[j]))
+        assert np.array_equal(k[i, j], table.ring(r[i] + r[j], np.abs(r[i] - r[j])))
 
         u = grid.weights * r * np.exp(-(r / radius) ** 2)
         kb = dense_b_kernel(grid, m)
@@ -296,17 +301,21 @@ class TestAssembly:
             assert count(400) <= 2000
 
     @pytest.mark.parametrize("radius", [0.3, 1.0, 5.0])
-    def test_log_row_integral_matches_quadrature(self, radius):
-        # int_0^R ln((r + rho)/|r - rho|) / pi drho in closed form, against
-        # adaptive quadrature split at the singularity rho = r
+    def test_green_row_integral_matches_quadrature(self, radius):
+        # the table's row integral, the logarithm's share in closed form,
+        # against adaptive quadrature of its ring split at the singularity
+        # rho = r, at E = 0 and E < 0.  The spline's knots limit quad to
+        # about 4e-12 relative on row 0 at R = 5
         grid = QuadGrid.gauss_legendre(40, radius)
-        row = _log_row_integral(grid.nodes, radius)
-        for i in (0, 7, 20, 39):
-            r = grid.nodes[i]
-            exact = sum(checked_quad(lambda rho: math.log((r + rho) / abs(r - rho)) / math.pi,
-                                     lo, hi, abs_tol=1e-16, rel_tol=2e-14)
-                        for lo, hi in ((0.0, r), (r, radius)))
-            assert_allclose(row[i], exact, rtol=1e-13)
+        for E in (0.0, -0.3):
+            table = GreenKernelTable(PhysParams(E=E), s_max=2.0 * radius * 1.001)
+            row = table.row_integral(grid.nodes, radius)
+            for i in (0, 7, 20, 39):
+                r = grid.nodes[i]
+                exact = sum(checked_quad(lambda rho: float(table.ring(r + rho, abs(r - rho))),
+                                         lo, hi, abs_tol=1e-14, rel_tol=1e-12)
+                            for lo, hi in ((0.0, r), (r, radius)))
+                assert_allclose(row[i], exact, rtol=1e-11)
 
     @pytest.mark.parametrize("first", [0.0, -0.2])
     def test_build_rejects_a_node_at_or_below_zero(self, first):
@@ -318,6 +327,18 @@ class TestAssembly:
                      weights=np.array([w0, (1.0 / 3.0 - w0 * first**2) / 0.25]),
                      radius=1.0)
 
+    def test_kernel_names_a_non_finite_entry(self):
+        # kappa @ w carries a non-finite entry into its row's diagonal, so
+        # one O(n) check finds it and names the kernel, E, m and R
+        grid = QuadGrid.gauss_legendre(8, 1.0)
+        p = PhysParams(m=2.0, E=-0.1)
+        table = GreenKernelTable(p, s_max=2.002)
+        ring = table.ring
+        table.ring = lambda hi, lo: np.where(hi > 1.5, np.inf, ring(hi, lo))
+        with pytest.raises(EvaluationFailure,
+                           match=r"^Green kernel at E = -0\.1, m = 2\.0, R = 1\.0: "):
+            green_kernel(grid, p, table)
+
 
 def dense_b_kernel(grid, m):
     """The subtraction-rule matrix of the B kernel, formed in full: the B
@@ -325,7 +346,7 @@ def dense_b_kernel(grid, m):
     row integrate 1 exactly, (I_i - sum_(j != i) w_j k_ij) / w_i."""
     table = BKernelTable(m, 2.0 * grid.radius * 1.001)
     r, w = grid.nodes, grid.weights
-    k = table.ring_integral(r[:, None], r[None, :])
+    k = table.ring(r[:, None] + r, np.abs(r[:, None] - r))
     np.fill_diagonal(k, 0.0)
     np.fill_diagonal(k, (table.row_integral(r, grid.radius) - k @ w) / w)
     return k
