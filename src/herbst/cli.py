@@ -167,12 +167,13 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         meta.update(mu0=0.0, lambda0=None, threshold="undefined (V vanishes)")
         _emit(["r", "phi"], [], meta, cfg)
         return EXIT_OK
-    res2 = leading_eigenpair(s_wave_reduce(
-        pot, p, QuadGrid.gauss_legendre(2 * cfg.grid_n, cfg.radius)))
-    delta = abs(res2.mu0 - res.mu0) / res.mu0
-    meta.update({"mu0": res.mu0, "lambda0": res.lambda0,
-                 "convergence_delta": delta, "residual": res.residual})
+    mu0, lambda0, residual = res.mu0, res.lambda0, res.residual
     rows = [(float(r), float(phi)) for r, phi in zip(grid.nodes, res.phi)]
+    del res  # its n x n matrix need not stay alive under the 2n solve
+    mu2 = leading_eigenpair(s_wave_reduce(
+        pot, p, QuadGrid.gauss_legendre(2 * cfg.grid_n, cfg.radius))).mu0
+    meta.update({"mu0": mu0, "lambda0": lambda0,
+                 "convergence_delta": abs(mu2 - mu0) / mu0, "residual": residual})
     _emit(["r", "phi"], rows, meta, cfg)
     return EXIT_OK
 

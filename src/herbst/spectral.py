@@ -6,21 +6,23 @@ reduces to a one-dimensional symmetric kernel
 
     M_ij = sqrt(w_i w_j) |V_i V_j|^(1/2) * 2 pi int_|ri-rj|^(ri+rj) t G_E(t) dt
 
-on a Gauss-Legendre grid over (0, R).  Its only singular part is the
-logarithm ln((r + rho)/|r - rho|) / pi that G_E(t) ~ 1/(2 pi^2 t^2) puts on
-the diagonal, added in closed form by ``GreenKernelTable``.  The rule is
-singularity subtraction (Kress, Linear Integral Equations, ch. 12): off the
-diagonal the kernel is sampled, and k_ii = (I_i - sum_(j != i) w_j k_ij) / w_i
-with I_i the exact row integral over (0, R), so each row integrates g = 1
-exactly.  The matrix stays symmetric, and the rule is third order in n.
+on a Gauss-Legendre grid over (0, R), whose nodes come from Newton's method
+on the Legendre recurrence (``_reference_rule``), with no n x n array.  Its
+only singular part is the logarithm ln((r + rho)/|r - rho|) / pi that
+G_E(t) ~ 1/(2 pi^2 t^2) puts on the diagonal, added in closed form by
+``GreenKernelTable``.  The rule is singularity subtraction (Kress, Linear
+Integral Equations, ch. 12): off the diagonal the kernel is sampled, and
+k_ii = (I_i - sum_(j != i) w_j k_ij) / w_i with I_i the exact row integral
+over (0, R), so each row integrates g = 1 exactly.  The matrix stays
+symmetric, and the rule is third order in n.
 
 Assembly is two functions: ``green_kernel(grid, p)`` gives the kernel at one
-energy, and ``BsMatrix.from_kernel`` scales it by sqrt(w |V|) for one
-potential, so solves at one energy share one kernel.  ``b_form`` is the
-same rule for the profile B, reduced to the one quadratic form the
-coefficient b needs, so its matrix is never formed.  Both run over square
-tiles of at most 128 x 128 pairs (``_tiles``), so no temporary is larger
-than a tile.
+energy, and ``BsMatrix.from_kernel`` scales it in place by sqrt(w |V|) for
+one potential, so a solve holds one n x n array; solves at one energy share
+one kernel by handing each a copy.  ``b_form`` is the same rule for the
+profile B, reduced to the one quadratic form the coefficient b needs, so its
+matrix is never formed.  All three run over tiles of at most 128 x 128
+pairs (``_strips``, ``_tiles``), so no temporary is larger than a tile.
 
 The Birman-Schwinger principle needs only the top eigenvalues of M, the gap
 and one eigenvector, so ``leading_eigenpair`` takes them from a block Krylov
@@ -37,7 +39,6 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 import scipy.linalg
 from scipy.interpolate import PchipInterpolator
 
@@ -167,8 +168,38 @@ def tabulated_potential(source) -> RadialPotential:
 
 @functools.lru_cache(maxsize=8)
 def _reference_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only n-point Gauss-Legendre nodes and weights on (-1, 1)."""
-    x, w = leggauss(n)
+    """Read-only n-point Gauss-Legendre nodes and weights on (-1, 1).
+
+    Newton's method on P_n, evaluated by the three-term recurrence, runs on
+    the nodes in [0, 1) at once from Tricomi's asymptotic starts, and the
+    nodes in (-1, 0) are their mirror images.  The weights are
+    2 / ((1 - x^2) P_n'(x)^2) at the converged nodes.  O(n) memory and
+    O(n^2) flops, with no n x n Jacobi matrix to factorize (Hale &
+    Townsend, SIAM J. Sci. Comput. 35 (2013) A652).
+    """
+    def legendre(x):
+        """P_n(x) and P_n'(x)."""
+        p0, p1 = np.ones_like(x), x
+        for j in range(1, n):
+            p0, p1 = p1, ((2 * j + 1) * x * p1 - j * p0) / (j + 1)
+        return p1, n * (p0 - x * p1) / ((1.0 - x) * (1.0 + x))
+
+    k = np.arange(1, (n + 1) // 2 + 1)
+    x = (1.0 - (n - 1) / (8.0 * n ** 3)) * np.cos(math.pi * (4 * k - 1) / (4 * n + 2))
+    if n % 2:
+        x[-1] = 0.0  # the middle node, where cos(pi/2) rounds to 6e-17
+    for _ in range(10):  # quadratic from these starts: 3 or 4 steps
+        p, dp = legendre(x)
+        step = p / dp
+        x -= step
+        if np.abs(step).max() <= np.finfo(float).eps:
+            break
+    p, dp = legendre(x)
+    q = (1.0 - x) * (1.0 + x)
+    # w is 2 / (q P_n'^2) at the root x - p/dp, not at its rounding x: the
+    # first-order term matters where q ~ n^-2 is small, next to +-1
+    w = 2.0 / (q * dp * dp) * (1.0 + 2.0 * x * p / (q * dp))
+    x, w = np.concatenate([-x[:n // 2], x[::-1]]), np.concatenate([w[:n // 2], w[::-1]])
     x.flags.writeable = w.flags.writeable = False
     return x, w
 
@@ -228,8 +259,10 @@ class BsMatrix:
             bad = tuple(np.argwhere(~np.isfinite(m))[0].tolist())
             raise ValueError(f"non-finite matrix entry at {bad}")
         asym = 0.0
+        buf = np.empty((min(_CHECK_ROWS, len(m)), len(m)))  # one block, reused
         for i in range(0, len(m), _CHECK_ROWS):
-            d = m[i:i + _CHECK_ROWS] - m[:, i:i + _CHECK_ROWS].T
+            d = np.subtract(m[i:i + _CHECK_ROWS], m[:, i:i + _CHECK_ROWS].T,
+                            out=buf[:len(m) - i])
             asym = max(asym, float(np.abs(d, out=d).max()))
         if asym > 1e-13 * max(1.0, hi, -lo):
             raise ValueError("matrix assembly lost symmetry")
@@ -237,16 +270,28 @@ class BsMatrix:
     @classmethod
     def from_kernel(cls, potential: RadialPotential, p: PhysParams, grid: QuadGrid,
                     kappa: np.ndarray) -> "BsMatrix":
-        """sqrt(w |V|) kappa sqrt(w |V|) for kappa = green_kernel(grid, p)."""
+        """sqrt(w |V|) kappa sqrt(w |V|) for kappa = green_kernel(grid, p),
+        scaled in place: the matrix takes over kappa, so a caller that needs
+        the kernel again passes a copy."""
         s = np.sqrt(grid.weights) * np.sqrt(-potential(grid.nodes))
-        # s_i s_j == s_j s_i and kappa is mirrored, so this is symmetric
-        # bit for bit, with no transpose temporary
-        entries = np.multiply.outer(s, s)
-        entries *= kappa
-        return cls(entries=entries, params=p, potential=potential, grid=grid)
+        # kappa_ij (s_i s_j) over square tiles, no temporary larger than a
+        # tile; s_i s_j == s_j s_i and kappa is mirrored, so the matrix is
+        # symmetric bit for bit
+        strips = _strips(len(s))
+        for rows in strips:
+            for cols in strips:
+                kappa[rows, cols] *= np.multiply.outer(s[rows], s[cols])
+        return cls(entries=kappa, params=p, potential=potential, grid=grid)
 
 
 _TILE = 128  # at most this many rows and columns per tile of the pair loops
+
+
+def _strips(n: int) -> list[slice]:
+    """range(n) cut into near-equal consecutive slices of at most ``_TILE``."""
+    count = -(-n // _TILE)
+    edges = [(k * n) // count for k in range(count + 1)]
+    return [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
 
 
 def _tiles(r: np.ndarray):
@@ -254,10 +299,7 @@ def _tiles(r: np.ndarray):
     (rows, cols, hi, lo) with rows and cols slices, hi = r_i + r_j and
     lo = |r_i - r_j|.  On the diagonal pairs lo is set to hi, where a ring
     kernel then reads 0."""
-    n = len(r)
-    count = -(-n // _TILE)
-    edges = [(k * n) // count for k in range(count + 1)]
-    strips = [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
+    strips = _strips(len(r))
     for t, rows in enumerate(strips):
         for cols in strips[t:]:
             hi = np.add.outer(r[rows], r[cols])

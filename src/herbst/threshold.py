@@ -461,7 +461,8 @@ def tune_zero_overlap(grid: QuadGrid,
     def state_at(ratio: float) -> SpectralResult:
         # sign-continuous along the scan: each state follows the previous one
         pot = two_well_potential(depth1, ratio * depth1, radius=grid.radius)
-        res = leading_eigenpair(BsMatrix.from_kernel(pot, p, grid, kappa), index=1,
+        # the matrix takes over the kernel it is given: hand it a copy
+        res = leading_eigenpair(BsMatrix.from_kernel(pot, p, grid, kappa.copy()), index=1,
                                 sign_reference=ref_vec.get("v"))
         ref_vec["v"] = res.vector
         return res

@@ -4,6 +4,7 @@ import math
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -96,12 +97,45 @@ class TestQuadGrid:
                 with pytest.raises(ValueError, match="second-moment"):
                     QuadGrid(nodes=g.nodes, weights=2.0 * g.weights, radius=radius)
 
-    @pytest.mark.parametrize("n, radius", [(16, 1.0), (200, 1.0), (75, 2.3)])
-    def test_cached_rule_is_the_scaled_leggauss_rule(self, n, radius):
-        x, w = leggauss(n)
-        g = QuadGrid.gauss_legendre(n, radius)
-        assert np.array_equal(g.nodes, 0.5 * radius * (x + 1.0))
-        assert np.array_equal(g.weights, 0.5 * radius * w)
+    @pytest.mark.parametrize("n", [75, 800, 1600])
+    def test_rule_matches_a_40_digit_newton_reference(self, n):
+        # the reference is Newton's method on P_n in 40-digit arithmetic,
+        # started at the node under test.  Next to +-1 a node's rounding
+        # alone moves 2 / ((1 - x^2) P_n'^2) by up to 4.7e-11 at n = 1600;
+        # the rule corrects for it to first order (4e-13 measured), where
+        # leggauss is off by 1.4e-9 at n = 800 and 3.7e-8 at n = 1600
+        def legendre(x):
+            p0, p1 = mpmath.mpf(1), x
+            for j in range(1, n):
+                p0, p1 = p1, ((2 * j + 1) * x * p1 - j * p0) / (j + 1)
+            return p1, n * (p0 - x * p1) / (1 - x * x)
+
+        x, w = _reference_rule(n)
+        for i in (0, 1, n // 3, n // 2, n - 1):
+            with mpmath.workdps(40):
+                xr = mpmath.mpf(float(x[i]))
+                for _ in range(4):
+                    p, dp = legendre(xr)
+                    xr -= p / dp
+                wr = 2 / ((1 - xr * xr) * legendre(xr)[1] ** 2)
+            assert abs(x[i] - float(xr)) <= 2.5e-16
+            assert abs(w[i] / float(wr) - 1.0) <= 1e-11
+        assert np.abs(x - leggauss(n)[0]).max() <= 2.5e-16
+        assert abs(w.sum() - 2.0) <= 4 * np.finfo(float).eps
+        g = QuadGrid.gauss_legendre(n, 2.3)
+        assert np.array_equal(g.nodes, 0.5 * 2.3 * (x + 1.0))
+        assert np.array_equal(g.weights, 0.5 * 2.3 * w)
+
+    def test_rule_builds_no_n_by_n_array(self):
+        # leggauss(4000) peaks at 122 MB with its dense Jacobi matrix
+        _reference_rule.cache_clear()
+        tracemalloc.start()
+        try:
+            _reference_rule(4000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
     def test_grids_share_no_writable_array(self):
         ref = _reference_rule(40)
@@ -150,15 +184,20 @@ class TestAssembly:
 
     @pytest.mark.parametrize("E", [0.0, -0.01])
     def test_reused_kernel_matches_fresh_assembly(self, E):
-        # one kernel scaled by three potentials in turn: scaling must leave
-        # the shared kernel as it was
-        grid = QuadGrid.gauss_legendre(80, 1.0)
-        p = PhysParams(m=1.0, E=E)
-        kappa = green_kernel(grid, p)
-        for pot in (bump_potential(), square_well_potential(),
-                    two_well_potential(8.0, 16.0)):
-            assert np.array_equal(BsMatrix.from_kernel(pot, p, grid, kappa).entries,
-                                  s_wave_reduce(pot, p, grid).entries)
+        # the matrix takes over the kernel it scales, so a caller reusing one
+        # kernel for three potentials hands each a copy; each matrix is the
+        # kernel scaled by s s^T, bit for bit, over one tile, one tile
+        # exactly full, a partial second tile and several
+        for n in (2, 127, 128, 129, 400):
+            grid = QuadGrid.gauss_legendre(n, 1.0)
+            p = PhysParams(m=1.0, E=E)
+            kappa = green_kernel(grid, p)
+            for pot in (bump_potential(), square_well_potential(),
+                        two_well_potential(8.0, 16.0)):
+                s = np.sqrt(grid.weights) * np.sqrt(-pot(grid.nodes))
+                entries = BsMatrix.from_kernel(pot, p, grid, kappa.copy()).entries
+                assert np.array_equal(entries, np.multiply.outer(s, s) * kappa)
+                assert np.array_equal(entries, s_wave_reduce(pot, p, grid).entries)
 
     @pytest.mark.parametrize("E", [0.0, -0.01, pytest.param(None, id="B")])
     def test_rows_integrate_one_exactly(self, E):
@@ -247,8 +286,9 @@ class TestAssembly:
             assert peak <= bound * 8 * n * n
 
     def test_matrix_is_exactly_symmetric_with_one_full_array(self):
-        # entries = (s s^T) * kappa: no transpose temporary, and symmetric
-        # bit for bit since s_i s_j == s_j s_i and kappa is mirrored
+        # kappa is scaled into the matrix in place, tile by tile: no second
+        # n x n array, and symmetric bit for bit since s_i s_j == s_j s_i
+        # and kappa is mirrored
         n = 800
         grid = QuadGrid.gauss_legendre(n, 1.0)
         kappa = green_kernel(grid, PhysParams())
@@ -258,8 +298,22 @@ class TestAssembly:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.2 * 8 * n * n
+        assert peak <= 0.1 * 8 * n * n
+        assert entries is kappa
         assert np.array_equal(entries, entries.T)
+
+    def test_assembly_holds_one_full_array(self):
+        # the whole s_wave_reduce: the kernel, which becomes the matrix, plus
+        # the table and tile-sized temporaries
+        n = 800
+        grid = QuadGrid.gauss_legendre(n, 1.0)
+        tracemalloc.start()
+        try:
+            s_wave_reduce(bump_potential(), PhysParams(), grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 8 * n * n
 
     def test_kernel_rejects_a_table_for_another_energy(self):
         # an E = 0 table under an E = -0.09 matrix would give mu0 = 0.486,

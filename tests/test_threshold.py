@@ -423,10 +423,9 @@ def test_threshold_path_runs_no_dense_factorization(monkeypatch, capsys):
             return original(*args, **kwargs)
         return guarded
 
-    # numpy's leggauss takes the Gauss-Legendre nodes from eigvalsh of the
-    # n x n Jacobi matrix, once per n: build the cached rules first
-    for n in (150, 200, 400):
-        _reference_rule(n)
+    # the Gauss-Legendre rule is built under the gate too, not taken from
+    # the cache of an earlier test
+    _reference_rule.cache_clear()
     for name in ("eigvalsh", "eigh", "solve"):
         monkeypatch.setattr(np.linalg, name, refuse)
     for name in ("eigh", "eigvalsh", "solve", "lu_factor", "cho_factor"):
