@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+import scipy.linalg
 from numpy.polynomial.legendre import leggauss
-from scipy.interpolate import CubicSpline, PPoly
-from scipy.optimize import brentq
 
 from . import specfun
 from .specfun import EULER_GAMMA, EvaluationFailure, k0, k0_integral, k0e, k1
@@ -203,6 +203,8 @@ def envelope_holds(r: float, p: PhysParams) -> bool:
 
 def h3_root() -> float:
     """Root of the transcendental equation int_z^inf K0(y) dy = z K0(z)."""
+    from scipy.optimize import brentq
+
     return brentq(lambda z: math.pi / 2.0 - k0_integral(z) - z * k0(z),
                   0.1, 3.0, xtol=1e-12)
 
@@ -245,6 +247,91 @@ def _tail(fvec, xgrid: np.ndarray) -> np.ndarray:
     return -_cumulative(fvec, down)[:79:-1]
 
 
+class _Spline(NamedTuple):
+    """A piecewise polynomial stored as ``scipy.interpolate.PPoly`` stores
+    one: breakpoints x and coefficients c, c[j, k] the coefficient of
+    (s - x_k)^(deg - j) on [x_k, x_(k+1)), the end pieces extended outward."""
+
+    x: np.ndarray
+    c: np.ndarray
+
+    def __call__(self, s):
+        """The value at s, the interval found by binary search."""
+        k = np.clip(np.searchsorted(self.x, s, "right") - 1, 0, len(self.x) - 2)
+        return _power_sum(self.c, k, s - self.x[k])
+
+
+def _power_sum(c: np.ndarray, k, dx):
+    """sum_j c[j, k] dx^(deg - j) in ``PPoly.__call__``'s ascending-power
+    order, c3 + c2 dx + c1 dx^2 + c0 dx^3 for a cubic, so that the value is
+    PPoly's to the last bit.  In place, ((c3 + c2 dx) + c1 dx^2) + ..., one
+    term alive at a time."""
+    val = c[-2][k]
+    val *= dx
+    val += c[-1][k]
+    z = dx * dx
+    for j in range(len(c) - 3, -1, -1):
+        t = c[j][k]
+        t *= z
+        val += t
+        del t  # before the next gather
+        if j:
+            z *= dx
+    return val
+
+
+def _not_a_knot(x: np.ndarray, y: np.ndarray) -> _Spline:
+    """The not-a-knot cubic spline through (x, y), at least 4 nodes, as
+    ``scipy.interpolate.CubicSpline(x, y)`` builds it, to the last bit: the
+    node slopes s solve its tridiagonal system, band, end rows and right-hand
+    side alike, and the piece on [x_k, x_(k+1)) is the cubic Hermite
+    interpolant of y and s.  Raises ValueError, as CubicSpline does, unless
+    x ascends strictly and y is finite."""
+    dx = np.diff(x)
+    if not (np.all(dx > 0.0) and np.isfinite(y).all()):
+        raise ValueError("a spline needs ascending nodes and finite values")
+    slope = np.diff(y) / dx
+    band = np.zeros((3, len(x)))
+    band[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+    band[0, 2:] = dx[:-1]
+    band[-1, :-2] = dx[1:]
+    rhs = np.empty(len(x))
+    rhs[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    # not-a-knot: the third derivative is continuous at x_1 and x_(n-2)
+    d = x[2] - x[0]
+    band[1, 0] = dx[1]
+    band[0, 1] = d
+    rhs[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0]**2 * slope[1]) / d
+    d = x[-1] - x[-3]
+    band[1, -1] = dx[-2]
+    band[-1, -2] = d
+    rhs[-1] = (dx[-1]**2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+    s = scipy.linalg.solve_banded((1, 1), band, rhs, overwrite_ab=True,
+                                  overwrite_b=True, check_finite=False)
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    return _Spline(x, np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1])))
+
+
+def _antiderivative(spline: _Spline) -> _Spline:
+    """int_(x_0)^s of a cubic spline, as ``PPoly.antiderivative`` builds it,
+    to the last bit: the coefficients divided by 4, 3, 2, 1, and each
+    constant term the primitive's value at its left end, the previous piece
+    summed left to right, const + c3 h + c2 h^2 + c1 h^3 + c0 h^4, with the
+    powers of the width h by repeated multiplication."""
+    x, c = spline
+    h = np.diff(x)
+    out = np.empty((5, len(h)))
+    out[:-1] = c / np.array([4.0, 3.0, 2.0, 1.0])[:, None]
+    terms = np.empty((len(h), 4))
+    power = h.copy()
+    for j in range(4):
+        terms[:, j] = out[3 - j] * power
+        power *= h
+    out[-1, 0] = 0.0
+    out[-1, 1:] = np.cumsum(terms.ravel())[3:-1:4]
+    return _Spline(x, out)
+
+
 _RING_NODES = 800  # intervals of the graded grid of a ring table
 
 
@@ -257,9 +344,9 @@ class _RingTable:
     def __post_init__(self) -> None:
         s = _graded_grid(self.s_max * 1.0000001, _RING_NODES)
         with np.errstate(all="ignore"):
-            try:  # CubicSpline refuses non-finite node values and slopes
-                self._cum = CubicSpline(s, self._node_values(s))
-                self._prim = self._cum.antiderivative()
+            try:  # the spline refuses non-finite node values
+                self._cum = _not_a_knot(s, self._node_values(s))
+                self._prim = _antiderivative(self._cum)
             except ValueError:
                 self._prim = None
         # the antiderivative's coefficients c_j / (4 - j) carry the spline's
@@ -268,36 +355,23 @@ class _RingTable:
         # the right end of each interval, the last one open to the right
         self._ends = np.append(s[1:-1], np.inf)
 
-    def _at(self, poly: PPoly, s: np.ndarray) -> np.ndarray:
-        """The spline c or its antiderivative P at s >= 0, as ``PPoly.__call__``.
+    def _at(self, poly: _Spline, s: np.ndarray) -> np.ndarray:
+        """The spline c or its antiderivative P at s >= 0, as ``poly(s)``.
 
         The interval k with x_k <= s < x_(k+1) (the last one from x_max on)
         needs no search on the graded nodes x_k = x_max (k/800)^1.5: k is
         800 (s/x_max)^(2/3), rounded down from a value biased low by 2^-40
         relative, which is then one too low at most, and one step up where s
-        has reached x_(k+1) makes it exact.  The sum runs in PPoly's own
-        ascending-power order, c3 + c2 dx + c1 dx^2 + c0 dx^3 for the cubic."""
-        x, c = poly.x, poly.c
+        has reached x_(k+1) makes it exact."""
+        x = poly.x
         z = s * (1.0 / x[-1])
         z *= z
         z = np.cbrt(z)
         z *= _RING_NODES * (1.0 - 2.0**-40)
         k = np.minimum(z.astype(np.intp), _RING_NODES - 1)
         k += s >= self._ends[k]
-        # in place, ((c3 + c2 dx) + c1 dx^2) + ..., one term alive at a time
-        dx = s - x[k]
-        val = c[-2][k]
-        val *= dx
-        val += c[-1][k]
-        z = dx * dx
-        for j in range(len(c) - 3, -1, -1):
-            t = c[j][k]
-            t *= z
-            val += t
-            del t  # before the next gather
-            if j:
-                z *= dx
-        return val
+        del z
+        return _power_sum(poly.c, k, s - x[k])
 
     def ring(self, hi, lo):
         """2 pi [c(hi) - c(lo)], 0 <= lo <= hi."""

@@ -17,10 +17,8 @@ from __future__ import annotations
 
 import math
 
-import mpmath
 import numpy as np
 from scipy import special as _sc
-from scipy.integrate import quad
 from scipy.special import roots_genlaguerre
 
 EULER_GAMMA = 0.57721566490153286061
@@ -59,6 +57,8 @@ def checked_quad(f, a: float, b: float, abs_tol: float = 1e-12,
     Raises QuadratureError when QUADPACK's error estimate exceeds
     50 max(abs_tol, rel_tol |estimate|) (Piessens et al., QUADPACK, 1983).
     """
+    from scipy.integrate import quad
+
     val, err = quad(f, a, b, epsabs=abs_tol, epsrel=rel_tol, limit=limit)
     bound = 50.0 * max(abs_tol, rel_tol * abs(val))
     if err > bound:
@@ -260,6 +260,8 @@ def hyp3f2_neg(a1: float, a2: float, a3: float, b1: float, b2: float, w: float) 
             raise ValueError("lower parameters must not be nonpositive integers")
     if w < 0.0:
         raise ValueError("w must be nonnegative")
+    import mpmath
+
     try:
         with mpmath.workdps(25):
             return float(mpmath.hyper([a1, a2, a3], [b1, b2], -w * w))

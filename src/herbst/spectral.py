@@ -40,7 +40,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 import scipy.linalg
-from scipy.interpolate import PchipInterpolator
 
 from .kernel import BKernelTable, GreenKernelTable, PhysParams
 from .specfun import EvaluationFailure
@@ -156,6 +155,8 @@ def tabulated_potential(source) -> RadialPotential:
         raise ValueError("tabulated radii must be strictly ascending")
     if np.any(v > 0.0):
         raise ValueError("tabulated potential values must be <= 0")
+    from scipy.interpolate import PchipInterpolator
+
     interp = PchipInterpolator(r, v, extrapolate=False)
     r_max = r[-1]
     def prof(rr):

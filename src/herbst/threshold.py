@@ -19,12 +19,9 @@ from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg
-from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
-from scipy.sparse.linalg import LinearOperator, minres
 
 from .fourierb import b_hat
-from .kernel import PhysParams, _tail
+from .kernel import PhysParams, _Spline, _not_a_knot, _tail
 from .spectral import (BsMatrix, QuadGrid, RadialPotential, SpectralResult,
                        b_form, green_kernel, leading_eigenpair,
                        two_well_potential, unit_scale)
@@ -111,6 +108,8 @@ def _projected_resolvent_solve(entries: np.ndarray, mu: float, v: np.ndarray,
     overflows near the float ceiling; |M|_F is taken by BLAS nrm2, which
     does not square the entries in floating point.
     """
+    from scipy.sparse.linalg import LinearOperator, minres
+
     n = len(rhs)
     _, d = unit_scale(rhs)
     rhs = d * rhs
@@ -304,12 +303,12 @@ def energy_of_lambda(exp: ThresholdExpansion, lam: float) -> float:
     return -alpha * alpha
 
 
-def _tail_k1_over_z(lo: float, hi: float) -> CubicSpline:
+def _tail_k1_over_z(lo: float, hi: float) -> _Spline:
     """T(x) = int_x^inf K1(z)/z dz on [lo, hi], lo > 0, splined on 800 nodes
     whose values are summed from the far end (``kernel._tail``); K1 + C0 -
     pi/2 would cancel to ~3e-12 and leave no digit at x = 40."""
     grid = np.linspace(lo, hi, 800)
-    return CubicSpline(grid, _tail(lambda z: k1(z) / z, grid))
+    return _not_a_knot(grid, _tail(lambda z: k1(z) / z, grid))
 
 
 def _kappa_far(r: np.ndarray, rho: np.ndarray, m: float) -> np.ndarray:
@@ -482,6 +481,8 @@ def tune_zero_overlap(grid: QuadGrid,
         f0 = f1
     if bracket is None:
         raise ValueError("overlap does not change sign over the scanned ratios")
+    from scipy.optimize import brentq
+
     root = brentq(objective, *bracket, xtol=1e-13)
     res = state_at(root)
     # brentq's wrapper of ``objective`` is a reference cycle that keeps this

@@ -2,8 +2,8 @@
 
 import numpy as np
 import pytest
+import scipy.integrate
 
-import herbst.specfun
 import herbst.spectral
 import herbst.threshold
 from herbst import (PhysParams, QuadGrid, bump_potential, leading_eigenpair,
@@ -56,8 +56,9 @@ def with_spectrum(grid200):
 @pytest.fixture
 def unconverged_quad(monkeypatch):
     """Every adaptive integral reports estimate 1.0 with error estimate 1e-3,
-    far above any bound checked_quad accepts."""
-    monkeypatch.setattr(herbst.specfun, "quad", lambda *args, **kwargs: (1.0, 1e-3))
+    far above any bound checked_quad accepts; checked_quad imports quad on
+    each call, so the patch reaches it."""
+    monkeypatch.setattr(scipy.integrate, "quad", lambda *args, **kwargs: (1.0, 1e-3))
 
 
 @pytest.fixture

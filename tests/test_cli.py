@@ -6,14 +6,18 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import herbst
 from herbst.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION,
                         EXIT_VERIFY_FAILED, RunConfig, main)
 from herbst.kernel import PhysParams
@@ -226,6 +230,45 @@ class TestVerifyCommand:
         assert run_cli("verify", "appendix_c",
                        "--out", str(out)) == EXIT_VERIFY_FAILED
         assert json.loads(out.read_text())["passed"] is False
+
+
+# modules no command needs at import, each loaded by the function that uses it
+_ON_FIRST_USE = ("scipy.interpolate", "scipy.optimize", "scipy.integrate",
+                 "scipy.sparse", "scipy.sparse.linalg", "mpmath")
+
+
+def _fresh_python(code):
+    """stdout of ``code`` run by a new interpreter that imports this herbst."""
+    src = str(Path(herbst.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}).stdout
+
+
+class TestImports:
+    @pytest.mark.parametrize("command, loaded", [
+        ("spectrum", []),
+        ("threshold", ["scipy.sparse", "scipy.sparse.linalg"]),  # MINRES
+    ])
+    def test_command_loads_only_what_it_runs(self, command, loaded):
+        out = _fresh_python(
+            "import contextlib, io, sys\n"
+            "from herbst import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main([{command!r}]) == 0\n"
+            f"print([m for m in {_ON_FIRST_USE!r} if m in sys.modules])")
+        assert out.splitlines()[-1] == str(loaded)
+
+    def test_package_import_loads_no_submodule(self):
+        out = _fresh_python("import sys, herbst\n"
+                            "print(sorted(m for m in sys.modules if m.startswith('herbst.')))")
+        assert out.splitlines()[-1] == "[]"
+
+    def test_every_export_resolves(self):
+        assert set(herbst.__all__) <= set(dir(herbst))
+        for name in herbst.__all__:
+            assert getattr(herbst, name) is not None
+        assert herbst.spectral.green_kernel.__module__ == "herbst.spectral"
 
 
 class TestOutFile:

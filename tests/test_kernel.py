@@ -7,15 +7,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
+from scipy.interpolate import CubicSpline, PPoly
 
 import herbst.kernel
-from herbst.kernel import (H3_ROOT_REFERENCE, BKernelTable, GreenKernelTable,
-                           PhysParams, a_profile, b_profile, b_profile_grid,
-                           envelope_bound, envelope_holds, f_profile,
-                           green_function, h3_root, l0_profile,
-                           _cumulative, series_remainder)
+from herbst.kernel import (_RING_NODES, H3_ROOT_REFERENCE, BKernelTable,
+                           GreenKernelTable, PhysParams, a_profile, b_profile,
+                           b_profile_grid, envelope_bound, envelope_holds,
+                           f_profile, green_function, h3_root, l0_profile,
+                           _cumulative, _graded_grid, series_remainder)
 from herbst.quad import RadialFunction, radial_fourier3
-from herbst.specfun import EULER_GAMMA, k0, k0_weighted_integral, k1
+from herbst.specfun import (EULER_GAMMA, EvaluationFailure, k0,
+                            k0_weighted_integral, k1)
 
 
 def _node_values_with_cosh(p, s):
@@ -168,6 +170,12 @@ class TestEnvelope:
             envelope_bound(1.0, PhysParams(m=1.0, E=0.0))
 
 
+def _ppoly(spline):
+    """A table's (x, c) spline as scipy's PPoly, the evaluation its lookup
+    is held to."""
+    return PPoly(spline.c, spline.x)
+
+
 class TestRingTables:
     # mu = 0.0035 is where the table's division by mu / m cancels most
     @pytest.mark.parametrize("mu", [0.0, 0.0035, 0.3])
@@ -199,7 +207,7 @@ class TestRingTables:
         table = GreenKernelTable(p, s_max=40.0 / m)
         s = np.geomspace(0.01, 40.0, 40) / m
         log_slope = 1.0 / (2.0 * math.pi**2 * s)
-        slope = table._cum(s, 1) + log_slope
+        slope = _ppoly(table._cum)(s, 1) + log_slope
         exact = np.array([t * green_function(t, p) for t in s])
         assert np.all(np.abs(slope - exact) <= 1e-7 * (np.abs(exact) + log_slope))
 
@@ -262,13 +270,39 @@ class TestRingTables:
                             nodes, np.nextafter(nodes, 0.0), np.nextafter(nodes, np.inf),
                             [table.s_max, 1.2 * table.s_max]])
         for poly in (table._cum, table._prim):
-            assert np.array_equal(table._at(poly, s), poly(s))
-            assert table._at(poly, 0.7) == poly(0.7)
+            assert np.array_equal(table._at(poly, s), _ppoly(poly)(s))
+            assert table._at(poly, 0.7) == _ppoly(poly)(0.7)
         hi, lo = s[:1000] + s[1000:2000], np.abs(s[:1000] - s[1000:2000])
-        ring = 2.0 * math.pi * (table._cum(hi) - table._cum(lo))
+        ring = 2.0 * math.pi * (_ppoly(table._cum)(hi) - _ppoly(table._cum)(lo))
         if isinstance(table, GreenKernelTable):
             ring += np.log(hi / lo) / math.pi
         assert np.array_equal(table.ring(hi, lo), ring)
+
+    @pytest.mark.parametrize("s_max", [2.002, 6.006, 40.0])
+    @pytest.mark.parametrize("kind, value", [("green", 0.0), ("green", -0.01),
+                                             ("green", -0.3), ("B", 0.3),
+                                             ("B", 1.0), ("B", 2.5)])
+    def test_spline_is_scipys_bit_for_bit(self, kind, value, s_max):
+        # the not-a-knot spline and its antiderivative, built with one banded
+        # solve and one running sum, have CubicSpline's coefficients exactly
+        # (value is E for the Green table at m = 1, the mass for the B table)
+        table = (GreenKernelTable(PhysParams(m=1.0, E=value), s_max) if kind == "green"
+                 else BKernelTable(m=value, s_max=s_max))
+        s = _graded_grid(s_max * 1.0000001, _RING_NODES)
+        spline = CubicSpline(s, table._node_values(s))
+        assert np.array_equal(table._cum.x, spline.x)
+        assert np.array_equal(table._cum.c, spline.c)
+        assert np.array_equal(table._prim.c, spline.antiderivative().c)
+
+    @pytest.mark.parametrize("make", [
+        lambda: GreenKernelTable(PhysParams(m=1.0, E=0.0), s_max=1e150),
+        lambda: GreenKernelTable(PhysParams(m=1.0, E=-0.3), s_max=1e-150),
+        lambda: BKernelTable(m=1e200, s_max=2.0),
+    ], ids=["green_far", "green_near", "B_heavy"])
+    def test_spline_out_of_float_range_raises_naming_the_table(self, make):
+        with pytest.raises(EvaluationFailure,
+                           match=r"KernelTable\(.*\): its spline leaves the float range"):
+            make()
 
     def test_negative_energy_table_builds_far_out(self):
         # cosh(nu z) K0(z) and cosh(nu x) T(x) overflowed to inf * 0 once

@@ -6,19 +6,23 @@ import tracemalloc
 import warnings
 import weakref
 from dataclasses import replace
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.linalg
+import scipy.optimize
+import scipy.sparse.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.interpolate import CubicSpline
 
-import herbst.specfun
 from herbst import cli, threshold
-from herbst.kernel import PhysParams
-from herbst.specfun import QuadratureError, k0_weighted_integral
+from herbst.kernel import PhysParams, _tail
+from herbst.specfun import QuadratureError, k0_weighted_integral, k1
 from herbst.spectral import (QuadGrid, _reference_rule,
                              bump_potential,
                              leading_eigenpair, s_wave_reduce,
@@ -172,7 +176,11 @@ class TestCoefficients:
         assume(not threshold._a_vanishes(coefficient_a(res), res.mu0))
         gap = min(abs(top[j] - top[index]) for j in (index - 1, index + 1) if j >= 0)
         terms = _eigh_second_order_terms(res, mat.entries)
-        second = _b_direct(res) - _b_direct(replace(res, index=-1))
+        # with the quadratic form 2m (f, B f) set to 0, b is the second-order
+        # sum alone: subtracting the two b values instead rounds at eps |b|,
+        # up to 9e-12 of the sum (gaps 0.1, seed 1350, 37 zero rows)
+        with mock.patch.object(threshold, "b_form", lambda *args: 0.0):
+            second = _b_direct(res) - _b_direct(replace(res, index=-1))
         tol = 1e-12 + 32.0 * np.finfo(float).eps / gap
         assert abs(second - terms.sum()) <= tol * np.abs(terms).sum()
 
@@ -192,8 +200,8 @@ class TestCoefficients:
                                                                   monkeypatch):
         # MINRES cut to two steps does not converge: the solve raises and
         # carries the residual it reached
-        solve = threshold.minres
-        monkeypatch.setattr(threshold, "minres", lambda op, rhs, **kwargs:
+        solve = scipy.sparse.linalg.minres
+        monkeypatch.setattr(scipy.sparse.linalg, "minres", lambda op, rhs, **kwargs:
                             solve(op, rhs, **{**kwargs, "maxiter": 2}))
         with pytest.raises(threshold.ResolventSolveError) as exc:
             _b_direct(state200)
@@ -389,6 +397,20 @@ class TestDecay:
         assert_allclose(threshold._tail_k1_over_z(4.0, 51.0)(x),
                         k0_weighted_integral("tail_k1_over_z", x), rtol=1e-12)
 
+    @pytest.mark.parametrize("radius", [1.0, 3.0])
+    def test_far_field_tail_is_scipys_spline_bit_for_bit(self, radius):
+        # at the pairs u_reconstruct forms for the zero-energy decay check,
+        # T(x) is CubicSpline's value on the same nodes, to the last bit
+        r = np.geomspace(5.0 * radius, 50.0 * radius, 25)[:, None]
+        rho = QuadGrid.gauss_legendre(200, radius).nodes[None, :]
+        hi, lo = r + rho, r - rho
+        lo_end, hi_end = float(np.min(lo)) * 0.999, float(np.max(hi)) * 1.001
+        grid = np.linspace(lo_end, hi_end, 800)
+        spline = CubicSpline(grid, _tail(lambda z: k1(z) / z, grid))
+        t = threshold._tail_k1_over_z(lo_end, hi_end)
+        for x in (hi, lo, grid, 0.5 * (grid[1:] + grid[:-1])):
+            assert np.array_equal(t(x), spline(x))
+
 
 def test_threshold_path_runs_no_adaptive_quadrature(state200, zero_overlap_state,
                                                     monkeypatch, capsys):
@@ -397,7 +419,7 @@ def test_threshold_path_runs_no_adaptive_quadrature(state200, zero_overlap_state
     def refuse(*args, **kwargs):
         raise AssertionError("adaptive quadrature on the E = 0 path")
 
-    monkeypatch.setattr(herbst.specfun, "quad", refuse)
+    monkeypatch.setattr(scipy.integrate, "quad", refuse)
     for command in ("spectrum", "threshold"):
         assert cli.main([command]) == 0
     capsys.readouterr()
@@ -493,7 +515,7 @@ class TestTunedTwoWell:
             return leading_eigenpair(*args, **kwargs)
 
         root_search = []
-        brentq = threshold.brentq
+        brentq = scipy.optimize.brentq
 
         def bracketing(*args, **kwargs):
             root_search.append(len(solves))
@@ -502,7 +524,7 @@ class TestTunedTwoWell:
             return root
 
         monkeypatch.setattr(threshold, "leading_eigenpair", counting)
-        monkeypatch.setattr(threshold, "brentq", bracketing)
+        monkeypatch.setattr(scipy.optimize, "brentq", bracketing)
         grid = QuadGrid.gauss_legendre(150, 1.0)
         pot, res = tune_zero_overlap(grid)
         # every solve of the scan and of the root search shares one kernel
