@@ -145,8 +145,9 @@ def _green_rows(cfg: RunConfig, r_max: float) -> list[tuple]:
     if p.mu == 0.0:
         raise EvaluationFailure(f"alpha-max {cfg.alpha_max} at mass {cfg.mass}: mu^2 = "
                                 "2 m alpha^2 - alpha^4 underflows to 0 (envelope bound)")
-    return [(float(r), green_function(float(r), p), envelope_bound(float(r), p))
-            for r in np.geomspace(0.02 * cfg.radius, r_max * cfg.radius, 100)]
+    radii = np.geomspace(0.02 * cfg.radius, r_max * cfg.radius, 100)
+    return [(float(r), float(g), envelope_bound(float(r), p))
+            for r, g in zip(radii, green_function(radii, p))]
 
 
 def cmd_kernel(cfg: RunConfig) -> int:

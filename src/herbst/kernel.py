@@ -24,9 +24,10 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 from numpy.polynomial.legendre import leggauss
+from scipy.special import roots_laguerre
 
 from . import specfun
-from .specfun import EULER_GAMMA, EvaluationFailure, k0, k0_integral, k0e, k1
+from .specfun import EULER_GAMMA, EvaluationFailure, k0, k0_integral, k0e, k1, k1e
 
 H3_ROOT_REFERENCE = 0.7451315  # root of int_z^inf K0 = z K0(z)
 
@@ -62,7 +63,13 @@ class PhysParams:
 
     @property
     def mu(self) -> float:
-        return math.sqrt(-2.0 * self.m * self.E - self.E * self.E)
+        mu_sq = -2.0 * self.m * self.E - self.E * self.E
+        if mu_sq < math.inf:
+            return math.sqrt(mu_sq)
+        # m^2 nu^2 overflows (m E near the float ceiling): scale-free, as in
+        # the check above
+        e = self.E / self.m
+        return self.m * math.sqrt(-e * (2.0 + e))
 
     @property
     def nu(self) -> float:
@@ -81,32 +88,61 @@ class PhysParams:
         return cls(m=m, E=-(m - math.sqrt(m * m - mu * mu)))
 
 
-def f_profile(r: float, p: PhysParams) -> float:
-    """The convolution profile F(m r; mu); diverges like 1/(m r) at the origin."""
-    if r <= 0.0:
-        raise ValueError("f_profile requires r > 0")
+def _radii(r, name: str) -> np.ndarray:
+    r = np.asarray(r, dtype=float)
+    if np.any(r <= 0.0):
+        raise ValueError(f"{name} requires r > 0")
+    return r
+
+
+def f_profile(r, p: PhysParams):
+    """The convolution profile F(m r; mu) at a scalar or an array of r > 0;
+    diverges like 1/(m r) at the origin."""
+    r = _radii(r, "f_profile")
     x = p.m * r
-    nu = p.nu
-    val = k1(x)
-    if nu == 0.0:
+    if p.nu == 0.0:
         # sinh(0) kills the tail term
-        return val + k0_integral(x)
-    inc = specfun.k0_weighted_integral("incomplete_cosh", x, mu_over_m=nu)
-    tail = specfun.k0_weighted_integral("tail_exp", x, mu_over_m=nu)
-    return val + (1.0 - nu * nu) * (math.exp(-p.mu * r) * inc - math.sinh(p.mu * r) * tail)
+        return k1(x) + k0_integral(x)
+    val = np.exp(-p.nu * x) * _f_scaled(x, p.nu)
+    return val if np.ndim(r) else float(val)
 
 
-def green_function(r: float, p: PhysParams) -> float:
-    """G_E(r), the radial kernel of (sqrt(-Laplacian + m^2) - E)^(-1)."""
-    if r <= 0.0:
-        raise ValueError("green_function requires r > 0")
+def _f_scaled(x, nu: float):
+    """e^(nu x) F(x; nu) for 0 < nu < 1.  With T(x) = e^(-(1+nu) x) tau(x),
+
+        e^(nu x) F = e^(-(1-nu) x) [k1e(x) - (1 - nu^2) tau(x) (1 - e^(-2 nu x))/2]
+                     + (1 - nu^2) C(x),
+
+    whose terms are no larger than the whole: it neither over- nor
+    underflows, and F = e^(-nu x) times it underflows only where F does."""
+    flat = np.ravel(x)
+    c, tau = _k0_moments_at(nu, flat)
+    val = np.exp(-(1.0 - nu) * flat)
+    val *= k1e(flat) + 0.5 * (1.0 - nu * nu) * np.expm1(-2.0 * nu * flat) * tau
+    val += (1.0 - nu * nu) * c
+    return val.reshape(np.shape(x))
+
+
+def green_function(r, p: PhysParams):
+    """G_E(r), the radial kernel of (sqrt(-Laplacian + m^2) - E)^(-1), at a
+    scalar or an array of r > 0: 0.0 where it underflows, EvaluationFailure
+    where it leaves the float range."""
+    r = _radii(r, "green_function")
     nu = p.nu
-    try:
-        bracket = math.sqrt(1.0 - nu * nu) * math.exp(-p.mu * r) \
-            + (2.0 / math.pi) * f_profile(r, p)
-    except OverflowError as exc:
-        raise EvaluationFailure(f"Green's function at r = {r}, mass {p.m}: {exc}") from None
-    return p.m / (4.0 * math.pi * r) * bracket
+    with np.errstate(over="ignore", invalid="ignore"):
+        if nu == 0.0:
+            bracket = 1.0 + (2.0 / math.pi) * f_profile(r, p)
+        else:
+            # e^(-mu r) [sqrt(1 - nu^2) + (2/pi) e^(nu m r) F]
+            bracket = np.exp(-p.mu * r) * (math.sqrt(1.0 - nu * nu)
+                                           + (2.0 / math.pi) * _f_scaled(p.m * r, nu))
+        # an underflowed bracket is G = 0 whatever the prefactor
+        g = np.where(bracket == 0.0, 0.0, p.m / (4.0 * math.pi * r) * bracket)
+    bad = ~np.isfinite(g)
+    if bad.any():
+        raise EvaluationFailure(f"Green's function at r = {np.ravel(r)[bad.ravel()][0]}, "
+                                f"mass {p.m}: leaves the float range")
+    return g if np.ndim(r) else float(g)
 
 
 def l0_profile(r: float, m: float = 1.0) -> float:
@@ -218,22 +254,36 @@ def _graded_grid(x_max: float, n: int) -> np.ndarray:
     return x_max * (np.linspace(0.0, 1.0, n + 1)) ** 1.5
 
 
+def _gauss_panels(lo: np.ndarray, hi: np.ndarray, mapped=False) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights, each (len(lo), 16), of the 16-point Gauss-Legendre
+    rule on the panels (lo, hi); where ``mapped``, through z = lo + (hi - lo)
+    u^4, which tames a logarithm at lo."""
+    half = 0.5 * (hi - lo)[:, None]
+    z = 0.5 * (lo + hi)[:, None] + half * _GLX16
+    w = half * _GLW16
+    mapped = np.broadcast_to(mapped, lo.shape)
+    if mapped.any():
+        u = 0.5 * (_GLX16 + 1.0)
+        h = (hi - lo)[mapped, None]
+        z[mapped] = lo[mapped, None] + h * u**4
+        w[mapped] = 4.0 * h * 0.5 * _GLW16 * u**3
+    return z, w
+
+
+def _panel(fvec, lo: np.ndarray, hi: np.ndarray, mapped=False) -> np.ndarray:
+    """int_lo^hi of a vectorized integrand on each panel (see _gauss_panels)."""
+    z, w = _gauss_panels(lo, hi, mapped)
+    return (w * fvec(z.ravel()).reshape(z.shape)).sum(axis=1)
+
+
 def _cumulative(fvec, xgrid: np.ndarray) -> np.ndarray:
     """Cumulative int_x0^x, x0 = xgrid[0], of a vectorized integrand on the
     ascending xgrid, 16 Gauss-Legendre nodes per interval; a possible log
     singularity at x0 is tamed on the first interval by z = x0 + (x1 - x0) u^4."""
+    pieces = _panel(fvec, xgrid[:-1], xgrid[1:], np.arange(len(xgrid) - 1) == 0)
     vals = np.zeros(len(xgrid))
-    x0, x1 = xgrid[0], xgrid[1]
-    u = 0.5 * (_GLX16 + 1.0)
-    z = x0 + (x1 - x0) * u**4
-    vals[1] = (4.0 * (x1 - x0) * 0.5 * _GLW16 * u**3 * fvec(z)).sum()
-    a = xgrid[1:-1]
-    b = xgrid[2:]
-    mid = 0.5 * (a + b)[:, None]
-    half = 0.5 * (b - a)[:, None]
-    z = mid + half * _GLX16[None, :]
-    pieces = (half * _GLW16[None, :] * fvec(z.ravel()).reshape(z.shape)).sum(axis=1)
-    vals[2:] = vals[1] + np.cumsum(pieces)
+    vals[1] = pieces[0]
+    vals[2:] = vals[1] + np.cumsum(pieces[1:])
     return vals
 
 
@@ -245,6 +295,67 @@ def _tail(fvec, xgrid: np.ndarray) -> np.ndarray:
     would cancel them once the tail is small."""
     down = np.concatenate([np.linspace(xgrid[-1] + 40.0, xgrid[-1], 81), xgrid[-2::-1]])
     return -_cumulative(fvec, down)[:79:-1]
+
+
+def _k0_integrands(nu: float):
+    """cosh(nu z) K0(z) and e^(-nu z) K0(z), the first written as
+    (e^((nu-1) z) + e^(-(nu+1) z)) k0e(z) / 2: no cosh(nu z) to overflow
+    where K0 has underflowed."""
+    return (lambda z: 0.5 * (np.exp((nu - 1.0) * z) + np.exp(-(nu + 1.0) * z)) * k0e(z),
+            lambda z: np.exp(-nu * z) * k0(z))
+
+
+_LAGUERRE_FROM = 4.0  # T(x) from the grid below, from Gauss-Laguerre above
+_GLAG_X, _GLAG_W = roots_laguerre(24)
+
+
+def _moment_grid(nu: float) -> np.ndarray:
+    """The fixed nodes of ``_k0_moments_at``: 0, ratios of 4 from 4^-12 to 1
+    (the logarithm of K0), 2 and 4, then doubling, each panel at most
+    8/(1 - nu) wide, up to where C(x) is within e^-45 (1 - nu) of its limit."""
+    eps = 1.0 - nu
+    end = (45.0 - math.log(eps)) / eps
+    nodes = [0.0, *4.0 ** np.arange(-12.0, 1.0), 2.0, 4.0]
+    while nodes[-1] < end:
+        nodes.append(nodes[-1] + min(nodes[-1], 8.0 / eps))
+    return np.array(nodes)
+
+
+def _k0_moments_at(nu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """C(x) = int_0^x cosh(nu z) K0 and tau(x) = e^((1+nu) x) T(x),
+    T(x) = int_x^inf e^(-nu z) K0, at each x > 0 of a 1-d array, 0 < nu < 1.
+
+    Both come from the fixed nodes g of ``_moment_grid(nu)`` and one
+    16-point panel per x: C(x) = C(g_k) + int_(g_k)^x, g_k <= x < g_(k+1),
+    from one ``_cumulative`` pass, and T(x) = T(g_(k+1)) + int_x^(g_(k+1))
+    (T(0) - int_0^x below g_1), T on the nodes summed down from T(4).  From
+    x = 4 on, tau(x) = int_0^inf e^(-(1+nu) t) k0e(x + t) dt is the 24-point
+    Gauss-Laguerre rule, which keeps its digits where T underflows.  Each
+    value depends on its own x alone: an array gives its entries' values
+    one at a time, to the last bit."""
+    cosh_k0, exp_k0 = _k0_integrands(nu)
+    g = _moment_grid(nu)
+    k = np.searchsorted(g, x, "right") - 1
+    first = k == 0
+    c = _cumulative(cosh_k0, g)[k] + _panel(cosh_k0, g[k], x, first)
+
+    near = x < _LAGUERRE_FROM
+    far = np.append(_LAGUERRE_FROM, x[~near])
+    tau_far = (_GLAG_W * k0e(far[:, None] + _GLAG_X / (1.0 + nu))).sum(axis=1) / (1.0 + nu)
+    # T(g_j) for g_j <= 4, from T(4) down, panel by panel
+    top = np.searchsorted(g, _LAGUERRE_FROM)
+    down = _panel(exp_k0, g[1:top], g[2:top + 1])
+    t_nodes = np.empty(top + 1)
+    t_nodes[0] = math.acos(nu) / math.sqrt(1.0 - nu * nu)
+    t_nodes[top] = math.exp(-(1.0 + nu) * _LAGUERRE_FROM) * tau_far[0]
+    t_nodes[1:top] = t_nodes[top] + np.cumsum(down[::-1])[::-1]
+
+    xn, kn, fn = x[near], k[near] + 1, first[near]
+    part = _panel(exp_k0, np.where(fn, 0.0, xn), np.where(fn, xn, g[kn]), fn)
+    tau = np.empty_like(x)
+    tau[near] = np.exp((1.0 + nu) * xn) * np.where(fn, t_nodes[0] - part, t_nodes[kn] + part)
+    tau[~near] = tau_far[1:]
+    return c, tau
 
 
 class _Spline(NamedTuple):
@@ -410,14 +521,12 @@ class GreenKernelTable(_RingTable):
             w[1:] = x[1:] * k0_integral(x[1:]) - 1.0 + x[1:] * k1(x[1:])
             t1 = (m / (4.0 * math.pi)) * (x / m)
         else:
-            # cosh(nu z) K0(z) = (e^((nu-1) z) + e^(-(nu+1) z)) k0e(z) / 2: no
-            # cosh(nu z) to overflow where K0 has underflowed
-            cosh_c = _cumulative(lambda z: 0.5 * (np.exp((nu - 1.0) * z)
-                                                  + np.exp(-(nu + 1.0) * z)) * k0e(z), x)
+            cosh_k0, exp_k0 = _k0_integrands(nu)
+            cosh_c = _cumulative(cosh_k0, x)
             # T(x) = int_x^inf e^(-nu z) K0 from the far end, so that
             # cosh(nu x) T(x) keeps its digits; T(x[0] = 0) = arccos(nu) / sqrt(1 - nu^2)
             tail_full = math.acos(nu) / math.sqrt(1.0 - nu * nu)
-            tail = np.append(tail_full, _tail(lambda z: np.exp(-nu * z) * k0(z), x[1:]))
+            tail = np.append(tail_full, _tail(exp_k0, x[1:]))
             # Fubini-swapped primitive of e^(-nu x) C(x) - sinh(nu x) T(x),
             # C(x) = int_0^x cosh(nu z) K0
             # cosh(nu x) T(x) <= int_x^inf K0, of order e^-x: where T(x) has

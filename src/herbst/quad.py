@@ -38,19 +38,21 @@ def integrate_adaptive(f, a: float, b: float) -> float:
     return checked_quad(lambda r: float(f(r)), a, b)
 
 
-def _half_period_terms(f, k: float, n_terms: int) -> np.ndarray:
-    """Integrals of r f(r) sin(2 pi k r) over consecutive half periods."""
+def _half_period_terms(f, k: float, start: int, stop: int) -> np.ndarray:
+    """Integrals of r f(r) sin(2 pi k r) over the half periods start..stop-1,
+    those past the first in one call of f on all their Gauss-Legendre nodes."""
     h = 1.0 / (2.0 * k)
-    terms = np.empty(n_terms)
-    # First interval adaptively: f may carry an integrable singularity at 0.
-    terms[0] = checked_quad(
-        lambda r: float(f(r)) * r * np.sin(2.0 * np.pi * k * r),
-        0.0, h, abs_tol=1e-14, rel_tol=1e-12)
-    for j in range(1, n_terms):
-        a = j * h
-        r = a + 0.5 * h * (_GLX + 1.0)
-        integrand = r * np.asarray(f(r), dtype=float) * np.sin(2.0 * np.pi * k * r)
-        terms[j] = 0.5 * h * (_GLW * integrand).sum()
+    terms = np.empty(stop - start)
+    if start == 0:
+        # First interval adaptively: f may carry an integrable singularity at 0.
+        terms[0] = checked_quad(
+            lambda r: float(f(r)) * r * np.sin(2.0 * np.pi * k * r),
+            0.0, h, abs_tol=1e-14, rel_tol=1e-12)
+    j = np.arange(max(start, 1), stop)
+    r = (j * h)[:, None] + 0.5 * h * (_GLX + 1.0)
+    values = np.asarray(f(r.ravel()), dtype=float).reshape(r.shape)
+    integrand = r * values * np.sin(2.0 * np.pi * k * r)
+    terms[j - start] = 0.5 * h * (_GLW * integrand).sum(axis=1)
     return terms
 
 
@@ -77,8 +79,10 @@ def radial_fourier3(f, k: float) -> float:
     """3-D Fourier transform of a radial function at wavenumber k > 0."""
     if k <= 0.0:
         raise ValueError("radial_fourier3 requires k > 0")
+    terms = np.empty(0)
     for n in (48, 96):
-        terms = _half_period_terms(f, k, n)
+        # a retry at 96 keeps the first 48 terms
+        terms = np.append(terms, _half_period_terms(f, k, terms.size, n))
         best, spread = _euler_abel_sum(terms)
         if spread <= 10.0 * max(1e-12, 1e-10 * abs(best)):
             return (2.0 / k) * best

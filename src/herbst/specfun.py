@@ -2,15 +2,16 @@
 
 Everything here is evaluated in m = 1 internal units; callers rescale their
 arguments.  The library evaluates K0/K1 through ``k0``/``k1`` and the K0
-integral through ``k0_integral``, and the scaled e^x K0(x) through ``k0e``,
-thin checked wrappers over the compiled
+integral through ``k0_integral``, and the scaled e^x K0(x) and e^x K1(x)
+through ``k0e`` and ``k1e``, thin checked wrappers over the compiled
 ``scipy.special`` ufuncs.  ``bessel_k`` computes K0/K1 from scratch
 (ascending series below the switch point, a generalized Gauss-Laguerre
 representation above it); it is the oracle the wrappers are tested against,
 and is itself validated against independent integral-representation oracles
 in the test suite.  Every adaptive integral of the package runs through
 ``checked_quad``, which raises ``QuadratureError`` instead of returning an
-unconverged value.
+unconverged value; only the oracles call it (``k0_weighted_integral``,
+``kernel.b_profile`` and ``quad``).
 """
 
 from __future__ import annotations
@@ -164,6 +165,11 @@ def k1(x):
 def k0e(x):
     """e^x K0(x) via scipy.special.k0e (see k0): finite where K0 underflows."""
     return _compiled_k(_sc.k0e, x)
+
+
+def k1e(x):
+    """e^x K1(x) via scipy.special.k1e (see k0e)."""
+    return _compiled_k(_sc.k1e, x)
 
 
 def k0_integral(x):

@@ -21,11 +21,11 @@ import numpy as np
 import scipy.linalg
 
 from .fourierb import b_hat
-from .kernel import PhysParams, _Spline, _not_a_knot, _tail
+from .kernel import PhysParams, _gauss_panels, _not_a_knot, _Spline, _tail
 from .spectral import (BsMatrix, QuadGrid, RadialPotential, SpectralResult,
                        b_form, green_kernel, leading_eigenpair,
                        two_well_potential, unit_scale)
-from .specfun import EvaluationFailure, checked_quad, k0, k0_integral, k1
+from .specfun import EvaluationFailure, QuadratureError, k0, k0_integral, k1
 
 A_ZERO_TOL_REL = 1e-8
 
@@ -174,8 +174,29 @@ def _b_direct(res: SpectralResult) -> float:
     return b + float(2.0 * m * (c * o) ** 2 * (qu @ x))
 
 
+_K_BREAKS = (0.0, 1.0, 5.0, 60.0)  # the k-intervals of the momentum route
+_K_CHUNK = 128  # wavenumbers per f_hat evaluation: temporaries of 128 x n doubles
+
+
+def _panel_rule(breaks: Sequence[float], width: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the 16-point Gauss-Legendre rule on equal panels
+    no wider than ``width`` between consecutive breaks."""
+    edges = [np.linspace(lo, hi, math.ceil((hi - lo) / width) + 1)
+             for lo, hi in zip(breaks[:-1], breaks[1:])]
+    k, w = _gauss_panels(np.concatenate([e[:-1] for e in edges]),
+                         np.concatenate([e[1:] for e in edges]))
+    return k.ravel(), w.ravel()
+
+
 def _b_momentum(res: SpectralResult) -> float:
-    """b = 2m int B_hat(k) |f_hat(k)|^2 d^3k, defined only when a = 0."""
+    """b = 2m int B_hat(k) |f_hat(k)|^2 d^3k, defined only when a = 0.
+
+    f_hat(k) = (2/k) sum_i w_i r_i f_i sin(2 pi k r_i) oscillates with period
+    1/R in k, so the rule is ``_panel_rule`` with panels no wider than 1/(2R)
+    on (0, 1), (1, 5) and (5, 60).  The same rule on panels twice as wide
+    checks it: QuadratureError, carrying the estimate and the difference,
+    when the two differ by more than 50 max(1e-13, 1e-10 |b|).
+    """
     a = coefficient_a(res)
     if not _a_vanishes(a, res.mu0):
         raise DivergentMomentumIntegralError(
@@ -185,18 +206,29 @@ def _b_momentum(res: SpectralResult) -> float:
     r = res.grid.nodes
     wgt = res.grid.weights * r * _weighted_f(res)
     m = res.params.m
+    phase = 2.0 * math.pi * r
 
-    def integrand(k):
-        fhat = (2.0 / k) * np.sum(wgt * np.sin(2.0 * math.pi * k * r))
-        return k * k * b_hat(k / m) / m**4 * fhat * fhat
+    def integral(width: float) -> float:
+        k, w = _panel_rule(_K_BREAKS, width)
+        total = 0.0
+        for i in range(0, k.size, _K_CHUNK):
+            kc = k[i:i + _K_CHUNK]
+            fhat = np.sin(np.multiply.outer(kc, phase)) @ wgt
+            fhat *= 2.0 / kc
+            total += float(w[i:i + _K_CHUNK] @ (kc * kc * b_hat(kc / m) / m**4 * fhat * fhat))
+        # the quadratic-kernel profile enters the eigenvalue series with a
+        # 1/(4 pi) relative to its raw transform, cancelling the angular 4 pi
+        return 2.0 * m * total
 
-    total = 0.0
-    for lo, hi in ((0.0, 1.0), (1.0, 5.0), (5.0, 60.0)):
-        total += checked_quad(integrand, lo, hi, abs_tol=1e-13, rel_tol=1e-10,
-                              limit=400)
-    # the quadratic-kernel profile enters the eigenvalue series with a
-    # 1/(4 pi) relative to its raw transform, cancelling the angular 4 pi
-    return 2.0 * m * total
+    radius = res.grid.radius
+    b, wide = integral(0.5 / radius), integral(1.0 / radius)
+    bound = 50.0 * max(1e-13, 1e-10 * abs(b))
+    if abs(b - wide) > bound:
+        raise QuadratureError(
+            f"momentum route to b did not converge: {b} on panels of width 1/(2R), "
+            f"{wide} on panels of width 1/R, difference above {bound}",
+            estimate=b, error_bound=abs(b - wide))
+    return b
 
 
 class BRoutes(NamedTuple):

@@ -36,10 +36,6 @@ _OUT_OF_RANGE = {
                                  "GreenKernelTable("))
        for command in ("spectrum", "threshold")
        for radius in ("1e-150", "1e100", "1e150", "1e200")},
-    "kernel-m1e100": (("kernel", "--mass", "1e100"),
-                      ("Green's function at r = ", "mass 1e+100")),
-    "bound-m1e200": (("bound", "--mass", "1e200"),
-                     ("Green's function at r = ", "mass 1e+200")),
     **{f"{command}-alpha1e-170": ((command, "--alpha-max", "1e-170"),
                                   ("alpha-max 1e-170", "underflows"))
        for command in ("kernel", "bound")},
@@ -249,6 +245,8 @@ class TestImports:
     @pytest.mark.parametrize("command, loaded", [
         ("spectrum", []),
         ("threshold", ["scipy.sparse", "scipy.sparse.linalg"]),  # MINRES
+        ("kernel", []),
+        ("bound", []),
     ])
     def test_command_loads_only_what_it_runs(self, command, loaded):
         out = _fresh_python(
@@ -258,6 +256,15 @@ class TestImports:
             f"    assert cli.main([{command!r}]) == 0\n"
             f"print([m for m in {_ON_FIRST_USE!r} if m in sys.modules])")
         assert out.splitlines()[-1] == str(loaded)
+
+    def test_momentum_route_loads_no_quadpack(self):
+        out = _fresh_python(
+            "import sys\n"
+            "from herbst.spectral import QuadGrid\n"
+            "from herbst.threshold import coefficient_b, tune_zero_overlap\n"
+            "_, tuned = tune_zero_overlap(QuadGrid.gauss_legendre(60, 1.0))\n"
+            "print(coefficient_b(tuned, 'momentum') < 0.0, 'scipy.integrate' in sys.modules)")
+        assert out.splitlines()[-1] == "True False"
 
     def test_package_import_loads_no_submodule(self):
         out = _fresh_python("import sys, herbst\n"
@@ -411,8 +418,7 @@ class TestConfigPlumbing:
         # each run ends in one line naming the stage and the flag's value,
         # with no warning before it: radii where the kernel table leaves the
         # float range (the grid's second-moment check is scale-free, so R^3
-        # no longer overflows first), masses where the Green's function
-        # overflows in QUADPACK's cosh(nu z), and an alpha-max whose
+        # no longer overflows first), and an alpha-max whose
         # mu^2 = 2 m alpha^2 - alpha^4 underflows to 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -420,6 +426,20 @@ class TestConfigPlumbing:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: ") and err.count("\n") == 1
         assert all(name in err for name in names), err
+
+    @pytest.mark.parametrize("argv", [("kernel", "--mass", "1e100"),
+                                      ("bound", "--mass", "1e200")],
+                             ids=["kernel-m1e100", "bound-m1e200"])
+    def test_green_rows_near_the_float_ceiling_are_finite(self, argv, capsys):
+        # G_E = (m / 4 pi r) e^(-mu r) [...] underflows to 0.0 at x = m r of
+        # 1e98 and more, where cosh(nu z) and sinh(mu r) once overflowed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(*argv) == EXIT_OK
+        rows = np.array([[float(tok) for tok in line.split(",")[:3]]
+                         for line in capsys.readouterr().out.splitlines()[1:]])
+        assert rows.shape == (100, 3) and np.isfinite(rows).all()
+        assert np.all(np.abs(rows[:, 1]) <= rows[:, 2])
 
     @pytest.mark.parametrize("flag, value", [("--mass", "1e200"), ("--depth", "1e300"),
                                              ("--mass", "1e-200")])
@@ -516,3 +536,39 @@ def test_config_fuzz_ends_in_an_exit_code(fuzz_dir, config):
         text = open(config["out"]).read() if config.get("out") else out.getvalue()
         meta = json.loads(text)["meta"]
         assert meta["mu0"] == 0.0 or math.isfinite(meta["residual"])
+
+
+def _log_uniform(lo, hi):
+    return st.floats(min_value=math.log10(lo), max_value=math.log10(hi)).map(lambda e: 10.0**e)
+
+
+@st.composite
+def _green_table_flags(draw):
+    mass = draw(_log_uniform(1e-6, 1e200))
+    # alpha-max anywhere, or a fraction of sqrt(2 m), where nu runs from 0
+    # to 1 (at alpha^2 = m) and back to 0, and beyond it
+    alpha = draw(st.one_of(_log_uniform(1e-200, 1e200),
+                           st.floats(min_value=1e-6, max_value=1.2).map(
+                               lambda u: u * math.sqrt(2.0 * mass))))
+    return {"mass": mass, "alpha_max": alpha, "radius": draw(_log_uniform(1e-30, 1e30))}
+
+
+@settings(max_examples=150, deadline=None)
+@given(command=st.sampled_from(["kernel", "bound"]), flags=_green_table_flags())
+def test_green_table_fuzz_is_finite_or_one_line(command, flags):
+    # every accepted run prints 100 finite rows (bound: each within its
+    # envelope); every other run exits 1 or 2 with exactly one line
+    argv = [command] + [tok for key, value in flags.items()
+                        for tok in (f"--{key.replace('_', '-')}", repr(value))]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code:
+        assert code in (EXIT_VALIDATION, EXIT_NUMERICAL), (argv, code, err.getvalue())
+        assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+        return
+    rows = np.array([[float(tok) for tok in line.split(",")]
+                     for line in out.getvalue().splitlines()[1:]])
+    assert rows.shape[0] == 100 and np.isfinite(rows).all(), argv
+    if command == "bound":
+        assert np.all(np.abs(rows[:, 1]) <= rows[:, 2]) and np.all(rows[:, 3] == 1), argv

@@ -3,6 +3,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -14,9 +15,9 @@ from herbst.kernel import (_RING_NODES, H3_ROOT_REFERENCE, BKernelTable,
                            GreenKernelTable, PhysParams, a_profile, b_profile,
                            b_profile_grid, envelope_bound, envelope_holds,
                            f_profile, green_function, h3_root, l0_profile,
-                           _cumulative, _graded_grid, series_remainder)
+                           _cumulative, _graded_grid, _tail, series_remainder)
 from herbst.quad import RadialFunction, radial_fourier3
-from herbst.specfun import (EULER_GAMMA, EvaluationFailure, k0,
+from herbst.specfun import (EULER_GAMMA, EvaluationFailure, k0, k0e,
                             k0_weighted_integral, k1)
 
 
@@ -61,7 +62,64 @@ class TestPhysParams:
             PhysParams.from_mu(1.0, 1.0)
 
 
+def _green_mpmath(r: float, p: PhysParams) -> float:
+    """G_E(r) at 30 digits from the float m, E and r.  With K0(z) =
+    int_0^inf e^(-z cosh t) dt, the z-integrals of C(x) = int_0^x cosh(nu z) K0
+    and T(x) = int_x^inf e^(-nu z) K0 are elementary, and e^(nu x) F(x) is one
+    t-integral whose terms are O(1) or fall no faster than the whole."""
+    with mpmath.workdps(30):
+        m, e, r = mpmath.mpf(p.m), mpmath.mpf(p.E), mpmath.mpf(r)
+        mu = mpmath.sqrt(-2 * m * e - e * e)
+        nu, x = mu / m, m * r
+        sinh_t = -mpmath.expm1(-2 * nu * x) / 2  # e^(nu x) sinh(nu x) e^(-(1+nu) x)
+
+        def scaled_f(t):
+            a = mpmath.cosh(t)
+            c = -(mpmath.expm1(-(a - nu) * x) / (a - nu)
+                  + mpmath.expm1(-(a + nu) * x) / (a + nu)) / 2
+            d = mpmath.exp(-(a - 1) * x)
+            return (d * a * mpmath.exp(-(1 - nu) * x)
+                    + (1 - nu**2) * (c - mpmath.exp(-(1 - nu) * x) * sinh_t * d / (a + nu)))
+
+        # t = 80 leaves less than e^-79 of the t-integral
+        knee = mpmath.acosh(1 + 1 / x)
+        phi = mpmath.quad(scaled_f, sorted({mpmath.mpf(0), min(knee, 80), 4, 16, 80}))
+        return float(m / (4 * mpmath.pi * r) * mpmath.exp(-mu * r)
+                     * (mpmath.sqrt(1 - nu**2) + 2 / mpmath.pi * phi))
+
+
+# x = m r from 1e-6 to 4e4 (at m = 1e-3 only the ends: x < 0.04 throughout;
+# at m = 1e3, G has underflowed from r = 16.5 on for all four nu)
+_ACCURACY_RADII = {1e-3: np.array([1e-3, 40.0]),
+                   1.0: np.array([1e-3, 0.5, 3.0, 16.5, 25.7, 40.0]),
+                   1e3: np.array([1e-3, 0.06, 0.5, 3.0, 16.5, 40.0])}
+
+
 class TestGreenFunction:
+    @pytest.mark.parametrize("nu", [0.05, 0.3, 0.8, 0.95])
+    @pytest.mark.parametrize("m", [1e-3, 1.0, 1e3])
+    def test_negative_energy_within_1e_12_of_mpmath(self, nu, m):
+        # nu = 0.95 at r = 16.5 and 25.7 was 3.6e-9 off with QUADPACK; at
+        # m = 1e3, r = 0.5, T(x) underflows while sinh(nu x) T(x) does not
+        p, radii = PhysParams.from_mu(nu * m, m), _ACCURACY_RADII[m]
+        got = green_function(radii, p)
+        # beyond mu r = 745 G underflows to 0 (and its reference too)
+        live = p.mu * radii < 745.0
+        assert np.all(got[~live] == 0.0)
+        want = [_green_mpmath(float(r), p) for r in radii[live]]
+        assert_allclose(got[live], want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("E", [-1e-4, -0.04, -0.9, -1.9])
+    def test_array_call_equals_scalar_calls_bit_for_bit(self, E):
+        p = PhysParams(m=1.0, E=E)
+        r = np.concatenate([np.geomspace(1e-9, 1e3, 97), [3.999, 4.0, 4.001]])
+        np.random.default_rng(5).shuffle(r)
+        scalars = np.array([green_function(float(x), p) for x in r])
+        assert np.array_equal(green_function(r, p), scalars)
+        assert np.array_equal(green_function(r.reshape(4, 25), p), scalars.reshape(4, 25))
+        assert np.array_equal(f_profile(r, p), [f_profile(float(x), p) for x in r])
+        assert isinstance(green_function(0.5, p), float)
+
     @pytest.mark.parametrize("mu", [0.0, 0.4])
     def test_momentum_space_oracle(self, mu):
         # G must be the radial transform of 1/(sqrt(4 pi^2 q^2 + m^2) - m - E)
@@ -254,6 +312,28 @@ class TestRingTables:
             oracle, _ = quad(f, x0, x, epsabs=0.0, epsrel=1e-13, limit=200)
             assert_allclose(val, oracle, rtol=1e-9 if singular else 1e-13)
 
+    @pytest.mark.parametrize("singular", [False, True])
+    def test_cumulative_keeps_the_bits_of_its_interval_loop(self, singular):
+        # _cumulative on the shared _gauss_panels against its earlier form,
+        # the first interval's u^4 map and the other intervals apart
+        x0 = 0.7
+        xgrid = x0 + 4.0 * np.linspace(0.0, 1.0, 41) ** 1.5
+
+        def f(z):
+            return k0(z - x0) * np.cosh(0.3 * z) if singular else k1(z) / z
+
+        want = np.zeros(len(xgrid))
+        x1 = xgrid[1]
+        u = 0.5 * (herbst.kernel._GLX16 + 1.0)
+        want[1] = (4.0 * (x1 - x0) * 0.5 * herbst.kernel._GLW16 * u**3
+                   * f(x0 + (x1 - x0) * u**4)).sum()
+        a, b = xgrid[1:-1], xgrid[2:]
+        half = 0.5 * (b - a)[:, None]
+        z = 0.5 * (a + b)[:, None] + half * herbst.kernel._GLX16[None, :]
+        pieces = (half * herbst.kernel._GLW16[None, :] * f(z.ravel()).reshape(z.shape)).sum(axis=1)
+        want[2:] = want[1] + np.cumsum(pieces)
+        assert np.array_equal(_cumulative(f, xgrid), want)
+
     @pytest.mark.parametrize("make", [
         lambda: GreenKernelTable(PhysParams(m=1.0, E=0.0), s_max=2.002),
         lambda: GreenKernelTable(PhysParams(m=2.5, E=-0.3), s_max=7.0),
@@ -319,6 +399,25 @@ class TestRingTables:
         assert np.all(np.isfinite(new))
         assert 700 < finite.sum() < len(s)
         assert_allclose(new[finite], old[finite], rtol=1e-12)
+
+    @pytest.mark.parametrize("m, E", [(1.0, -0.3), (2.5, -0.01), (1e3, -1.0)])
+    def test_negative_energy_node_values_keep_their_bits(self, m, E):
+        # the integrands are shared with green_function now; the node values
+        # are those of the integrands written out in place
+        p = PhysParams(m=m, E=E)
+        s = GreenKernelTable(p, s_max=7.0 / m)._cum.x
+        x, nu = m * s, p.nu
+        cosh_c = _cumulative(lambda z: 0.5 * (np.exp((nu - 1.0) * z)
+                                              + np.exp(-(nu + 1.0) * z)) * k0e(z), x)
+        tail_full = math.acos(nu) / math.sqrt(1.0 - nu * nu)
+        tail = np.append(tail_full, _tail(lambda z: np.exp(-nu * z) * k0(z), x[1:]))
+        cosh_t = np.cosh(nu * x, where=tail > 0.0, out=np.zeros_like(x)) * tail
+        w = (tail_full - np.exp(-nu * x) * cosh_c - cosh_t) / nu
+        t1 = (m / (4.0 * math.pi)) * math.sqrt(1.0 - nu * nu) * (1.0 - np.exp(-nu * x)) / p.mu
+        h = np.full_like(x, math.log(2.0) - EULER_GAMMA)
+        h[1:] = k0(x[1:]) + np.log(x[1:])
+        want = t1 + (1.0 - nu * nu) / (2.0 * math.pi**2) * w - h / (2.0 * math.pi**2)
+        assert np.array_equal(GreenKernelTable(p, s_max=7.0 / m)._node_values(s), want)
 
     def test_b_table_diagonal_is_finite(self):
         # t B(t) is bounded, so the coincidence limit exists (equals the

@@ -6,8 +6,28 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from herbst import quad
 from herbst.quad import (QuadratureError, RadialFunction, integrate_adaptive,
                          radial_fourier3)
+from herbst.specfun import checked_quad
+
+
+def _per_panel_transform(f, k):
+    """radial_fourier3 with each half period's Gauss-Legendre panel a call
+    of f of its own, and the 96-term retry from scratch."""
+    h = 1.0 / (2.0 * k)
+    for n in (48, 96):
+        terms = np.empty(n)
+        terms[0] = checked_quad(lambda r: float(f(r)) * r * np.sin(2.0 * np.pi * k * r),
+                                0.0, h, abs_tol=1e-14, rel_tol=1e-12)
+        for j in range(1, n):
+            r = j * h + 0.5 * h * (quad._GLX + 1.0)
+            integrand = r * np.asarray(f(r), dtype=float) * np.sin(2.0 * np.pi * k * r)
+            terms[j] = 0.5 * h * (quad._GLW * integrand).sum()
+        best, spread = quad._euler_abel_sum(terms)
+        if spread <= 10.0 * max(1e-12, 1e-10 * abs(best)):
+            return (2.0 / k) * best
+    raise AssertionError("no convergence")
 
 
 class TestIntegrateAdaptive:
@@ -77,6 +97,24 @@ class TestRadialFourier3:
             radial_fourier3(prof, 1.0)
         assert exc.value.estimate == 1.0
         assert exc.value.error_bound == 1e-3
+
+    @pytest.mark.parametrize("profile, k, attempts", [
+        (lambda r: np.exp(-math.pi * r * r), 1.0, 1),
+        (lambda r: r * np.exp(-r), 0.4, 1),
+        # a slowly decaying oscillation: the sum needs the retry at 96 terms
+        (lambda r: np.cos(3.0 * r) / (1.0 + r), 1.0, 2),
+    ])
+    def test_one_call_of_f_per_attempt_and_the_same_bits(self, profile, k, attempts):
+        arrays = []
+
+        def counted(r):
+            if np.ndim(r):
+                arrays.append(np.shape(r))
+            return profile(r)
+
+        assert radial_fourier3(counted, k) == _per_panel_transform(profile, k)
+        # the nodes of the 47 half periods past the first, then of the 48 more
+        assert arrays == [(47 * 32,), (48 * 32,)][:attempts]
 
     def test_rejects_nonpositive_wavenumber(self):
         prof = RadialFunction(eval=lambda r: np.exp(-r))

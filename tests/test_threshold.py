@@ -21,6 +21,7 @@ from numpy.testing import assert_allclose
 from scipy.interpolate import CubicSpline
 
 from herbst import cli, threshold
+from herbst.fourierb import b_hat
 from herbst.kernel import PhysParams, _tail
 from herbst.specfun import QuadratureError, k0_weighted_integral, k1
 from herbst.spectral import (QuadGrid, _reference_rule,
@@ -125,12 +126,43 @@ class TestCoefficients:
         assert routes.momentum is not None
         assert abs(routes.direct - routes.momentum) / abs(routes.direct) < 1e-6
 
-    def test_unconverged_momentum_route_raises(self, zero_overlap_state,
-                                               unconverged_quad):
+    def test_unconverged_momentum_route_raises(self, zero_overlap_state, monkeypatch):
+        # the rule on panels of width 1/R made 0.1 % heavier: the check
+        # against the rule on panels of width 1/(2R) must refuse the estimate
+        b = coefficient_b(zero_overlap_state, "momentum")
+        rule, radius = threshold._panel_rule, zero_overlap_state.grid.radius
+
+        def wide_rule_off(breaks, width):
+            k, w = rule(breaks, width)
+            return k, w * (1.001 if width == 1.0 / radius else 1.0)
+
+        monkeypatch.setattr(threshold, "_panel_rule", wide_rule_off)
         with pytest.raises(QuadratureError) as exc:
             coefficient_b(zero_overlap_state, "momentum")
-        assert exc.value.estimate == 1.0
-        assert exc.value.error_bound == 1e-3
+        assert exc.value.estimate == b
+        assert exc.value.error_bound == pytest.approx(1e-3 * abs(b), rel=1e-9)
+
+    @pytest.mark.parametrize("width", [0.5, 0.25, 1.0 / 3.0])
+    def test_panel_rule_integrates_polynomials_to_degree_31(self, width):
+        k, w = threshold._panel_rule((0.0, 1.0, 5.0, 60.0), width)
+        assert np.all(np.diff(k) > 0.0) and 0.0 < k[0] and k[-1] < 60.0
+        assert k.size == 16 * math.ceil(60.0 / width)
+        assert_allclose(w @ k**31, 60.0**32 / 32.0, rtol=1e-13)
+
+    def test_momentum_route_matches_adaptive_quadrature(self, zero_overlap_state):
+        # the fixed rule against QUADPACK on the integrand it replaced
+        res = zero_overlap_state
+        r = res.grid.nodes
+        wgt = res.grid.weights * r * threshold._weighted_f(res)
+
+        def integrand(k):
+            fhat = (2.0 / k) * np.sum(wgt * np.sin(2.0 * math.pi * k * r))
+            return k * k * b_hat(k) * fhat * fhat
+
+        total = sum(scipy.integrate.quad(integrand, lo, hi, epsabs=1e-13, epsrel=1e-10,
+                                         limit=400)[0]
+                    for lo, hi in ((0.0, 1.0), (1.0, 5.0), (5.0, 60.0)))
+        assert_allclose(coefficient_b(res, "momentum"), 2.0 * total, rtol=1e-12)
 
     def test_b_direct_matches_reassembled_decomposition(self, state200):
         # the oracle sum from a fresh assembly, not the matrix res carries
