@@ -58,10 +58,6 @@ class PhysParams:
             raise ValueError("derived mu must satisfy 0 <= mu < m (need |E| < 2m)")
 
     @property
-    def alpha(self) -> float:
-        return math.sqrt(-self.E)
-
-    @property
     def mu(self) -> float:
         mu_sq = -2.0 * self.m * self.E - self.E * self.E
         if mu_sq < math.inf:
@@ -297,14 +293,6 @@ def _tail(fvec, xgrid: np.ndarray) -> np.ndarray:
     return -_cumulative(fvec, down)[:79:-1]
 
 
-def _k0_integrands(nu: float):
-    """cosh(nu z) K0(z) and e^(-nu z) K0(z), the first written as
-    (e^((nu-1) z) + e^(-(nu+1) z)) k0e(z) / 2: no cosh(nu z) to overflow
-    where K0 has underflowed."""
-    return (lambda z: 0.5 * (np.exp((nu - 1.0) * z) + np.exp(-(nu + 1.0) * z)) * k0e(z),
-            lambda z: np.exp(-nu * z) * k0(z))
-
-
 _LAGUERRE_FROM = 4.0  # T(x) from the grid below, from Gauss-Laguerre above
 _GLAG_X, _GLAG_W = roots_laguerre(24)
 
@@ -333,7 +321,14 @@ def _k0_moments_at(nu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Gauss-Laguerre rule, which keeps its digits where T underflows.  Each
     value depends on its own x alone: an array gives its entries' values
     one at a time, to the last bit."""
-    cosh_k0, exp_k0 = _k0_integrands(nu)
+    # cosh(nu z) K0 as (e^((nu-1) z) + e^(-(nu+1) z)) k0e(z) / 2: no
+    # cosh(nu z) to overflow where K0 has underflowed
+    def cosh_k0(z):
+        return 0.5 * (np.exp((nu - 1.0) * z) + np.exp(-(nu + 1.0) * z)) * k0e(z)
+
+    def exp_k0(z):
+        return np.exp(-nu * z) * k0(z)
+
     g = _moment_grid(nu)
     k = np.searchsorted(g, x, "right") - 1
     first = k == 0
@@ -515,30 +510,24 @@ class GreenKernelTable(_RingTable):
         p = self.params
         m, nu = p.m, p.nu
         x = m * s
+        xi = x[1:]
+        w = np.zeros_like(x)  # both primitives vanish at x = 0
         if nu == 0.0:
-            # int_0^x (x - z) K0(z) dz = x C0(x) - (1 - x K1(x)), 0 at x = 0
-            w = np.zeros_like(x)
-            w[1:] = x[1:] * k0_integral(x[1:]) - 1.0 + x[1:] * k1(x[1:])
+            # int_0^x (x - z) K0(z) dz = x C0(x) - (1 - x K1(x))
+            w[1:] = xi * k0_integral(xi) - 1.0 + xi * k1(xi)
             t1 = (m / (4.0 * math.pi)) * (x / m)
         else:
-            cosh_k0, exp_k0 = _k0_integrands(nu)
-            cosh_c = _cumulative(cosh_k0, x)
-            # T(x) = int_x^inf e^(-nu z) K0 from the far end, so that
-            # cosh(nu x) T(x) keeps its digits; T(x[0] = 0) = arccos(nu) / sqrt(1 - nu^2)
-            tail_full = math.acos(nu) / math.sqrt(1.0 - nu * nu)
-            tail = np.append(tail_full, _tail(exp_k0, x[1:]))
             # Fubini-swapped primitive of e^(-nu x) C(x) - sinh(nu x) T(x),
-            # C(x) = int_0^x cosh(nu z) K0
-            # cosh(nu x) T(x) <= int_x^inf K0, of order e^-x: where T(x) has
-            # underflowed to 0 the product is 0 to the last digit of w, and
-            # cosh(nu x), which may overflow there, is not formed
-            cosh_t = np.cosh(nu * x, where=tail > 0.0, out=np.zeros_like(x)) * tail
-            w = (tail_full - np.exp(-nu * x) * cosh_c - cosh_t) / nu
+            # C and tau = e^((1+nu) x) T from _k0_moments_at, and cosh(nu x) T
+            # written as (e^-x + e^(-(1+2nu) x)) tau / 2: no cosh to overflow
+            c, tau = _k0_moments_at(nu, xi)
+            w[1:] = (math.acos(nu) / math.sqrt(1.0 - nu * nu) - np.exp(-nu * xi) * c
+                     - 0.5 * (np.exp(-xi) + np.exp(-(1.0 + 2.0 * nu) * xi)) * tau) / nu
             t1 = (m / (4.0 * math.pi)) * math.sqrt(1.0 - nu * nu) \
                 * (1.0 - np.exp(-nu * x)) / p.mu
         # the regular part H(x) = K0(x) + ln x of the K1 primitive -K0/(2 pi^2)
         h = np.full_like(x, math.log(2.0) - EULER_GAMMA)
-        h[1:] = k0(x[1:]) + np.log(x[1:])
+        h[1:] = k0(xi) + np.log(xi)
         return t1 + (1.0 - nu * nu) / (2.0 * math.pi**2) * w - h / (2.0 * math.pi**2)
 
     def ring(self, hi, lo):

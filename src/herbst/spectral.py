@@ -150,6 +150,11 @@ def tabulated_potential(source) -> RadialPotential:
         data = np.asarray(source, dtype=float)
     if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] < 4:
         raise ValueError("tabulated potential needs >= 4 rows of (r, V)")
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if bad.size:
+        where = f" in {source}" if isinstance(source, (str, Path)) else ""
+        raise ValueError(f"tabulated potential{where}: data row {bad[0] + 1} "
+                         f"{tuple(data[bad[0]].tolist())} is not finite")
     r, v = data[:, 0], data[:, 1]
     if np.any(np.diff(r) <= 0.0):
         raise ValueError("tabulated radii must be strictly ascending")
@@ -214,6 +219,14 @@ class QuadGrid:
     radius: float  # upper end of the interval the rule integrates over
 
     def __post_init__(self) -> None:
+        # every comparison with NaN is False: name non-finite entries first
+        for name in ("nodes", "weights"):
+            vals = np.asarray(getattr(self, name))
+            bad = np.flatnonzero(~np.isfinite(vals))
+            if bad.size:
+                raise ValueError(f"grid {name}[{bad[0]}] = {vals[bad[0]]} is not finite")
+        if not 0.0 < self.radius < math.inf:
+            raise ValueError(f"grid radius {self.radius} must be positive and finite")
         if np.any(np.diff(self.nodes) <= 0.0):
             raise ValueError("grid nodes must be strictly increasing")
         if np.any(self.weights <= 0.0):
@@ -279,9 +292,15 @@ class BsMatrix:
         # tile; s_i s_j == s_j s_i and kappa is mirrored, so the matrix is
         # symmetric bit for bit
         strips = _strips(len(s))
-        for rows in strips:
-            for cols in strips:
-                kappa[rows, cols] *= np.multiply.outer(s[rows], s[cols])
+        try:
+            with np.errstate(over="raise"):
+                for rows in strips:
+                    for cols in strips:
+                        kappa[rows, cols] *= np.multiply.outer(s[rows], s[cols])
+        except FloatingPointError:
+            raise EvaluationFailure(f"Birman-Schwinger matrix at E = {p.E}, m = {p.m}, "
+                                    f"R = {grid.radius}: sqrt(w |V|) kappa sqrt(w |V|) "
+                                    "leaves the float range") from None
         return cls(entries=kappa, params=p, potential=potential, grid=grid)
 
 

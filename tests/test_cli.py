@@ -39,6 +39,16 @@ _OUT_OF_RANGE = {
     **{f"{command}-alpha1e-170": ((command, "--alpha-max", "1e-170"),
                                   ("alpha-max 1e-170", "underflows"))
        for command in ("kernel", "bound")},
+    # sqrt(w |V|) kappa sqrt(w |V|) overflows while kappa and V are finite
+    "spectrum-matrix-overflow": (("spectrum", "--grid-n", "8", "--depth", "1e300",
+                                  "--mass", "1e10"),
+                                 ("Birman-Schwinger matrix at E = 0.0,",
+                                  "m = 10000000000.0,", "R = 1.0:")),
+    "threshold-matrix-overflow": (("threshold", "--potential", "well", "--grid-n", "8",
+                                   "--mass", "8.2e140", "--radius", "1.7e26",
+                                   "--depth", "7.3e179"),
+                                  ("Birman-Schwinger matrix at E = 0.0,",
+                                   "m = 8.2e+140,", "R = 1.7e+26:")),
 }
 
 
@@ -418,8 +428,9 @@ class TestConfigPlumbing:
         # each run ends in one line naming the stage and the flag's value,
         # with no warning before it: radii where the kernel table leaves the
         # float range (the grid's second-moment check is scale-free, so R^3
-        # no longer overflows first), and an alpha-max whose
-        # mu^2 = 2 m alpha^2 - alpha^4 underflows to 0
+        # no longer overflows first), an alpha-max whose
+        # mu^2 = 2 m alpha^2 - alpha^4 underflows to 0, and a matrix whose
+        # scaling by sqrt(w |V|) overflows
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run_cli(*argv) == EXIT_NUMERICAL
@@ -572,3 +583,29 @@ def test_green_table_fuzz_is_finite_or_one_line(command, flags):
     assert rows.shape[0] == 100 and np.isfinite(rows).all(), argv
     if command == "bound":
         assert np.all(np.abs(rows[:, 1]) <= rows[:, 2]) and np.all(rows[:, 3] == 1), argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(command=st.sampled_from(["spectrum", "threshold"]),
+       potential=st.sampled_from(["bump", "gauss", "well"]),
+       depth=_log_uniform(1e-30, 1e200), mass=_log_uniform(1e-6, 1e200),
+       radius=_log_uniform(1e-30, 1e30))
+def test_solve_fuzz_is_finite_or_one_line(command, potential, depth, mass, radius):
+    # every accepted run reports a finite mu0 and residual (threshold: a, b
+    # and E(lambda) <= 0 too); every other run exits 1 or 2 with one line
+    argv = [command, "--potential", potential, "--grid-n", "8", "--format", "json",
+            "--depth", repr(depth), "--mass", repr(mass), "--radius", repr(radius)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code:
+        assert code in (EXIT_VALIDATION, EXIT_NUMERICAL), (argv, code, err.getvalue())
+        assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+        return
+    report = json.loads(out.getvalue())
+    meta = report["meta"]
+    keys = ("mu0", "residual") + (("a", "b") if command == "threshold" else ())
+    assert all(math.isfinite(meta[key]) for key in keys), (argv, meta)
+    if command == "threshold":
+        energies = np.array([row["energy"] for row in report["data"]])
+        assert len(energies) == 100 and np.all(energies <= 0.0), argv

@@ -15,29 +15,9 @@ from herbst.kernel import (_RING_NODES, H3_ROOT_REFERENCE, BKernelTable,
                            GreenKernelTable, PhysParams, a_profile, b_profile,
                            b_profile_grid, envelope_bound, envelope_holds,
                            f_profile, green_function, h3_root, l0_profile,
-                           _cumulative, _graded_grid, _tail, series_remainder)
+                           _cumulative, _graded_grid, series_remainder)
 from herbst.quad import RadialFunction, radial_fourier3
-from herbst.specfun import (EULER_GAMMA, EvaluationFailure, k0, k0e,
-                            k0_weighted_integral, k1)
-
-
-def _node_values_with_cosh(p, s):
-    """The E < 0 node values of GreenKernelTable as formed with cosh(nu z) K0(z)
-    and cosh(nu x) T(x), which give inf * 0 = nan far out."""
-    m, nu = p.m, p.nu
-    x = m * s
-    with np.errstate(over="ignore", invalid="ignore"):
-        cosh_c = _cumulative(lambda z: np.cosh(nu * z) * k0(z), x)
-        tail_full = math.acos(nu) / math.sqrt(1.0 - nu * nu)
-        down = np.concatenate([np.linspace(x[-1] + 40.0, x[-1], 81), x[-2:0:-1]])
-        tail = np.empty_like(x)
-        tail[0] = tail_full
-        tail[:0:-1] = -_cumulative(lambda z: np.exp(-nu * z) * k0(z), down)[80:]
-        w = (tail_full - np.exp(-nu * x) * cosh_c - np.cosh(nu * x) * tail) / nu
-    t1 = (m / (4.0 * math.pi)) * math.sqrt(1.0 - nu * nu) * (1.0 - np.exp(-nu * x)) / p.mu
-    h = np.full_like(x, math.log(2.0) - EULER_GAMMA)
-    h[1:] = k0(x[1:]) + np.log(x[1:])
-    return t1 + (1.0 - nu * nu) / (2.0 * math.pi**2) * w - h / (2.0 * math.pi**2)
+from herbst.specfun import EvaluationFailure, k0, k0_weighted_integral, k1
 
 
 class TestPhysParams:
@@ -386,38 +366,67 @@ class TestRingTables:
 
     def test_negative_energy_table_builds_far_out(self):
         # cosh(nu z) K0(z) and cosh(nu x) T(x) overflowed to inf * 0 once
-        # nu m s passed about 710; the node values agree with that formula
-        # wherever it was finite, here up to s of about 990
+        # nu m s passed about 710.  From x = m s = 200 on, the node value is
+        # its limit (m/4 pi) sqrt(1 - nu^2)/mu + (1 - nu^2) arccos(nu) /
+        # (2 pi^2 nu sqrt(1 - nu^2)) - ln(x)/(2 pi^2) to within e^-(1-nu) x,
+        # about 2e-25
         p = PhysParams(m=1.0, E=-0.3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             table = GreenKernelTable(p, s_max=1100.0)
         s = table._cum.x
-        new = table._node_values(s)
-        old = _node_values_with_cosh(p, s)
-        finite = np.isfinite(old)
-        assert np.all(np.isfinite(new))
-        assert 700 < finite.sum() < len(s)
-        assert_allclose(new[finite], old[finite], rtol=1e-12)
+        got = table._node_values(s)
+        assert np.all(np.isfinite(got))
+        m, nu = p.m, p.nu
+        far = m * s >= 200.0
+        limit = ((m / (4.0 * math.pi)) * math.sqrt(1.0 - nu * nu) / p.mu
+                 + (1.0 - nu * nu) * math.acos(nu) / (2.0 * math.pi**2 * nu * math.sqrt(1.0 - nu * nu))
+                 - np.log(m * s[far]) / (2.0 * math.pi**2))
+        assert far.sum() > 500
+        assert_allclose(got[far], limit, rtol=0.0, atol=1e-15)
 
-    @pytest.mark.parametrize("m, E", [(1.0, -0.3), (2.5, -0.01), (1e3, -1.0)])
-    def test_negative_energy_node_values_keep_their_bits(self, m, E):
-        # the integrands are shared with green_function now; the node values
-        # are those of the integrands written out in place
-        p = PhysParams(m=m, E=E)
-        s = GreenKernelTable(p, s_max=7.0 / m)._cum.x
-        x, nu = m * s, p.nu
-        cosh_c = _cumulative(lambda z: 0.5 * (np.exp((nu - 1.0) * z)
-                                              + np.exp(-(nu + 1.0) * z)) * k0e(z), x)
-        tail_full = math.acos(nu) / math.sqrt(1.0 - nu * nu)
-        tail = np.append(tail_full, _tail(lambda z: np.exp(-nu * z) * k0(z), x[1:]))
-        cosh_t = np.cosh(nu * x, where=tail > 0.0, out=np.zeros_like(x)) * tail
-        w = (tail_full - np.exp(-nu * x) * cosh_c - cosh_t) / nu
-        t1 = (m / (4.0 * math.pi)) * math.sqrt(1.0 - nu * nu) * (1.0 - np.exp(-nu * x)) / p.mu
-        h = np.full_like(x, math.log(2.0) - EULER_GAMMA)
-        h[1:] = k0(x[1:]) + np.log(x[1:])
-        want = t1 + (1.0 - nu * nu) / (2.0 * math.pi**2) * w - h / (2.0 * math.pi**2)
-        assert np.array_equal(GreenKernelTable(p, s_max=7.0 / m)._node_values(s), want)
+    # node values at nodes 1, 2, 5, 20, 100, 400 and 800 of the table for
+    # (m, E, s_max), 30 digits, from this snippet (the z-integrals of C(x) =
+    # int_0^x cosh(nu z) K0 and T(x) = int_x^inf e^(-nu z) K0 made elementary
+    # by K0(z) = int_0^inf e^(-z cosh t) dt, as in _green_mpmath):
+    #
+    #   with mpmath.workdps(30):
+    #       m, E, s = mpmath.mpf(m), mpmath.mpf(E), mpmath.mpf(s)
+    #       mu = mpmath.sqrt(-2 * m * E - E * E)
+    #       nu, x = mu / m, m * s
+    #       pts = sorted({mpmath.mpf(0), min(mpmath.acosh(1 + 1 / x), 80), 4, 16, 80})
+    #       ch = mpmath.cosh
+    #       c = mpmath.quad(lambda t: -(mpmath.expm1(-(ch(t) - nu) * x) / (ch(t) - nu)
+    #                                   + mpmath.expm1(-(ch(t) + nu) * x) / (ch(t) + nu)) / 2, pts)
+    #       tail = mpmath.quad(lambda t: mpmath.exp(-(ch(t) + nu) * x) / (ch(t) + nu), pts)
+    #       w = (mpmath.acos(nu) / mpmath.sqrt(1 - nu**2) - mpmath.exp(-nu * x) * c
+    #            - mpmath.cosh(nu * x) * tail) / nu
+    #       t1 = m / (4 * mpmath.pi) * mpmath.sqrt(1 - nu**2) * -mpmath.expm1(-nu * x) / mu
+    #       h = mpmath.besselk(0, x) + mpmath.log(x)
+    #       value = float(t1 + (1 - nu**2) / (2 * mpmath.pi**2) * w - h / (2 * mpmath.pi**2))
+    _NODE_REFERENCE = {
+        (1.0, -1e-4, 2.002): [-0.005866118016538103, -0.005853238738511862,
+                              -0.005794338197366097, -0.0052380335491360955,
+                              0.0016082456107324198, 0.06565438902050535,
+                              0.22687074502760346],
+        (1.0, -0.3, 6.006): [-0.005858375429762025, -0.005831353670424198,
+                             -0.005708073638973975, -0.00456457286410225,
+                             0.007300856447460205, 0.04242000462614846,
+                             0.023531352408182812],
+        (1.0, -0.01, 40.0): [-0.005733602596589073, -0.005477255524872155,
+                             -0.004291452298214293, 0.007530067142293484,
+                             0.16526349898385723, 0.7804878506572691,
+                             0.8757769737071002],
+    }
+
+    @pytest.mark.parametrize("case", list(_NODE_REFERENCE), ids=lambda c: f"E{c[1]}-s{c[2]}")
+    def test_negative_energy_node_values_within_1e_14_of_mpmath(self, case):
+        # a u^4-mapped first interval on the logarithm of K0 left the
+        # earlier cumulative-plus-tail route 8.5e-13, 2.5e-14 and 1.7e-12 off
+        m, E, s_max = case
+        table = GreenKernelTable(PhysParams(m=m, E=E), s_max)
+        got = table._node_values(table._cum.x)[[1, 2, 5, 20, 100, 400, 800]]
+        assert_allclose(got, self._NODE_REFERENCE[case], rtol=0.0, atol=1e-14)
 
     def test_b_table_diagonal_is_finite(self):
         # t B(t) is bounded, so the coincidence limit exists (equals the

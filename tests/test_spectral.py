@@ -1,6 +1,7 @@
 """Potentials, quadrature grids, Nystrom assembly, and eigenpairs."""
 
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -75,6 +76,15 @@ class TestPotentials:
         assert_allclose(pot(0.37), np.interp(0.37, r, v), atol=2e-4)
         assert pot(2.0) == 0.0
 
+    @pytest.mark.parametrize("bad", [(0.3, math.nan), (math.inf, -0.5)], ids=["nan", "inf"])
+    def test_tabulated_rejects_a_non_finite_row(self, tmp_path, bad):
+        # NaN passes every ordering check; the error names the file and row
+        rows = [(0.0, -1.0), (0.2, -0.8), bad, (0.6, -0.4), (1.0, 0.0)]
+        path = tmp_path / "table.txt"
+        np.savetxt(path, rows)
+        with pytest.raises(ValueError, match=rf"in {re.escape(str(path))}: data row 3 .* is not finite"):
+            tabulated_potential(str(path))
+
 
 class TestQuadGrid:
     def test_second_moment_matches_radius(self):
@@ -96,6 +106,19 @@ class TestQuadGrid:
                 g = QuadGrid.gauss_legendre(16, radius)
                 with pytest.raises(ValueError, match="second-moment"):
                     QuadGrid(nodes=g.nodes, weights=2.0 * g.weights, radius=radius)
+
+    @pytest.mark.parametrize("field, values, message", [
+        ("nodes", [0.2, math.nan, 0.8], r"grid nodes\[1\] = nan is not finite"),
+        ("weights", [0.5, math.nan, 0.1], r"grid weights\[1\] = nan is not finite"),
+        ("radius", math.nan, "grid radius nan must be positive and finite"),
+    ])
+    def test_rejects_a_non_finite_entry(self, field, values, message):
+        # every comparison with NaN is False, so the ordering, sign and
+        # second-moment checks alone let it through
+        fields = {"nodes": [0.2, 0.5, 0.8], "weights": [0.5, 0.2, 0.1], "radius": 1.0}
+        fields[field] = values
+        with pytest.raises(ValueError, match=message):
+            QuadGrid(**fields)
 
     @pytest.mark.parametrize("n", [75, 800, 1600])
     def test_rule_matches_a_40_digit_newton_reference(self, n):
