@@ -17,9 +17,10 @@ energy by mu^2 = m^2 - (m + E)^2, i.e. mu^2 = 2 m alpha^2 - alpha^4 for E = -alp
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -309,18 +310,28 @@ def _moment_grid(nu: float) -> np.ndarray:
     return np.array(nodes)
 
 
-def _k0_moments_at(nu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """C(x) = int_0^x cosh(nu z) K0 and tau(x) = e^((1+nu) x) T(x),
-    T(x) = int_x^inf e^(-nu z) K0, at each x > 0 of a 1-d array, 0 < nu < 1.
+def _tau_far(nu: float, x: np.ndarray) -> np.ndarray:
+    """tau(x) = int_0^inf e^(-(1+nu) t) k0e(x + t) dt at each x >= 4 of a
+    1-d array, by the 24-point Gauss-Laguerre rule, one row sum per x."""
+    return (_GLAG_W * k0e(x[:, None] + _GLAG_X / (1.0 + nu))).sum(axis=1) / (1.0 + nu)
 
-    Both come from the fixed nodes g of ``_moment_grid(nu)`` and one
-    16-point panel per x: C(x) = C(g_k) + int_(g_k)^x, g_k <= x < g_(k+1),
-    from one ``_cumulative`` pass, and T(x) = T(g_(k+1)) + int_x^(g_(k+1))
-    (T(0) - int_0^x below g_1), T on the nodes summed down from T(4).  From
-    x = 4 on, tau(x) = int_0^inf e^(-(1+nu) t) k0e(x + t) dt is the 24-point
-    Gauss-Laguerre rule, which keeps its digits where T underflows.  Each
-    value depends on its own x alone: an array gives its entries' values
-    one at a time, to the last bit."""
+
+class _MomentNodes(NamedTuple):
+    """The part of ``_k0_moments_at`` fixed by nu: its integrands, the nodes
+    g of ``_moment_grid(nu)``, C on them and T on those up to 4."""
+
+    cosh_k0: Callable[[np.ndarray], np.ndarray]
+    exp_k0: Callable[[np.ndarray], np.ndarray]
+    g: np.ndarray
+    c_nodes: np.ndarray
+    t_nodes: np.ndarray
+
+
+@functools.lru_cache(maxsize=16)
+def _moment_nodes(nu: float) -> _MomentNodes:
+    """``_MomentNodes`` at nu, read-only and built once per nu: one
+    ``_cumulative`` pass for C, and T summed down, panel by panel, from
+    T(4) = e^(-4 (1+nu)) tau(4)."""
     # cosh(nu z) K0 as (e^((nu-1) z) + e^(-(nu+1) z)) k0e(z) / 2: no
     # cosh(nu z) to overflow where K0 has underflowed
     def cosh_k0(z):
@@ -330,26 +341,40 @@ def _k0_moments_at(nu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return np.exp(-nu * z) * k0(z)
 
     g = _moment_grid(nu)
-    k = np.searchsorted(g, x, "right") - 1
-    first = k == 0
-    c = _cumulative(cosh_k0, g)[k] + _panel(cosh_k0, g[k], x, first)
-
-    near = x < _LAGUERRE_FROM
-    far = np.append(_LAGUERRE_FROM, x[~near])
-    tau_far = (_GLAG_W * k0e(far[:, None] + _GLAG_X / (1.0 + nu))).sum(axis=1) / (1.0 + nu)
-    # T(g_j) for g_j <= 4, from T(4) down, panel by panel
     top = np.searchsorted(g, _LAGUERRE_FROM)
     down = _panel(exp_k0, g[1:top], g[2:top + 1])
     t_nodes = np.empty(top + 1)
     t_nodes[0] = math.acos(nu) / math.sqrt(1.0 - nu * nu)
-    t_nodes[top] = math.exp(-(1.0 + nu) * _LAGUERRE_FROM) * tau_far[0]
+    t_nodes[top] = (math.exp(-(1.0 + nu) * _LAGUERRE_FROM)
+                    * _tau_far(nu, np.array([_LAGUERRE_FROM]))[0])
     t_nodes[1:top] = t_nodes[top] + np.cumsum(down[::-1])[::-1]
+    nodes = _MomentNodes(cosh_k0, exp_k0, g, _cumulative(cosh_k0, g), t_nodes)
+    for a in nodes[2:]:
+        a.flags.writeable = False
+    return nodes
 
+
+def _k0_moments_at(nu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """C(x) = int_0^x cosh(nu z) K0 and tau(x) = e^((1+nu) x) T(x),
+    T(x) = int_x^inf e^(-nu z) K0, at each x > 0 of a 1-d array, 0 < nu < 1.
+
+    Both come from the nodes of ``_moment_nodes(nu)`` and one 16-point
+    panel per x: C(x) = C(g_k) + int_(g_k)^x, g_k <= x < g_(k+1), and
+    T(x) = T(g_(k+1)) + int_x^(g_(k+1)) (T(0) - int_0^x below g_1).  From
+    x = 4 on, tau(x) is ``_tau_far``'s Gauss-Laguerre rule, which keeps its
+    digits where T underflows.  Each value depends on its own x alone: an
+    array gives its entries' values one at a time, to the last bit."""
+    cosh_k0, exp_k0, g, c_nodes, t_nodes = _moment_nodes(nu)
+    k = np.searchsorted(g, x, "right") - 1
+    first = k == 0
+    c = c_nodes[k] + _panel(cosh_k0, g[k], x, first)
+
+    near = x < _LAGUERRE_FROM
     xn, kn, fn = x[near], k[near] + 1, first[near]
     part = _panel(exp_k0, np.where(fn, 0.0, xn), np.where(fn, xn, g[kn]), fn)
     tau = np.empty_like(x)
     tau[near] = np.exp((1.0 + nu) * xn) * np.where(fn, t_nodes[0] - part, t_nodes[kn] + part)
-    tau[~near] = tau_far[1:]
+    tau[~near] = _tau_far(nu, x[~near])
     return c, tau
 
 

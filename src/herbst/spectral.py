@@ -17,29 +17,35 @@ over (0, R), so each row integrates g = 1 exactly.  The matrix stays
 symmetric, and the rule is third order in n.
 
 Assembly is two functions: ``green_kernel(grid, p)`` gives the kernel at one
-energy, and ``BsMatrix.from_kernel`` scales it in place by sqrt(w |V|) for
-one potential, so a solve holds one n x n array; solves at one energy share
-one kernel by handing each a copy.  ``b_form`` is the same rule for the
+energy as its packed lower triangle, n(n+1)/2 entries, and
+``BsMatrix.from_kernel`` scales it in place by sqrt(w |V|) for one
+potential, so a solve holds one such array and no n x n one; solves at one
+energy share one kernel by handing each a copy.  Both run by blocks of whole
+rows of the triangle (``_row_pairs``).  ``b_form`` is the same rule for the
 profile B, reduced to the one quadratic form the coefficient b needs, so its
-matrix is never formed.  All three run over tiles of at most 128 x 128
-pairs (``_strips``, ``_tiles``), so no temporary is larger than a tile.
+matrix is never formed; it runs over tiles of at most 128 x 128 pairs
+(``_strips``, ``_tiles``).  No temporary is larger than a tile.
 
-The Birman-Schwinger principle needs only the top eigenvalues of M, the gap
-and one eigenvector, so ``leading_eigenpair`` takes them from a block Krylov
-space (``_ritz_pairs``) that only multiplies by M, by Rayleigh-Ritz with a
-symmetric eigensolver on the k x k projected matrix: no n x n factorization.
+The solvers see the matrix through three members of ``BsMatrix``: ``apply``
+(BLAS dspmv on the packed triangle), ``scale`` = max|M| and ``norm_bound``
+= |M|_F.  The Birman-Schwinger principle needs only the top eigenvalues of
+M, the gap and one eigenvector, so ``leading_eigenpair`` takes them from a
+block Krylov space (``_ritz_pairs``) that only multiplies by M, by
+Rayleigh-Ritz with a symmetric eigensolver on the k x k projected matrix: no
+n x n factorization.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import dspmv
 
 from .kernel import BKernelTable, GreenKernelTable, PhysParams
 from .specfun import EvaluationFailure
@@ -252,22 +258,83 @@ class QuadGrid:
                    radius=radius)
 
 
-_CHECK_ROWS = 32  # rows per block of the BsMatrix symmetry check
+_CHECK_ROWS = 32  # rows per block of the symmetry check of ``BsMatrix.from_dense``
+_TILE = 128  # at most this many rows and columns per tile of the pair loops
+
+
+def _row_pairs(x: np.ndarray, size: int = _TILE * _TILE // 4):
+    """The pairs (i, j), j <= i, of the packed lower triangle of an n x n
+    matrix, n = len(x), whose row i lies at the positions i(i+1)/2 to
+    i(i+1)/2 + i, in blocks of whole rows of at most ``size`` entries (or
+    one row), a quarter tile unless given, and near-equal as ``_strips``
+    cuts: (seg, x_i, x_j), seg the slice of positions and x_i, x_j the
+    values of x at the row and the column of each.  The block's arrays are
+    the caller's alone."""
+    ends = np.cumsum(np.arange(1, len(x) + 1))  # one past the last position of each row
+    total = int(ends[-1])
+    size = -(-total // -(-total // size))  # the total over the count of blocks
+    start = 0
+    while start < len(x):
+        first = int(ends[start]) - start - 1
+        stop = max(start + 1, int(np.searchsorted(ends, first + size, "right")))
+        last = int(ends[stop - 1])
+        lens = np.arange(start + 1, stop + 1)
+        yield (slice(first, last), np.repeat(x[start:stop], lens),
+               x[np.arange(first, last) - np.repeat(ends[start:stop] - lens, lens)])
+        start = stop
+
+
+def _row_starts(n: int) -> np.ndarray:
+    """Positions i(i+1)/2 of the first entry of each row of the packed
+    lower triangle of an n x n matrix."""
+    i = np.arange(n)
+    return i * (i + 1) // 2
+
+
+def _diagonal(n: int) -> np.ndarray:
+    """Positions i(i+3)/2 of the diagonal in the packed lower triangle."""
+    return _row_starts(n) + np.arange(n)
 
 
 @dataclass(frozen=True)
 class BsMatrix:
-    """Symmetric Nystrom matrix of the Birman-Schwinger operator."""
+    """Symmetric Nystrom matrix of the Birman-Schwinger operator, stored once.
 
-    entries: np.ndarray
+    ``packed`` holds the lower triangle by rows, n(n+1)/2 entries for the
+    n nodes of ``grid``: LAPACK's packed storage (Anderson et al., LAPACK
+    Users' Guide, 3rd ed., 5.3.2), which BLAS reads as the upper triangle
+    ('U') of the transposed, column-major matrix.  The solvers use three
+    members only: ``apply``, ``scale`` and ``norm_bound``.
+    """
+
+    packed: np.ndarray
     params: PhysParams
     potential: RadialPotential
     grid: QuadGrid
+    scale: float = field(init=False)  # max|M|, taken once here
 
     def __post_init__(self) -> None:
-        # no n x n temporary: max and min propagate NaN, so they decide
-        # finiteness and give max|m|; the asymmetry is taken by row blocks
-        m = self.entries
+        n = self.grid.size
+        ap = self.packed
+        if ap.shape != (n * (n + 1) // 2,):
+            raise ValueError(f"packed storage of shape {ap.shape} does not hold "
+                             f"the lower triangle of a {n} x {n} matrix")
+        # max and min propagate NaN, so they decide finiteness and give max|M|
+        hi, lo = float(ap.max()), float(ap.min())
+        if not (math.isfinite(hi) and math.isfinite(lo)):
+            pos = int(np.flatnonzero(~np.isfinite(ap))[0])
+            i = int(np.searchsorted(_diagonal(n), pos))
+            raise ValueError(f"non-finite matrix entry at {(i, pos - i * (i + 1) // 2)}")
+        # the one derived field, set as the instance is made
+        object.__setattr__(self, "scale", max(hi, -lo))
+
+    @classmethod
+    def from_dense(cls, entries: np.ndarray, params: PhysParams,
+                   potential: RadialPotential, grid: QuadGrid) -> "BsMatrix":
+        """The matrix given in full, n x n: every entry finite, and the two
+        triangles within 1e-13 max(1, max|m|) of each other, taken by blocks
+        of rows with no n x n temporary; the lower triangle is stored."""
+        m = entries
         hi, lo = float(m.max()), float(m.min())
         if not (math.isfinite(hi) and math.isfinite(lo)):
             bad = tuple(np.argwhere(~np.isfinite(m))[0].tolist())
@@ -280,31 +347,57 @@ class BsMatrix:
             asym = max(asym, float(np.abs(d, out=d).max()))
         if asym > 1e-13 * max(1.0, hi, -lo):
             raise ValueError("matrix assembly lost symmetry")
+        packed = np.empty(len(m) * (len(m) + 1) // 2)
+        for i, first in enumerate(_row_starts(len(m))):
+            packed[first:first + i + 1] = m[i, :i + 1]
+        return cls(packed=packed, params=params, potential=potential, grid=grid)
 
     @classmethod
     def from_kernel(cls, potential: RadialPotential, p: PhysParams, grid: QuadGrid,
                     kappa: np.ndarray) -> "BsMatrix":
-        """sqrt(w |V|) kappa sqrt(w |V|) for kappa = green_kernel(grid, p),
-        scaled in place: the matrix takes over kappa, so a caller that needs
-        the kernel again passes a copy."""
+        """sqrt(w |V|) kappa sqrt(w |V|) for the packed kappa =
+        green_kernel(grid, p), scaled in place: the matrix takes over kappa,
+        so a caller that needs the kernel again passes a copy."""
         s = np.sqrt(grid.weights) * np.sqrt(-potential(grid.nodes))
-        # kappa_ij (s_i s_j) over square tiles, no temporary larger than a
-        # tile; s_i s_j == s_j s_i and kappa is mirrored, so the matrix is
-        # symmetric bit for bit
-        strips = _strips(len(s))
+        # kappa_ij (s_i s_j) by blocks of rows: no temporary above 0.2 MB
         try:
             with np.errstate(over="raise"):
-                for rows in strips:
-                    for cols in strips:
-                        kappa[rows, cols] *= np.multiply.outer(s[rows], s[cols])
+                for seg, si, sj in _row_pairs(s):
+                    si *= sj
+                    kappa[seg] *= si
         except FloatingPointError:
             raise EvaluationFailure(f"Birman-Schwinger matrix at E = {p.E}, m = {p.m}, "
                                     f"R = {grid.radius}: sqrt(w |V|) kappa sqrt(w |V|) "
                                     "leaves the float range") from None
-        return cls(entries=kappa, params=p, potential=potential, grid=grid)
+        return cls(packed=kappa, params=p, potential=potential, grid=grid)
 
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """x M for a vector or a block of row vectors x, that is M x_k for
+        each row x_k, M being symmetric: BLAS dspmv on the packed triangle."""
+        n = self.grid.size
+        if x.ndim == 1:
+            return dspmv(n, 1.0, self.packed, x)
+        return np.stack([dspmv(n, 1.0, self.packed, row) for row in x])
 
-_TILE = 128  # at most this many rows and columns per tile of the pair loops
+    @property
+    def norm_bound(self) -> float:
+        """|M|_F, which bounds the operator norm: |M|_F^2 = 2 |ap|^2 - |d|^2
+        for the packed triangle ap and the diagonal d, formed as
+        |ap| sqrt(2 - (|d|/|ap|)^2) from BLAS nrm2, which squares no entry in
+        floating point."""
+        full = float(scipy.linalg.norm(self.packed, check_finite=False))
+        if full == 0.0:
+            return 0.0
+        diag = float(scipy.linalg.norm(self.packed[_diagonal(self.grid.size)],
+                                       check_finite=False))
+        return full * math.sqrt(2.0 - (diag / full) ** 2)
+
+    def dense(self) -> np.ndarray:
+        """The n x n matrix, both triangles; no solver forms it."""
+        m = np.empty((self.grid.size, self.grid.size))
+        for i, first in enumerate(_row_starts(self.grid.size)):
+            m[i, :i + 1] = m[:i + 1, i] = self.packed[first:first + i + 1]
+        return m
 
 
 def _strips(n: int) -> list[slice]:
@@ -334,9 +427,9 @@ def green_kernel(grid: QuadGrid, p: PhysParams,
                  table: GreenKernelTable | None = None) -> np.ndarray:
     """kappa_ij = 2 pi int_|ri-rj|^(ri+rj) t G_E(t) dt (i != j) at p.E,
     the table's ring integrals, and the diagonal of the subtraction rule:
-    kappa @ w is the table's exact row integral.  Filled tile by tile
-    (``_tiles``), each tile and its mirror image, so no temporary is larger
-    than a tile."""
+    kappa @ w is the table's exact row integral.  kappa is symmetric and is
+    returned as its packed lower triangle (``BsMatrix``), filled by blocks
+    of rows (``_row_pairs``), so no temporary is larger than a tile."""
     where = f"Green kernel at E = {p.E}, m = {p.m}, R = {grid.radius}"
     if table is None:
         try:
@@ -346,17 +439,22 @@ def green_kernel(grid: QuadGrid, p: PhysParams,
     elif table.params != p or table.s_max < 2.0 * grid.radius:
         raise ValueError(f"kernel table for {table.params} up to s = {table.s_max} "
                          f"does not serve {p} up to 2 R = {2.0 * grid.radius}")
-    kappa = np.empty((grid.size, grid.size))
-    for rows, cols, hi, lo in _tiles(grid.nodes):
-        block = table.ring(hi, lo)
-        kappa[rows, cols] = block
-        kappa[cols, rows] = block.T
-    # the tiles leave the diagonal 0, so kappa @ w sums j != i only
+    n, r = grid.size, grid.nodes
+    kappa = np.empty(n * (n + 1) // 2)
+    # blocks of a whole tile: the ring's cost per call is that of about 5000 pairs
+    for seg, ri, rj in _row_pairs(r, _TILE * _TILE):
+        hi = ri + rj
+        lo = np.subtract(ri, rj, out=ri)  # >= 0: j <= i and the nodes ascend
+        del rj  # before the ring's temporaries
+        on = lo == 0.0  # the diagonal: the nodes are distinct
+        lo[on] = hi[on]  # where the ring kernel reads 0
+        kappa[seg] = table.ring(hi, lo)
+    # the diagonal is 0 so far, so kappa @ w sums j != i only
     w = grid.weights
-    diag = (table.row_integral(grid.nodes, grid.radius) - kappa @ w) / w
+    diag = (table.row_integral(r, grid.radius) - dspmv(n, 1.0, kappa, w)) / w
     if not np.isfinite(diag).all():  # kappa @ w carries a non-finite entry here
         raise EvaluationFailure(f"{where}: an entry leaves the float range")
-    np.fill_diagonal(kappa, diag)
+    kappa[_diagonal(n)] = diag
     return kappa
 
 
@@ -425,44 +523,43 @@ class SpectralResult:
         return self.matrix.params
 
 
-def unit_scale(a: np.ndarray) -> tuple[float, float]:
-    """max|a| and the power of two c that puts max|c a| in [1/2, 1), or
-    c = 1.0 when max|a| <= 1e-200 (a counts as zero).  Products by c are
-    exact rescalings."""
-    scale = max(float(a.max()), -float(a.min()))
-    return scale, (math.ldexp(1.0, -math.frexp(scale)[1]) if scale > 1e-200 else 1.0)
+def unit_power(scale: float) -> float:
+    """The power of two c that puts c scale in [1/2, 1), or 1.0 when
+    scale <= 1e-200 (counts as zero).  Products by c are exact rescalings."""
+    return math.ldexp(1.0, -math.frexp(scale)[1]) if scale > 1e-200 else 1.0
 
 
 _RITZ_EVERY = 2     # block steps between Rayleigh-Ritz extractions
 _BASIS_ROWS = 32    # first allocation of the Krylov basis; it doubles as needed
 
 
-def _ritz_pairs(a: np.ndarray, c: float, want: int) -> tuple[np.ndarray, np.ndarray]:
-    """Ritz values of the symmetric ``c a``, descending, and the unit Ritz
-    vectors (rows) of the first ``want`` of them.  ``c`` is a power of two
-    that scales the vectors ``a`` multiplies, so ``c a`` is never formed.
+def _ritz_pairs(op: BsMatrix, n: int, c: float,
+                want: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ritz values of c M, descending, for the symmetric n x n operator
+    M = ``op``, and the unit Ritz vectors (rows) of the first ``want`` of
+    them.  ``c`` is a power of two that scales the vectors ``op.apply``
+    multiplies, so c M is never formed.
 
     Block Lanczos with block size 2 and full reorthogonalization, done
     twice (Golub & Van Loan, 4th ed., 10.3), started from a [1, g] with g a
-    fixed pseudo-random vector.  Starting inside the range of ``a`` keeps
+    fixed pseudo-random vector.  Starting inside the range of M keeps
     the rows where |V| underflows exactly zero.  Every two block steps the
     Ritz pairs are taken from a symmetric eigensolver on the k x k projected
     matrix (Rayleigh-Ritz), until the first ``want`` Ritz residuals are at
     most 4 eps scale sqrt(n), scale the largest |Ritz value|.  A new vector
     already in the space to that tolerance is dropped.  When the whole space
     is invariant, the iteration restarts from a fresh vector, in the range
-    of ``a`` unless that adds nothing, so the basis can grow to n, where
+    of M unless that adds nothing, so the basis can grow to n, where
     Rayleigh-Ritz is exact.  The basis is stored by rows, k x n for k
     vectors, and never as an n x n array unless k reaches n.
     """
-    n = len(a)
     rng = np.random.default_rng(0)
     tol = 4.0 * np.finfo(float).eps * math.sqrt(n)
     basis = np.empty((min(n, _BASIS_ROWS), n))  # orthonormal rows
-    prods = np.empty_like(basis)                # prods[i] = c a @ basis[i]
+    prods = np.empty_like(basis)                # prods[i] = c M basis[i]
     k = steps = 0
     in_range = True
-    block = (c * np.stack([np.ones(n), rng.standard_normal(n)])) @ a
+    block = op.apply(c * np.stack([np.ones(n), rng.standard_normal(n)]))
     while True:
         start = k
         sizes = np.linalg.norm(block, axis=1)
@@ -484,11 +581,11 @@ def _ritz_pairs(a: np.ndarray, c: float, want: int) -> tuple[np.ndarray, np.ndar
             k += 1
         if k == start:
             g = rng.standard_normal(n)
-            block = ((c * g) @ a if in_range else g)[None]
+            block = (op.apply(c * g) if in_range else g)[None]
             in_range = not in_range
             continue
         in_range = True
-        prods[start:k] = (c * basis[start:k]) @ a
+        prods[start:k] = op.apply(c * basis[start:k])
         block = prods[start:k]
         steps += 1
         if steps % _RITZ_EVERY and k < n:
@@ -508,9 +605,9 @@ def leading_eigenpair(mat: BsMatrix, index: int = 0,
     """Largest (or index-th from the top) eigenvalue and eigenfunction.
 
     The pair is a Ritz pair of a block Krylov space of the matrix
-    (``_ritz_pairs``), which only multiplies by the matrix: no n x n
-    factorization and no other eigenvector is formed.  Its residual is a few
-    eps mu here, at index 0 and 1.  The eigenvalues index - 1 to index + 1
+    (``_ritz_pairs``), which only multiplies by the matrix (``apply``): no
+    n x n factorization and no other eigenvector is formed.  Its residual is
+    a few eps mu here, at index 0 and 1.  The eigenvalues index - 1 to index + 1
     are converged with it, and ``gap`` is the distance to the nearer of them.
     A gap below 1e-12 of the largest |Ritz value| raises
     ``DegenerateEigenvalueError``.  The block of two start vectors finds two
@@ -528,17 +625,17 @@ def leading_eigenpair(mat: BsMatrix, index: int = 0,
     positive when that is given and nonzero, and its largest-magnitude
     component positive otherwise.
     """
-    a = mat.entries
-    n = a.shape[0]
+    n = mat.grid.size
     if index < 0 or index >= n:
         raise ValueError("eigenpair index out of range")
-    scale, c = unit_scale(a)
+    scale = mat.scale
+    c = unit_power(scale)
     if scale > 1e-200:
-        theta, vecs = _ritz_pairs(a, c, min(index + 2, n))
+        theta, vecs = _ritz_pairs(mat, n, c, min(index + 2, n))
         v = vecs[index] / np.linalg.norm(vecs[index])
-        # mu is the Rayleigh quotient taken on c a itself: theta carries the
+        # mu is the Rayleigh quotient taken on c M itself: theta carries the
         # rounding of the projected matrix, up to about 4.5 eps mu at n <= 1000
-        av = a @ (c * v)
+        av = mat.apply(c * v)
         mu = float(v @ av)
         gap = min((abs(float(theta[j]) - mu) for j in (index - 1, index + 1)
                    if 0 <= j < len(theta)), default=math.inf)
@@ -551,7 +648,7 @@ def leading_eigenpair(mat: BsMatrix, index: int = 0,
         mu, gap = 0.0, (0.0 if n > 1 else math.inf)
         v = np.zeros(n)
         v[index] = 1.0
-        av = a @ v
+        av = mat.apply(v)
     residual = float(np.linalg.norm(av - mu * v)) / c
     mu, gap = mu / c, gap / c
     if not (math.isfinite(mu) and math.isfinite(residual)):

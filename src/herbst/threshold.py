@@ -18,13 +18,12 @@ from dataclasses import dataclass
 from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .fourierb import b_hat
 from .kernel import PhysParams, _gauss_panels, _not_a_knot, _Spline, _tail
 from .spectral import (BsMatrix, QuadGrid, RadialPotential, SpectralResult,
                        b_form, green_kernel, leading_eigenpair,
-                       two_well_potential, unit_scale)
+                       two_well_potential, unit_power)
 from .specfun import EvaluationFailure, QuadratureError, k0, k0_integral, k1
 
 A_ZERO_TOL_REL = 1e-8
@@ -84,13 +83,13 @@ def _a_vanishes(a: float, mu0: float) -> bool:
 _MINRES_RTOL = 1e-14  # on the backward error |r| / (|op| |x|)
 
 
-def _projected_resolvent_solve(entries: np.ndarray, mu: float, v: np.ndarray,
+def _projected_resolvent_solve(op: BsMatrix, mu: float, v: np.ndarray,
                                rhs: np.ndarray) -> np.ndarray:
     """x with Q (mu I - M) Q x = rhs, Q = I - v v^T, for rhs in the range of Q.
 
     scipy's MINRES (Paige & Saunders, SIAM J. Numer. Anal. 12 (1975) 617)
     on the symmetric operator, which may be indefinite, with products by
-    M = ``entries`` alone.  It stops at backward error 1e-14,
+    M = ``op`` alone (``op.apply``).  It stops at backward error 1e-14,
     |r| <= 1e-14 |op| |x|.  A neighbour of mu at distance gap makes |x| of
     order |rhs| / gap, and a relative residual |r| <= 1e-14 |rhs| then lies
     below rounding.
@@ -98,37 +97,37 @@ def _projected_resolvent_solve(entries: np.ndarray, mu: float, v: np.ndarray,
     The caller needs (rhs, x), whose error is (x, r) to first order, r the
     true residual, since the operator is symmetric.  One more product forms
     r, and ResolventSolveError, carrying |r| / |rhs|, is raised when
-    |(x, r)| exceeds 10 rtol |op| |x|^2, with |op| <= |mu| + |M|_F, or when
-    n steps do not converge.  A backward-stable solve stays below that bound
-    however small the gap: on random spectra with gaps of 1e-9 to 0.3 the
-    ratio was at most 0.006 of it, while |r| itself rose to 0.1 |rhs|.
+    |(x, r)| exceeds 10 rtol |op| |x|^2, with |op| <= |mu| + |M|_F
+    (``op.norm_bound``), or when n steps do not converge.  A
+    backward-stable solve stays below that bound however small the gap: on
+    random spectra with gaps of 1e-9 to 0.3 the ratio was at most 0.006 of
+    it, while |r| itself rose to 0.1 |rhs|.
 
     The solve runs on c M and d rhs, c and d the powers of two of
-    ``unit_scale``, and scales x back exactly, so no norm of the iteration
-    overflows near the float ceiling; |M|_F is taken by BLAS nrm2, which
-    does not square the entries in floating point.
+    ``unit_power`` for ``op.scale`` and max|rhs|, and scales x back exactly,
+    so no norm of the iteration overflows near the float ceiling.
     """
     from scipy.sparse.linalg import LinearOperator, minres
 
     n = len(rhs)
-    _, d = unit_scale(rhs)
+    d = unit_power(float(np.abs(rhs).max()))
     rhs = d * rhs
     size = float(np.linalg.norm(rhs))
     if size == 0.0:
         return np.zeros(n)
-    _, c = unit_scale(entries)
+    c = unit_power(op.scale)
     cmu = c * mu
 
     def projected(x):
         x = x - (v @ x) * v
-        y = cmu * x - entries @ (c * x)
+        y = cmu * x - op.apply(c * x)
         return y - (v @ y) * v
 
     x, info = minres(LinearOperator((n, n), matvec=projected, dtype=float), rhs,
                      rtol=_MINRES_RTOL, maxiter=n)
     r = rhs - projected(x)
     error = abs(float(x @ r))
-    op_norm = abs(cmu) + c * float(scipy.linalg.norm(entries.ravel(), check_finite=False))
+    op_norm = abs(cmu) + c * op.norm_bound
     if info != 0 or error > 10.0 * _MINRES_RTOL * op_norm * float(x @ x):
         residual = float(np.linalg.norm(r)) / size
         raise ResolventSolveError(
@@ -163,15 +162,19 @@ def _b_direct(res: SpectralResult) -> float:
     m = res.params.m
     b = 2.0 * m * b_form(res.grid, m, w * r * _weighted_f(res))
 
-    if res.index < 0 or _a_vanishes(coefficient_a(res), res.mu0):
-        return b
-    v = res.vector
-    uvec = np.sqrt(4.0 * math.pi * w) * r * np.sqrt(-res.potential(r))
-    o = float(uvec @ v)
-    qu = uvec - o * v
-    x = _projected_resolvent_solve(res.matrix.entries, res.mu0, v, qu)
-    c = -m / (2.0 * math.pi)
-    return b + float(2.0 * m * (c * o) ** 2 * (qu @ x))
+    if res.index >= 0 and not _a_vanishes(coefficient_a(res), res.mu0):
+        v = res.vector
+        uvec = np.sqrt(4.0 * math.pi * w) * r * np.sqrt(-res.potential(r))
+        o = float(uvec @ v)
+        qu = uvec - o * v
+        x = _projected_resolvent_solve(res.matrix, res.mu0, v, qu)
+        co = -m / (2.0 * math.pi) * o
+        # co * co, not co ** 2, which raises OverflowError on a Python float
+        b += float(2.0 * m * (co * co) * (qu @ x))
+    if not math.isfinite(b):
+        raise EvaluationFailure(f"coefficient b at m = {m}, R = {res.grid.radius}: "
+                                f"{b} is not finite")
+    return b
 
 
 _K_BREAKS = (0.0, 1.0, 5.0, 60.0)  # the k-intervals of the momentum route
@@ -470,7 +473,7 @@ def synthetic_zero_overlap_state(matrix: BsMatrix) -> SpectralResult:
     if nrm < 1e-200:
         raise ValueError("potential too degenerate for the sign-balanced state")
     v /= nrm
-    mu = float(v @ matrix.entries @ v)
+    mu = float(v @ matrix.apply(v))
     return SpectralResult(mu0=mu, vector=v, gap=np.inf, residual=np.nan,
                           index=-1, matrix=matrix)
 

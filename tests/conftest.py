@@ -47,8 +47,7 @@ def with_spectrum(grid200):
         entries = np.zeros((grid200.size, grid200.size))
         entries[:n, :n] = (q * vals) @ q.T
         entries = 0.5 * (entries + entries.T)
-        return BsMatrix(entries=entries, params=PhysParams(),
-                        potential=bump_potential(), grid=grid200)
+        return BsMatrix.from_dense(entries, PhysParams(), bump_potential(), grid200)
 
     return build
 

@@ -49,6 +49,21 @@ _OUT_OF_RANGE = {
                                    "--depth", "7.3e179"),
                                   ("Birman-Schwinger matrix at E = 0.0,",
                                    "m = 8.2e+140,", "R = 1.7e+26:")),
+    # b = inf from the second-order sum, which left energy_of_lambda a
+    # negative discriminant (exit 1), and (c o)^2 past the float range,
+    # which raised a bare OverflowError
+    "threshold-b-inf": (("threshold", "--potential", "gauss", "--grid-n", "8",
+                         "--depth", "8.335484725358255e+61",
+                         "--mass", "1.817001692741818e+120",
+                         "--radius", "6.285710665275838e-19"),
+                        ("coefficient b at", "m = 1.817001692741818e+120,",
+                         "R = 6.285710665275838e-19:")),
+    "threshold-b-overflow": (("threshold", "--potential", "bump", "--grid-n", "8",
+                              "--depth", "6.234814588376235e+185",
+                              "--mass", "3.9640816530951637e+62",
+                              "--radius", "42187779322063.69"),
+                             ("coefficient b at", "m = 3.9640816530951637e+62,",
+                              "R = 42187779322063.69:")),
 }
 
 

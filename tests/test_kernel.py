@@ -207,6 +207,22 @@ class TestEnvelope:
         with pytest.raises(ValueError):
             envelope_bound(1.0, PhysParams(m=1.0, E=0.0))
 
+    def test_scalar_calls_at_one_nu_build_the_moment_nodes_once(self, monkeypatch):
+        # the nu-fixed part of _k0_moments_at (nodes, C and T on them) is
+        # cached per nu: 40 scalar calls run one _cumulative pass, and the
+        # cached arrays are read-only
+        calls = []
+        cumulative = herbst.kernel._cumulative
+        monkeypatch.setattr(herbst.kernel, "_cumulative",
+                            lambda *args: calls.append(1) or cumulative(*args))
+        herbst.kernel._moment_nodes.cache_clear()
+        p = PhysParams.from_mu(0.37, 1.0)
+        assert all(envelope_holds(float(r), p) for r in np.geomspace(0.05, 8.0, 40))
+        assert len(calls) == 1
+        nodes = herbst.kernel._moment_nodes(p.nu)
+        for a in (nodes.g, nodes.c_nodes, nodes.t_nodes):
+            assert not a.flags.writeable
+
 
 def _ppoly(spline):
     """A table's (x, c) spline as scipy's PPoly, the evaluation its lookup

@@ -24,7 +24,8 @@ from herbst.spectral import (BsMatrix, DegenerateEigenvalueError,
                              s_wave_reduce, square_well_potential,
                              tabulated_potential,
                              truncated_gaussian_potential, two_well_potential)
-from herbst.threshold import energy_of_lambda, expansion_from_state, lambda_of_alpha
+from herbst.threshold import (energy_of_lambda, expansion_from_state, lambda_of_alpha,
+                              synthetic_zero_overlap_state)
 
 
 class TestPotentials:
@@ -177,7 +178,7 @@ class TestAssembly:
     def test_matrix_is_symmetric_and_finite(self):
         mat = s_wave_reduce(bump_potential(), PhysParams(),
                             QuadGrid.gauss_legendre(60, 1.0))
-        a = mat.entries
+        a = mat.dense()
         assert np.all(np.isfinite(a))
         assert np.max(np.abs(a - a.T)) < 1e-14
 
@@ -194,23 +195,23 @@ class TestAssembly:
         expected = (math.sqrt(grid.weights[i] * grid.weights[j])
                     * math.sqrt(pot(ri) * pot(rj))
                     * 2.0 * math.pi * ring)
-        assert_allclose(mat.entries[i, j], expected, rtol=1e-9)
+        assert_allclose(mat.dense()[i, j], expected, rtol=1e-9)
 
     def test_shared_table_reproduces_default(self):
         pot = bump_potential()
         p = PhysParams()
         grid = QuadGrid.gauss_legendre(30, 1.0)
         table = GreenKernelTable(p, s_max=2.002)
-        a = s_wave_reduce(pot, p, grid).entries
-        b = s_wave_reduce(pot, p, grid, table=table).entries
+        a = s_wave_reduce(pot, p, grid).packed
+        b = s_wave_reduce(pot, p, grid, table=table).packed
         assert_allclose(a, b, rtol=0.0, atol=1e-15)
 
     @pytest.mark.parametrize("E", [0.0, -0.01])
     def test_reused_kernel_matches_fresh_assembly(self, E):
         # the matrix takes over the kernel it scales, so a caller reusing one
         # kernel for three potentials hands each a copy; each matrix is the
-        # kernel scaled by s s^T, bit for bit, over one tile, one tile
-        # exactly full, a partial second tile and several
+        # packed kernel scaled by s s^T, bit for bit, in one block of rows
+        # (n = 2) and in several
         for n in (2, 127, 128, 129, 400):
             grid = QuadGrid.gauss_legendre(n, 1.0)
             p = PhysParams(m=1.0, E=E)
@@ -218,9 +219,10 @@ class TestAssembly:
             for pot in (bump_potential(), square_well_potential(),
                         two_well_potential(8.0, 16.0)):
                 s = np.sqrt(grid.weights) * np.sqrt(-pot(grid.nodes))
-                entries = BsMatrix.from_kernel(pot, p, grid, kappa.copy()).entries
-                assert np.array_equal(entries, np.multiply.outer(s, s) * kappa)
-                assert np.array_equal(entries, s_wave_reduce(pot, p, grid).entries)
+                packed = BsMatrix.from_kernel(pot, p, grid, kappa.copy()).packed
+                assert np.array_equal(packed,
+                                      np.multiply.outer(s, s)[np.tril_indices(n)] * kappa)
+                assert np.array_equal(packed, s_wave_reduce(pot, p, grid).packed)
 
     @pytest.mark.parametrize("E", [0.0, -0.01, pytest.param(None, id="B")])
     def test_rows_integrate_one_exactly(self, E):
@@ -234,7 +236,7 @@ class TestAssembly:
         else:
             p = PhysParams(m=1.0, E=E)
             table = GreenKernelTable(p, s_max=2.002)
-            rows = green_kernel(grid, p, table) @ grid.weights
+            rows = unpack(green_kernel(grid, p, table)) @ grid.weights
         for i in (0, 13, 39):
             ri = grid.nodes[i]
             if E is None:
@@ -263,13 +265,16 @@ class TestAssembly:
     @settings(max_examples=30, deadline=None)
     def test_kernels_are_exactly_symmetric_samples(self, n, radius, m, energy):
         # off the diagonal the assembled kernel is the ring integrals of its
-        # table, bit for bit, and mirrors across the diagonal exactly, over
-        # one tile (n <= 128) or several; the B form is the reference
-        # rule's, whose off-diagonal entries are the B table's ring integrals
+        # table, bit for bit, and mirrors across the diagonal exactly, as it
+        # stores each pair once, in one block of rows (n <= 180) or several;
+        # the B form is the reference rule's, whose off-diagonal entries are
+        # the B table's ring integrals
         grid = QuadGrid.gauss_legendre(n, radius)
         p = PhysParams(m=m, E=-energy * m)
         table = GreenKernelTable(p, s_max=2.0 * radius * 1.001)
         k = green_kernel(grid, p, table)
+        assert k.shape == (n * (n + 1) // 2,)
+        k = unpack(k)
         assert np.array_equal(k, k.T)
         r = grid.nodes
         i, j = np.nonzero(~np.eye(n, dtype=bool))
@@ -296,9 +301,10 @@ class TestAssembly:
         assert_allclose(b_form(grid, m, u), u @ kb @ u, rtol=1e-13)
 
     def test_assembly_allocates_no_full_matrix_temporaries(self):
-        # kappa and tile-sized temporaries (about 1.3 MB at any n): at
-        # n = 400 a tile is 100 x 100, and the table builds inside kernel
-        for n, bound in ((400, 1.8), (1600, 1.1)):
+        # the packed kappa, 8 n(n+1)/2 bytes, and tile-sized temporaries
+        # (about 1.1 MB at any n), the table built inside: 2.75 and 1.11
+        # times the packed size at n = 400 and 1600
+        for n, bound in ((400, 3.1), (1600, 1.16)):
             grid = QuadGrid.gauss_legendre(n, 1.0)
             tracemalloc.start()
             try:
@@ -306,28 +312,31 @@ class TestAssembly:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= bound * 8 * n * n
+            assert peak <= bound * 8 * n * (n + 1) / 2
 
     def test_matrix_is_exactly_symmetric_with_one_full_array(self):
-        # kappa is scaled into the matrix in place, tile by tile: no second
-        # n x n array, and symmetric bit for bit since s_i s_j == s_j s_i
-        # and kappa is mirrored
+        # kappa is scaled into the matrix in place, by blocks of rows: no
+        # second array of its size, and symmetric bit for bit since the
+        # packed triangle holds each pair once
         n = 800
         grid = QuadGrid.gauss_legendre(n, 1.0)
         kappa = green_kernel(grid, PhysParams())
         tracemalloc.start()
         try:
-            entries = BsMatrix.from_kernel(bump_potential(), PhysParams(), grid, kappa).entries
+            mat = BsMatrix.from_kernel(bump_potential(), PhysParams(), grid, kappa)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 0.1 * 8 * n * n
-        assert entries is kappa
-        assert np.array_equal(entries, entries.T)
+        assert mat.packed is kappa
+        assert kappa.shape == (n * (n + 1) // 2,)
+        dense = mat.dense()
+        assert np.array_equal(dense, dense.T)
 
     def test_assembly_holds_one_full_array(self):
-        # the whole s_wave_reduce: the kernel, which becomes the matrix, plus
-        # the table and tile-sized temporaries
+        # the whole s_wave_reduce: the packed kernel, which becomes the
+        # matrix, plus the table and tile-sized temporaries, 1.44 times the
+        # packed size (1.20 times 8 n^2 while both triangles were stored)
         n = 800
         grid = QuadGrid.gauss_legendre(n, 1.0)
         tracemalloc.start()
@@ -336,7 +345,7 @@ class TestAssembly:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * 8 * n * n
+        assert peak <= 1.5 * 8 * n * (n + 1) / 2
 
     def test_kernel_rejects_a_table_for_another_energy(self):
         # an E = 0 table under an E = -0.09 matrix would give mu0 = 0.486,
@@ -429,10 +438,26 @@ def dense_b_kernel(grid, m):
     return k
 
 
+def unpack(packed):
+    """The symmetric n x n matrix whose lower triangle ``packed`` holds by rows."""
+    n = (math.isqrt(8 * len(packed) + 1) - 1) // 2
+    m = np.zeros((n, n))
+    m[np.tril_indices(n)] = packed
+    return m + np.tril(m, -1).T
+
+
+def grid_of(n):
+    """A grid of n nodes on (0, 1); one node at 0.5 passes the moment check
+    with weight 4/3."""
+    if n == 1:
+        return QuadGrid(nodes=np.array([0.5]), weights=np.array([4.0 / 3.0]), radius=1.0)
+    return QuadGrid.gauss_legendre(n, 1.0)
+
+
 def bs_matrix(entries):
-    """BsMatrix around ``entries``; the check reads nothing else."""
-    return BsMatrix(entries=entries, params=PhysParams(), potential=None,
-                    grid=None)
+    """BsMatrix.from_dense around ``entries`` on a grid of as many nodes; the
+    check reads nothing else."""
+    return BsMatrix.from_dense(entries, PhysParams(), None, grid_of(len(entries)))
 
 
 def symmetric(n, scale, seed=0):
@@ -485,15 +510,78 @@ class TestBsMatrixCheck:
         assert rejected == full_rule
 
     def test_check_allocates_no_full_matrix_temporaries(self):
+        # the packed triangle it stores, 8 n(n+1)/2 bytes, and blocks
         n = 800
         m = symmetric(n, 1.0)
+        grid = grid_of(n)
         tracemalloc.start()
         try:
-            bs_matrix(m)
+            BsMatrix.from_dense(m, PhysParams(), None, grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 0.1 * 8 * n * n
+        assert peak <= 8 * n * (n + 1) // 2 + 0.1 * 8 * n * n
+
+
+class DenseOperator:
+    """The solvers' three members, ``apply``, ``scale`` and ``norm_bound``,
+    over a dense symmetric matrix by numpy alone, with the grid, potential
+    and parameters a SpectralResult reads: no storage of BsMatrix's."""
+
+    __slots__ = ("_m", "scale", "norm_bound", "params", "potential", "grid")
+
+    def __init__(self, dense, params, potential, grid):
+        self._m = dense
+        self.scale = float(np.abs(dense).max())
+        self.norm_bound = float(np.linalg.norm(dense))
+        self.params, self.potential, self.grid = params, potential, grid
+
+    def apply(self, x):
+        return x @ self._m
+
+
+class TestOperatorSeam:
+    @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 400])
+    def test_apply_is_the_dense_product(self, n):
+        # one row block of the triangle and several; a vector and a block
+        grid = grid_of(n)
+        mat = s_wave_reduce(bump_potential(), PhysParams(), grid)
+        dense = mat.dense()
+        assert np.array_equal(dense, unpack(mat.packed))
+        rng = np.random.default_rng(n)
+        for x in (rng.standard_normal(n), rng.standard_normal((3, n))):
+            want = x @ dense
+            assert np.abs(mat.apply(x) - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n", [1, 2, 129, 400])
+    @pytest.mark.parametrize("c", [1.0, math.ldexp(1.0, 900), -math.ldexp(1.0, -900)])
+    def test_scale_and_norm_bound_are_those_of_the_dense_matrix(self, n, c):
+        # max|M| exactly, a negative entry's too, and |M|_F from the packed
+        # triangle, where the sum of squares of entries near 2^900 would
+        # overflow
+        mat = s_wave_reduce(two_well_potential(8.0, 16.0), PhysParams(), grid_of(n))
+        mat = BsMatrix(packed=c * mat.packed, params=mat.params, potential=mat.potential,
+                       grid=mat.grid)
+        dense = mat.dense()
+        assert mat.scale == np.abs(dense).max()
+        frobenius = abs(c) * np.linalg.norm(dense / c)
+        assert abs(mat.norm_bound - frobenius) <= 1e-15 * frobenius
+
+    @pytest.mark.parametrize("family", ["bump", "well"])
+    def test_solvers_need_only_the_three_members(self, family):
+        # the eigenpair, a, b (MINRES on the well's second-order sum) and the
+        # zero-overlap trial state agree with the packed matrix's
+        make, radius = _FAMILIES[family]
+        mat = s_wave_reduce(make(1.0, radius), PhysParams(),
+                            QuadGrid.gauss_legendre(200, radius))
+        op = DenseOperator(mat.dense(), mat.params, mat.potential, mat.grid)
+        assert not hasattr(op, "packed")
+        for want, got in ((expansion_from_state(leading_eigenpair(mat)),
+                           expansion_from_state(leading_eigenpair(op))),
+                          (expansion_from_state(synthetic_zero_overlap_state(mat)),
+                           expansion_from_state(synthetic_zero_overlap_state(op)))):
+            assert_allclose([got.mu0, got.a, got.b], [want.mu0, want.a, want.b],
+                            rtol=1e-14)
 
 
 class TestEigenpairs:
@@ -519,7 +607,7 @@ class TestEigenpairs:
     def test_vector_is_a_unit_eigenvector_of_the_top_eigenvalue(self, state200):
         # the pair is a Ritz pair of a block Krylov space; mu0 is the
         # Rayleigh quotient of its vector, within rounding of eigvalsh's
-        top = np.linalg.eigvalsh(state200.matrix.entries)[-1]
+        top = np.linalg.eigvalsh(state200.matrix.dense())[-1]
         assert abs(state200.mu0 - top) <= 4.0 * np.finfo(float).eps * state200.mu0
         assert state200.residual < 1e-13
         assert_allclose(np.linalg.norm(state200.vector), 1.0, rtol=1e-15)
@@ -596,8 +684,8 @@ class TestEigenpairs:
         s = np.zeros(grid200.size)
         s[:150] = np.random.default_rng(5).uniform(0.5, 1.0, 150)
         s /= np.linalg.norm(s)
-        mat = BsMatrix(entries=0.7 * np.outer(s, s), params=PhysParams(),
-                       potential=bump_potential(), grid=grid200)
+        mat = BsMatrix.from_dense(0.7 * np.outer(s, s), PhysParams(), bump_potential(),
+                                  grid200)
         res = leading_eigenpair(mat)
         assert_allclose(res.mu0, 0.7, rtol=1e-15)
         assert_allclose(res.gap, 0.7, rtol=1e-15)
@@ -611,9 +699,8 @@ class TestEigenpairs:
         # eigenvalues evenly spread over [0.1, 1]: the worst case for the
         # Krylov space, which grows to n, where Rayleigh-Ritz is exact
         entries = np.diag(np.linspace(1.0, 0.1, grid200.size))
-        res = leading_eigenpair(BsMatrix(entries=entries, params=PhysParams(),
-                                         potential=bump_potential(),
-                                         grid=grid200))
+        res = leading_eigenpair(BsMatrix.from_dense(entries, PhysParams(),
+                                                    bump_potential(), grid200))
         # within 4 ulps of 1 on either side
         fin = np.finfo(float)
         assert 1.0 - 4.0 * fin.epsneg <= res.mu0 <= 1.0 + 4.0 * fin.eps
@@ -737,7 +824,7 @@ def test_scaling_by_a_power_of_two_is_exact(state200, power):
     # smallest nonzero entry, 2.9e-254, stays a normal float at 2^-60
     c = math.ldexp(1.0, power)
     mat = state200.matrix
-    res = leading_eigenpair(BsMatrix(entries=c * mat.entries, params=mat.params,
+    res = leading_eigenpair(BsMatrix(packed=c * mat.packed, params=mat.params,
                                      potential=mat.potential, grid=mat.grid))
     assert res.mu0 == c * state200.mu0
     assert res.gap == c * state200.gap
