@@ -296,6 +296,7 @@ def _tail(fvec, xgrid: np.ndarray) -> np.ndarray:
 
 _LAGUERRE_FROM = 4.0  # T(x) from the grid below, from Gauss-Laguerre above
 _GLAG_X, _GLAG_W = roots_laguerre(24)
+_CACHED = 16  # entries kept by each of the module's caches
 
 
 def _moment_grid(nu: float) -> np.ndarray:
@@ -327,7 +328,7 @@ class _MomentNodes(NamedTuple):
     t_nodes: np.ndarray
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=_CACHED)
 def _moment_nodes(nu: float) -> _MomentNodes:
     """``_MomentNodes`` at nu, read-only and built once per nu: one
     ``_cumulative`` pass for C, and T summed down, panel by panel, from
@@ -587,3 +588,22 @@ class BKernelTable(_RingTable):
               + ((x2 / 3.0 - 1.0) * x * k0_integral(x) - x2 * k0(x) / 3.0
                  + (x2 - 2.0) * x * k1(x) / 3.0 + 2.0 / 3.0) / math.pi)
         return np.append(0.0, cb) / np.float64(self.m)**3
+
+
+def _shared(cls):
+    """A factory of read-only ``cls`` tables, built once per key: the
+    positional fields, (params, s_max) or (m, s_max).  It keeps the last
+    ``_CACHED`` keys, about 77 KB a table.  A build that raises is not kept,
+    so the next call builds again."""
+    @functools.lru_cache(maxsize=_CACHED)
+    def table(*key):
+        built = cls(*key)
+        for a in (*built._cum, *built._prim, built._ends):
+            a.flags.writeable = False
+        return built
+    return table
+
+
+# the tables of green_kernel and b_form: one per energy, mass and reach
+_green_table = _shared(GreenKernelTable)
+_b_table = _shared(BKernelTable)

@@ -100,12 +100,18 @@ def _k1_series(x):
     return 1.0 / x + np.log(x / 2.0) * i1 - (x / 4.0) * s_h
 
 
+_LARGE_BLOCK = 256  # points per block of the Gauss-Laguerre sums of ``_k_large``
+
+
 def _k_large(order, x):
     # K_nu(x) = sqrt(pi/2x) e^-x / Gamma(nu+1/2) * int_0^inf e^-t t^(nu-1/2)
-    #           (1 + t/2x)^(nu-1/2) dt, done with generalized Gauss-Laguerre.
+    #           (1 + t/2x)^(nu-1/2) dt, done with generalized Gauss-Laguerre
+    #           on a 1-d x, by blocks of points: O(len(x)) memory
     t, w = _GL_NODES[order]
-    core = (1.0 + t / (2.0 * x[..., None])) ** (order - 0.5)
-    integral = (w * core).sum(axis=-1)
+    integral = np.empty_like(x)
+    for i in range(0, len(x), _LARGE_BLOCK):
+        core = (1.0 + t / (2.0 * x[i:i + _LARGE_BLOCK, None])) ** (order - 0.5)
+        integral[i:i + _LARGE_BLOCK] = (w * core).sum(axis=-1)
     pref = np.sqrt(np.pi / (2.0 * x)) * np.exp(-x) / math.gamma(order + 0.5)
     return pref * integral
 

@@ -31,8 +31,13 @@ The solvers see the matrix through three members of ``BsMatrix``: ``apply``
 = |M|_F.  The Birman-Schwinger principle needs only the top eigenvalues of
 M, the gap and one eigenvector, so ``leading_eigenpair`` takes them from a
 block Krylov space (``_ritz_pairs``) that only multiplies by M, by
-Rayleigh-Ritz with a symmetric eigensolver on the k x k projected matrix: no
-n x n factorization.
+Rayleigh-Ritz with LAPACK dsyevr, called directly, on the k x k projected
+matrix: no n x n factorization.
+
+The ring tables behind the kernels depend on the energy, the mass and the
+reach 2R only, not on n or the potential: ``green_kernel`` and ``b_form``
+share one read-only table per key (``kernel._green_table``,
+``kernel._b_table``), so solves at one energy build it once.
 """
 
 from __future__ import annotations
@@ -46,9 +51,14 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.linalg
 from scipy.linalg.blas import dspmv
+from scipy.linalg.lapack import get_lapack_funcs
 
-from .kernel import BKernelTable, GreenKernelTable, PhysParams
+from .kernel import GreenKernelTable, PhysParams, _b_table, _green_table
 from .specfun import EvaluationFailure
+
+# LAPACK's symmetric eigensolver as scipy.linalg.eigh calls it by default
+_syevr, _syevr_lwork = get_lapack_funcs(("syevr", "syevr_lwork"), (np.empty((1, 1)),))
+
 
 class EigensolverError(RuntimeError):
     pass
@@ -429,11 +439,13 @@ def green_kernel(grid: QuadGrid, p: PhysParams,
     the table's ring integrals, and the diagonal of the subtraction rule:
     kappa @ w is the table's exact row integral.  kappa is symmetric and is
     returned as its packed lower triangle (``BsMatrix``), filled by blocks
-    of rows (``_row_pairs``), so no temporary is larger than a tile."""
+    of rows (``_row_pairs``), so no temporary is larger than a tile.  With
+    no table given, the one of (p, R) is built once and shared
+    (``kernel._green_table``)."""
     where = f"Green kernel at E = {p.E}, m = {p.m}, R = {grid.radius}"
     if table is None:
         try:
-            table = GreenKernelTable(p, s_max=2.0 * grid.radius * 1.001)
+            table = _green_table(p, 2.0 * grid.radius * 1.001)
         except EvaluationFailure as exc:
             raise EvaluationFailure(f"{where}: {exc}") from None
     elif table.params != p or table.s_max < 2.0 * grid.radius:
@@ -468,9 +480,10 @@ def b_form(grid: QuadGrid, m: float, u: np.ndarray) -> float:
 
         sum_i u_i v_i I_i - sum_(i < j) k_ij w_i w_j (v_i - v_j)^2,
 
-    summed here tile by tile (``_tiles``): no temporary is larger than a tile.
+    summed here tile by tile (``_tiles``): no temporary is larger than a
+    tile.  The table of (m, R) is built once and shared (``kernel._b_table``).
     """
-    table = BKernelTable(m, 2.0 * grid.radius * 1.001)
+    table = _b_table(m, 2.0 * grid.radius * 1.001)
     w = grid.weights
     v = u / w
     pairs = 0.0
@@ -533,6 +546,19 @@ _RITZ_EVERY = 2     # block steps between Rayleigh-Ritz extractions
 _BASIS_ROWS = 32    # first allocation of the Krylov basis; it doubles as needed
 
 
+def _symmetric_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues, ascending, and unit eigenvectors (columns) of the
+    symmetric matrix a, from its lower triangle: LAPACK dsyevr with the
+    arguments and workspace of ``scipy.linalg.eigh(a, check_finite=False)``,
+    whose results these are to the last bit, without its checks."""
+    work, iwork, _ = _syevr_lwork(len(a), lower=1)
+    w, v, _, _, info = _syevr(a, compute_v=1, lower=1, lwork=int(work), liwork=iwork)
+    if info:
+        raise EigensolverError(f"LAPACK dsyevr failed with info = {info} "
+                               f"on the {len(a)} x {len(a)} Rayleigh-Ritz matrix")
+    return w, v
+
+
 def _ritz_pairs(op: BsMatrix, n: int, c: float,
                 want: int) -> tuple[np.ndarray, np.ndarray]:
     """Ritz values of c M, descending, for the symmetric n x n operator
@@ -544,11 +570,12 @@ def _ritz_pairs(op: BsMatrix, n: int, c: float,
     twice (Golub & Van Loan, 4th ed., 10.3), started from a [1, g] with g a
     fixed pseudo-random vector.  Starting inside the range of M keeps
     the rows where |V| underflows exactly zero.  Every two block steps the
-    Ritz pairs are taken from a symmetric eigensolver on the k x k projected
-    matrix (Rayleigh-Ritz), until the first ``want`` Ritz residuals are at
-    most 4 eps scale sqrt(n), scale the largest |Ritz value|.  A new vector
-    already in the space to that tolerance is dropped.  When the whole space
-    is invariant, the iteration restarts from a fresh vector, in the range
+    Ritz pairs are taken from LAPACK dsyevr on the k x k projected matrix
+    (Rayleigh-Ritz, ``_symmetric_eigh``), until the first ``want`` Ritz
+    residuals are at most 4 eps scale sqrt(n), scale the largest |Ritz
+    value|.  A new vector already in the space to that tolerance is
+    dropped.  When the whole space is invariant, the iteration restarts
+    from a fresh vector, in the range
     of M unless that adds nothing, so the basis can grow to n, where
     Rayleigh-Ritz is exact.  The basis is stored by rows, k x n for k
     vectors, and never as an n x n array unless k reaches n.
@@ -591,7 +618,7 @@ def _ritz_pairs(op: BsMatrix, n: int, c: float,
         if steps % _RITZ_EVERY and k < n:
             continue
         t = basis[:k] @ prods[:k].T
-        theta, x = scipy.linalg.eigh(0.5 * (t + t.T), check_finite=False)
+        theta, x = _symmetric_eigh(0.5 * (t + t.T))
         theta, x = theta[::-1], x[:, ::-1][:, :want].T
         vecs = x @ basis[:k]
         resid = np.linalg.norm(x @ prods[:k] - theta[:len(x), None] * vecs, axis=1)

@@ -266,6 +266,21 @@ def _fresh_python(code):
                           text=True, env={**os.environ, "PYTHONPATH": path}).stdout
 
 
+class TestWarmTables:
+    @pytest.mark.parametrize("argv", [["spectrum"], ["threshold"],
+                                      ["verify", "continuation"]])
+    def test_repeat_in_one_process_is_a_fresh_process_byte_for_byte(self, argv, capsys):
+        # the ring tables built by the first run serve the second: the JSON,
+        # meta included, is the bytes of a run in a new interpreter
+        argv = [*argv, "--format", "json"]
+        fresh = _fresh_python("import sys\n"
+                              "from herbst import cli\n"
+                              f"sys.exit(cli.main({argv!r}))")
+        for _ in range(2):
+            assert main(argv) == EXIT_OK
+            assert capsys.readouterr().out == fresh
+
+
 class TestImports:
     @pytest.mark.parametrize("command, loaded", [
         ("spectrum", []),

@@ -450,3 +450,40 @@ class TestRingTables:
         table = BKernelTable(m=1.0, s_max=4.0)
         val = table.ring(1.4, 0.0)
         assert np.isfinite(val)
+
+
+class TestSharedTables:
+    """``_green_table`` and ``_b_table``: one read-only table per key."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: herbst.kernel._green_table(PhysParams(m=1.0, E=-0.09), 2.002),
+        lambda: herbst.kernel._b_table(1.0, 2.002),
+    ], ids=["green", "B"])
+    def test_shared_tables_are_read_only(self, make):
+        table = make()
+        assert make() is table
+        for a in (*table._cum, *table._prim, table._ends):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
+    def test_a_failed_build_is_not_kept(self, monkeypatch):
+        # the spline fails once: the call raises the table's own message,
+        # and the next call builds again and keeps what it built
+        builds = []
+        not_a_knot = herbst.kernel._not_a_knot
+
+        def failing_once(x, y):
+            builds.append(1)
+            if len(builds) == 1:
+                raise ValueError("a spline needs ascending nodes and finite values")
+            return not_a_knot(x, y)
+
+        monkeypatch.setattr(herbst.kernel, "_not_a_knot", failing_once)
+        herbst.kernel._b_table.cache_clear()
+        with pytest.raises(EvaluationFailure,
+                           match=r"^BKernelTable\(m=1\.0, s_max=2\.002\): its spline"):
+            herbst.kernel._b_table(1.0, 2.002)
+        table = herbst.kernel._b_table(1.0, 2.002)
+        assert herbst.kernel._b_table(1.0, 2.002) is table
+        assert len(builds) == 2
+        assert np.array_equal(table._prim.c, BKernelTable(1.0, 2.002)._prim.c)

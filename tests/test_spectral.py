@@ -8,17 +8,19 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
+import herbst.kernel
 from herbst.kernel import BKernelTable, GreenKernelTable, PhysParams, green_function
 from herbst.specfun import EvaluationFailure, checked_quad
 from herbst.spectral import (BsMatrix, DegenerateEigenvalueError,
                              EigensolverError, QuadGrid, RadialPotential,
-                             _reference_rule, b_form,
+                             _reference_rule, _symmetric_eigh, b_form,
                              bump_potential, eigen_continuation, green_kernel,
                              leading_eigenpair,
                              s_wave_reduce, square_well_potential,
@@ -306,6 +308,7 @@ class TestAssembly:
         # times the packed size at n = 400 and 1600
         for n, bound in ((400, 3.1), (1600, 1.16)):
             grid = QuadGrid.gauss_legendre(n, 1.0)
+            herbst.kernel._green_table.cache_clear()
             tracemalloc.start()
             try:
                 green_kernel(grid, PhysParams())
@@ -339,6 +342,7 @@ class TestAssembly:
         # packed size (1.20 times 8 n^2 while both triangles were stored)
         n = 800
         grid = QuadGrid.gauss_legendre(n, 1.0)
+        herbst.kernel._green_table.cache_clear()
         tracemalloc.start()
         try:
             s_wave_reduce(bump_potential(), PhysParams(), grid)
@@ -376,6 +380,7 @@ class TestAssembly:
         p = PhysParams(m=1.0, E=E)
 
         def count(n, table=None):
+            herbst.kernel._green_table.cache_clear()  # the shared table is built here
             points.clear()
             s_wave_reduce(bump_potential(), p, QuadGrid.gauss_legendre(n, 1.0), table)
             return sum(points)
@@ -424,6 +429,81 @@ class TestAssembly:
         with pytest.raises(EvaluationFailure,
                            match=r"^Green kernel at E = -0\.1, m = 2\.0, R = 1\.0: "):
             green_kernel(grid, p, table)
+
+
+class TestSharedTables:
+    """green_kernel and b_form build each ring table once per (E, m, R)."""
+
+    @pytest.fixture
+    def spline_builds(self, monkeypatch):
+        """One entry per ring table built from now on, all caches cleared."""
+        builds = []
+        not_a_knot = herbst.kernel._not_a_knot
+        monkeypatch.setattr(herbst.kernel, "_not_a_knot",
+                            lambda x, y: builds.append(1) or not_a_knot(x, y))
+        herbst.kernel._green_table.cache_clear()
+        herbst.kernel._b_table.cache_clear()
+        return builds
+
+    @pytest.mark.parametrize("E", [0.0, -0.09])
+    @pytest.mark.parametrize("radius", [1.0, 3.0])
+    def test_shared_table_gives_the_fresh_tables_kernel(self, spline_builds, E, radius):
+        # built on the first call, taken from the cache on the second
+        grid = QuadGrid.gauss_legendre(120, radius)
+        p = PhysParams(m=1.0, E=E)
+        want = green_kernel(grid, p, GreenKernelTable(p, s_max=2.0 * radius * 1.001))
+        for _ in range(2):
+            assert np.array_equal(green_kernel(grid, p), want)
+        assert len(spline_builds) == 2
+
+    def test_one_build_per_key_across_grids_and_potentials(self, spline_builds):
+        # the table depends on (E, m, R) only: one for the kernels at
+        # n = 200 and 400 and two potentials, one for b_form on both grids
+        p = PhysParams(m=1.0, E=-0.04)
+        for n in (200, 400):
+            grid = QuadGrid.gauss_legendre(n, 1.0)
+            for potential in (bump_potential(), square_well_potential()):
+                s_wave_reduce(potential, p, grid)
+        assert len(spline_builds) == 1
+        for n in (200, 400):
+            grid = QuadGrid.gauss_legendre(n, 1.0)
+            b_form(grid, 1.0, grid.weights * grid.nodes)
+        assert len(spline_builds) == 2
+
+    def test_seventeenth_energy_evicts_the_first(self, spline_builds):
+        # each cache keeps the last 16 keys
+        grid = QuadGrid.gauss_legendre(8, 1.0)
+        energies = -0.01 * np.arange(1, 18)
+        for E in energies:
+            green_kernel(grid, PhysParams(E=E))
+        assert len(spline_builds) == 17
+        green_kernel(grid, PhysParams(E=energies[-1]))
+        assert len(spline_builds) == 17
+        green_kernel(grid, PhysParams(E=energies[0]))
+        assert len(spline_builds) == 18
+
+    def test_a_table_that_cannot_be_built_fails_on_every_call(self, spline_builds):
+        # no failure is cached, and each names the kernel, E, m and R
+        grid = QuadGrid.gauss_legendre(8, 1e150)
+        for _ in range(2):
+            with pytest.raises(EvaluationFailure,
+                               match=r"^Green kernel at E = 0\.0, m = 1\.0, R = 1e\+150: "
+                                     r"GreenKernelTable\("):
+                green_kernel(grid, PhysParams())
+        assert herbst.kernel._green_table.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("k", [1, 2, 17, 32])
+def test_rayleigh_ritz_solve_is_scipys_eigh_bit_for_bit(k):
+    # the direct dsyevr call of _ritz_pairs, on random symmetric k x k
+    # matrices as _ritz_pairs forms them
+    rng = np.random.default_rng(k)
+    for _ in range(10):
+        t = rng.standard_normal((k, k))
+        a = 0.5 * (t + t.T)
+        w, v = _symmetric_eigh(a)
+        want_w, want_v = scipy.linalg.eigh(a, check_finite=False)
+        assert np.array_equal(w, want_w) and np.array_equal(v, want_v)
 
 
 def dense_b_kernel(grid, m):

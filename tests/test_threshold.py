@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.interpolate import CubicSpline
 
-from herbst import cli, threshold
+from herbst import cli, spectral, threshold
 from herbst.fourierb import b_hat
 from herbst.kernel import PhysParams, _tail
 from herbst.specfun import QuadratureError, k0_weighted_integral, k1
@@ -485,6 +485,8 @@ def test_threshold_path_runs_no_dense_factorization(monkeypatch, capsys):
     for name in ("eigh", "eigvalsh", "solve", "lu_factor", "cho_factor"):
         monkeypatch.setattr(scipy.linalg, name,
                             refuse_large(getattr(scipy.linalg, name)))
+    # the Rayleigh-Ritz solve calls LAPACK dsyevr past scipy.linalg.eigh
+    monkeypatch.setattr(spectral, "_syevr", refuse_large(spectral._syevr))
     for command in ("spectrum", "threshold"):
         assert cli.main([command]) == 0
     capsys.readouterr()
