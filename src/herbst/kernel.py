@@ -47,6 +47,10 @@ class PhysParams:
     E: float = 0.0
 
     def __post_init__(self) -> None:
+        # every comparison below is False on NaN: refuse non-finite inputs first
+        for name, value in (("mass m", self.m), ("energy E", self.E)):
+            if not -math.inf < value < math.inf:
+                raise ValueError(f"{name} = {value} is not finite")
         if self.m <= 0.0:
             raise ValueError("mass must be positive")
         if self.E > 0.0:

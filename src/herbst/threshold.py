@@ -20,11 +20,12 @@ from typing import Literal, NamedTuple, Sequence
 import numpy as np
 
 from .fourierb import b_hat
-from .kernel import PhysParams, _gauss_panels, _not_a_knot, _Spline, _tail
+from .kernel import (_GLX16, PhysParams, _antiderivative, _gauss_panels,
+                     _not_a_knot, _Spline, _tail)
 from .spectral import (BsMatrix, QuadGrid, RadialPotential, SpectralResult,
                        b_form, green_kernel, leading_eigenpair,
                        two_well_potential, unit_power)
-from .specfun import EvaluationFailure, QuadratureError, k0, k0_integral, k1
+from .specfun import EvaluationFailure, QuadratureError, k0_integral, k1
 
 A_ZERO_TOL_REL = 1e-8
 
@@ -178,17 +179,41 @@ def _b_direct(res: SpectralResult) -> float:
 
 
 _K_BREAKS = (0.0, 1.0, 5.0, 60.0)  # the k-intervals of the momentum route
-_K_CHUNK = 128  # wavenumbers per f_hat evaluation: temporaries of 128 x n doubles
+_K_CHUNK = 128  # panels per block of f_hat: temporaries of 128 x n doubles
+
+
+def _panel_edges(breaks: Sequence[float], width: float) -> list[np.ndarray]:
+    """Edges of equal panels no wider than ``width``, one array for each
+    interval between consecutive breaks."""
+    return [np.linspace(lo, hi, math.ceil((hi - lo) / width) + 1)
+            for lo, hi in zip(breaks[:-1], breaks[1:])]
 
 
 def _panel_rule(breaks: Sequence[float], width: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the 16-point Gauss-Legendre rule on equal panels
     no wider than ``width`` between consecutive breaks."""
-    edges = [np.linspace(lo, hi, math.ceil((hi - lo) / width) + 1)
-             for lo, hi in zip(breaks[:-1], breaks[1:])]
+    edges = _panel_edges(breaks, width)
     k, w = _gauss_panels(np.concatenate([e[:-1] for e in edges]),
                          np.concatenate([e[1:] for e in edges]))
     return k.ravel(), w.ravel()
+
+
+def _sine_sums(edges: np.ndarray, phase: np.ndarray, wgt: np.ndarray) -> np.ndarray:
+    """sum_i wgt_i sin(k phase_i) at the 16 Gauss-Legendre nodes of each
+    equal panel between ``edges``, in ``_panel_rule``'s order.
+
+    A node is k = c + d, c its panel's centre and d one of the 16 offsets
+    the panels share, so sin(k phase) = sin(c phase) cos(d phase) +
+    cos(c phase) sin(d phase): two products of P x n and 16 x n arrays, for
+    P panels and n phases, in place of the 16 P x n sines of the nodes."""
+    centres = 0.5 * (edges[:-1] + edges[1:])
+    offsets = np.multiply.outer(0.5 * (edges[1] - edges[0]) * _GLX16, phase)
+    cos_d, sin_d = np.cos(offsets) * wgt, np.sin(offsets) * wgt
+    sums = np.empty((len(centres), len(_GLX16)))
+    for i in range(0, len(centres), _K_CHUNK):
+        arg = np.multiply.outer(centres[i:i + _K_CHUNK], phase)
+        sums[i:i + _K_CHUNK] = np.sin(arg) @ cos_d.T + np.cos(arg) @ sin_d.T
+    return sums.ravel()
 
 
 def _b_momentum(res: SpectralResult) -> float:
@@ -196,9 +221,10 @@ def _b_momentum(res: SpectralResult) -> float:
 
     f_hat(k) = (2/k) sum_i w_i r_i f_i sin(2 pi k r_i) oscillates with period
     1/R in k, so the rule is ``_panel_rule`` with panels no wider than 1/(2R)
-    on (0, 1), (1, 5) and (5, 60).  The same rule on panels twice as wide
-    checks it: QuadratureError, carrying the estimate and the difference,
-    when the two differ by more than 50 max(1e-13, 1e-10 |b|).
+    on (0, 1), (1, 5) and (5, 60), and the sums come from ``_sine_sums``.
+    The same rule on panels twice as wide checks it: QuadratureError,
+    carrying the estimate and the difference, when the two differ by more
+    than 50 max(1e-13, 1e-10 |b|).
     """
     a = coefficient_a(res)
     if not _a_vanishes(a, res.mu0):
@@ -213,15 +239,12 @@ def _b_momentum(res: SpectralResult) -> float:
 
     def integral(width: float) -> float:
         k, w = _panel_rule(_K_BREAKS, width)
-        total = 0.0
-        for i in range(0, k.size, _K_CHUNK):
-            kc = k[i:i + _K_CHUNK]
-            fhat = np.sin(np.multiply.outer(kc, phase)) @ wgt
-            fhat *= 2.0 / kc
-            total += float(w[i:i + _K_CHUNK] @ (kc * kc * b_hat(kc / m) / m**4 * fhat * fhat))
+        fhat = np.concatenate([_sine_sums(e, phase, wgt)
+                               for e in _panel_edges(_K_BREAKS, width)])
+        fhat *= 2.0 / k
         # the quadratic-kernel profile enters the eigenvalue series with a
         # 1/(4 pi) relative to its raw transform, cancelling the angular 4 pi
-        return 2.0 * m * total
+        return 2.0 * m * float(w @ (k * k * b_hat(k / m) / m**4 * fhat * fhat))
 
     radius = res.grid.radius
     b, wide = integral(0.5 / radius), integral(1.0 / radius)
@@ -338,23 +361,51 @@ def energy_of_lambda(exp: ThresholdExpansion, lam: float) -> float:
     return -alpha * alpha
 
 
+_T_STEP = 8.0  # widest step of the far-end sum of T
+_K1_GONE = 750.0  # K1(z)/z underflows to 0 past this z, and T with it
+_T_CLOSED_BELOW = 1.0  # small_x_constants' T in closed form below this x
+
+
+def _k1_over_z_tail(x: np.ndarray) -> np.ndarray:
+    """T(x) = int_x^inf K1(z)/z dz at each x > 0 of an ascending 1-d array,
+    summed from the far end (``kernel._tail``).  A gap of x that starts
+    below z = 750 is cut into equal steps no wider than its left end or
+    than 8, so that each 16-point panel of the sum is exact to rounding.
+    No value cancels, where K1 + C0 - pi/2 loses the digits of T as T
+    falls: 2e-11 of them at x = 5, 1e-6 at 10 and all at 40."""
+    lo, gap = x[:-1], np.diff(x)
+    steps = np.where(lo < _K1_GONE,
+                     np.ceil(np.minimum(gap, _K1_GONE) / np.minimum(lo, _T_STEP)),
+                     1.0).astype(int)
+    at = np.concatenate([[0], np.cumsum(steps)])  # where each x sits in the grid
+    j = np.arange(at[-1]) - np.repeat(at[:-1], steps)  # the step within its gap
+    grid = np.append(np.repeat(lo, steps) + j * np.repeat(gap / steps, steps), x[-1])
+    return _tail(lambda z: k1(z) / z, grid)[at]
+
+
 def _tail_k1_over_z(lo: float, hi: float) -> _Spline:
-    """T(x) = int_x^inf K1(z)/z dz on [lo, hi], lo > 0, splined on 800 nodes
-    whose values are summed from the far end (``kernel._tail``); K1 + C0 -
-    pi/2 would cancel to ~3e-12 and leave no digit at x = 40."""
-    grid = np.linspace(lo, hi, 800)
-    return _not_a_knot(grid, _tail(lambda z: k1(z) / z, grid))
+    """T(x) = int_x^inf K1(z)/z dz on [lo, hi], lo > 0, splined on 800
+    geometrically spaced nodes whose values are ``_k1_over_z_tail``'s.  T
+    falls like e^-x, so the nodes are densest where it is largest: on
+    [4, 51], the spline's primitive is within 4e-13 of int_4^6 T and
+    int_4.02^5.98 T, where 800 equal steps leave 7e-12 and 6e-11."""
+    grid = np.geomspace(lo, hi, 800)
+    return _not_a_knot(grid, _k1_over_z_tail(grid))
 
 
 def _kappa_far(r: np.ndarray, rho: np.ndarray, m: float) -> np.ndarray:
-    """2 pi int_|r-rho|^(r+rho) t G_0(t) dt for r - rho > 0, closed form.
+    """2 pi int_|r-rho|^(r+rho) t G_0(t) dt for r - rho > 0.
 
     At E = 0 the profile t G_0(t) is m/(2 pi) plus (m/(2 pi^2)) T(mt) with
-    T(x) = int_x^inf K1(z)/z dz, whose primitive is x T(x) - K0(x).
+    T(x) = int_x^inf K1(z)/z dz, so the integral is 2 m rho plus 1/pi times
+    int_lo^hi T over x = mt.  That comes from the primitive P of T's spline
+    (``kernel._antiderivative``), which needs no K0 and does not cancel as
+    the closed primitive x T(x) - K0(x) does.
     """
     hi, lo = m * (r + rho), m * (r - rho)
-    t = _tail_k1_over_z(float(np.min(lo)) * 0.999, float(np.max(hi)) * 1.001)
-    return 2.0 * m * rho + ((hi * t(hi) - k0(hi)) - (lo * t(lo) - k0(lo))) / math.pi
+    prim = _antiderivative(_tail_k1_over_z(float(np.min(lo)) * 0.999,
+                                           float(np.max(hi)) * 1.001))
+    return 2.0 * m * rho + (prim(hi) - prim(lo)) / math.pi
 
 
 @dataclass(frozen=True)
@@ -447,7 +498,13 @@ def small_x_constants(res: SpectralResult) -> SmallXConstants:
     vu = res.mu0 * _weighted_f(res)
     a1 = 4.0 * math.pi * float(np.sum(w * r * vu))
     x = m * r
-    tail = k1(x) + k0_integral(x) - math.pi / 2.0  # int_x^inf K1(z)/z dz
+    # T(x) = int_x^inf K1(z)/z dz: in closed form below x = 1, where it
+    # keeps its digits, summed from the far end up to where it underflows
+    near, far = x < _T_CLOSED_BELOW, (x >= _T_CLOSED_BELOW) & (x < _K1_GONE)
+    tail = np.zeros_like(x)
+    tail[near] = k1(x[near]) + k0_integral(x[near]) - math.pi / 2.0
+    if far.any():
+        tail[far] = _k1_over_z_tail(x[far])
     a2 = 4.0 * math.pi * float(np.sum(w * r * vu * tail))
     return SmallXConstants(a1=a1, a2=a2,
                            a1_finite=bool(np.isfinite(a1)),
@@ -485,24 +542,37 @@ def tune_zero_overlap(grid: QuadGrid,
     Scans the depth ratio in [1, 4] of the outer well against an inner well
     of depth 8; the overlap integral of the first excited eigenstate changes
     sign along the scan and a root is bracketed and solved, yielding a
-    genuine eigenpair on the a = 0 branch.
+    genuine eigenpair on the a = 0 branch.  Each ratio is solved once, and
+    the state at the root is kept from the search: 21 eigensolves on the
+    n = 150 and n = 200 grids.
     """
     depth1 = 8.0
     p = PhysParams(m=m, E=0.0)
     kappa = green_kernel(grid, p)
-    ref_vec = {}
+    overlaps = {}  # the objective at every ratio solved
+    recent = {}    # the states of the last two ratios solved, oldest first
 
-    def state_at(ratio: float) -> SpectralResult:
-        # sign-continuous along the scan: each state follows the previous one
+    def solve(ratio: float) -> SpectralResult:
+        # sign-continuous along the scan: each state follows the last one
+        # solved, which is kept; the one before it is released first, so
+        # no more than two states are alive
+        if len(recent) == 2:
+            del recent[next(iter(recent))]
+        last = next(reversed(recent.values()), None)
         pot = two_well_potential(depth1, ratio * depth1, radius=grid.radius)
         # the matrix takes over the kernel it is given: hand it a copy
         res = leading_eigenpair(BsMatrix.from_kernel(pot, p, grid, kappa.copy()), index=1,
-                                sign_reference=ref_vec.get("v"))
-        ref_vec["v"] = res.vector
+                                sign_reference=None if last is None else last.vector)
+        recent[ratio] = res
         return res
 
     def objective(ratio: float) -> float:
-        return overlap_integral(state_at(ratio))
+        # brentq opens on the bracket, whose values the scan has: solve
+        # each ratio once
+        ratio = float(ratio)
+        if ratio not in overlaps:
+            overlaps[ratio] = overlap_integral(solve(ratio))
+        return overlaps[ratio]
 
     # scan up to the first sign change only
     ratios = np.geomspace(1.0, 4.0, 25)
@@ -519,9 +589,11 @@ def tune_zero_overlap(grid: QuadGrid,
     from scipy.optimize import brentq
 
     root = brentq(objective, *bracket, xtol=1e-13)
-    res = state_at(root)
-    # brentq's wrapper of ``objective`` is a reference cycle that keeps this
-    # closure until a full collection: release the arrays it reaches now
-    ref_vec.clear()
+    # the root is a ratio brentq evaluated, most often the one before its
+    # last step
+    res = recent[root] if root in recent else solve(root)
+    # brentq's wrapper of ``objective`` is a reference cycle that keeps these
+    # closures until a full collection: release the arrays they reach now
+    recent.clear()
     del kappa
     return two_well_potential(depth1, root * depth1, radius=grid.radius), res

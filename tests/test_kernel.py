@@ -41,6 +41,15 @@ class TestPhysParams:
         with pytest.raises(ValueError):
             PhysParams.from_mu(1.0, 1.0)
 
+    @pytest.mark.parametrize("field, value", [("m", math.nan), ("m", math.inf),
+                                              ("m", -math.inf), ("E", math.nan),
+                                              ("E", -math.inf), ("E", math.inf)])
+    def test_rejects_non_finite_inputs(self, field, value):
+        # NaN passed every range check (each comparison is False), and the
+        # failure came later, at a table build, naming neither m nor E
+        with pytest.raises(ValueError, match=rf"\b{field} = {value} is not finite"):
+            PhysParams(**{field: value})
+
 
 def _green_mpmath(r: float, p: PhysParams) -> float:
     """G_E(r) at 30 digits from the float m, E and r.  With K0(z) =

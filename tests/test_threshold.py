@@ -423,9 +423,11 @@ class TestDecay:
     @pytest.mark.parametrize("x", [20.0, 30.0, 40.0, 50.0])
     def test_far_field_tail_keeps_its_digits_inside_the_range(self, x):
         # [4, 51] is the span u_reconstruct needs for R = 1 and radii up to
-        # 50 R; its nodes are 1/17 apart, so each x is a node.  A forward
-        # cumulative subtracted from the end value would lose 3e-8 of T at
-        # x = 20, 3e-3 at 30 and every digit at 40
+        # 50 R; the spline passes through its nodes, so take the node next
+        # to x.  A forward cumulative subtracted from the end value would
+        # lose 3e-8 of T at x = 20, 3e-3 at 30 and every digit at 40
+        nodes = np.geomspace(4.0, 51.0, 800)
+        x = float(nodes[np.argmin(abs(nodes - x))])
         assert_allclose(threshold._tail_k1_over_z(4.0, 51.0)(x),
                         k0_weighted_integral("tail_k1_over_z", x), rtol=1e-12)
 
@@ -437,11 +439,36 @@ class TestDecay:
         rho = QuadGrid.gauss_legendre(200, radius).nodes[None, :]
         hi, lo = r + rho, r - rho
         lo_end, hi_end = float(np.min(lo)) * 0.999, float(np.max(hi)) * 1.001
-        grid = np.linspace(lo_end, hi_end, 800)
+        grid = np.geomspace(lo_end, hi_end, 800)
         spline = CubicSpline(grid, _tail(lambda z: k1(z) / z, grid))
         t = threshold._tail_k1_over_z(lo_end, hi_end)
         for x in (hi, lo, grid, 0.5 * (grid[1:] + grid[:-1])):
             assert np.array_equal(t(x), spline(x))
+
+    # u at the three nearest of the decay check's 25 radii, 5 R to 6.06 R,
+    # for the bump at R = 1 and the well at R = 3 (depth 1, m = 1, n = 200),
+    # at 40 digits from the float state and grid:
+    #     Q = lambda x: x * (besselk(1, x) + pi * x / 2 * (besselk(0, x)
+    #         * struvel(-1, x) + besselk(1, x) * struvel(0, x)) - pi / 2) - besselk(0, x)
+    #     u(r) = fsum((2 rho + (Q(r + rho) - Q(r - rho)) / pi) * c) / (mu0 r)
+    # summed over the nodes rho, with c = w rho |V|^(1/2) phi: Q = x T - K0
+    # is the primitive of T, with C0 in its Struve form (DLMF 10.43)
+    _U_NEAR = {1.0: ("bump", ("0.069138111443707699904", "0.062806702792261337372",
+                              "0.057057705396129430588")),
+               3.0: ("well", ("0.015171302367575860208", "0.013783394799368646879",
+                              "0.012522456418976037362"))}
+
+    @pytest.mark.parametrize("radius", list(_U_NEAR))
+    def test_far_field_matches_mpmath(self, radius):
+        # x T(x) - K0(x) over the spline of T on equal steps was 7.8e-11 off
+        # at r = 5 R for R = 1; the primitive of the spline on geometric
+        # steps is 6e-14 off there
+        family, ref = self._U_NEAR[radius]
+        grid = QuadGrid.gauss_legendre(200, radius)
+        state = leading_eigenpair(s_wave_reduce(_FAMILIES[family][0](1.0, radius),
+                                                PhysParams(), grid))
+        rep = u_reconstruct(state, np.geomspace(5.0 * radius, 50.0 * radius, 25))
+        assert_allclose(rep.u_values[:3], [float(u) for u in ref], rtol=1e-11)
 
 
 def test_threshold_path_runs_no_adaptive_quadrature(state200, zero_overlap_state,
@@ -538,38 +565,84 @@ class TestZeroEnergyCondition:
         oracle = 4.0 * math.pi * float(np.sum(w * r * vu * np.array(tail)))
         assert_allclose(c.a2, oracle, rtol=1e-9)
 
+    @pytest.mark.parametrize("x", [5.0, 10.0, 20.0, 40.0])
+    def test_small_x_tail_matches_mpmath_past_the_switch(self, x):
+        # K1 + C0 - pi/2 cancels as T falls: it was 2.2e-11 off at x = 5,
+        # 9.7e-7 at 10, and 0.0 at 40, where T = 2.05e-20.  From x = 1 up
+        # the far-end sum gives T, here across gaps of up to 20
+        xs = [5.0, 10.0, 20.0, 40.0]
+        t = threshold._k1_over_z_tail(np.array(xs))[xs.index(x)]
+        # C0 in its Struve form (DLMF 10.43), whose terms grow like e^x
+        with mpmath.workdps(int(x / 2.3) + 30):
+            xm = mpmath.mpf(x)
+            k0m, k1m = mpmath.besselk(0, xm), mpmath.besselk(1, xm)
+            c0 = mpmath.pi * xm / 2 * (k0m * mpmath.struvel(-1, xm)
+                                       + k1m * mpmath.struvel(0, xm))
+            ref = float(k1m + c0 - mpmath.pi / 2)
+        assert_allclose(t, ref, rtol=1e-12)
+
+    def test_small_x_constants_keep_their_digits_at_large_m_r(self, bump):
+        # at m = 40 the nodes reach x = m r = 40, and a2 is the oracle's to
+        # 1e-12 where the closed form gave T(40) = 0.0
+        grid = QuadGrid.gauss_legendre(60, 1.0)
+        state = leading_eigenpair(s_wave_reduce(bump, PhysParams(m=40.0, E=0.0), grid))
+        c = small_x_constants(state)
+        r, w = grid.nodes, grid.weights
+        vu = state.mu0 * np.sqrt(-state.potential(r)) * state.phi
+        tail = [k0_weighted_integral("tail_k1_over_z", float(40.0 * ri)) for ri in r]
+        oracle = 4.0 * math.pi * float(np.sum(w * r * vu * np.array(tail)))
+        assert_allclose(c.a2, oracle, rtol=1e-12)
+
 
 class TestTunedTwoWell:
     def test_excited_state_overlap_is_driven_to_zero(self, kernel_builds,
                                                      monkeypatch):
-        solves = []
+        ratios = []  # the depth ratio of each two-well potential built
+        solved = []  # the depth ratio of each eigensolve
+        well = threshold.two_well_potential
+
+        def recording(depth1, depth2, radius):
+            ratios.append(depth2 / depth1)
+            return well(depth1, depth2, radius=radius)
+
+        states, held = [], []
 
         def counting(*args, **kwargs):
-            solves.append(1)
-            return leading_eigenpair(*args, **kwargs)
+            solved.append(ratios[-1])
+            held.append(sum(ref() is not None for ref in states))
+            res = leading_eigenpair(*args, **kwargs)
+            states.append(weakref.ref(res))
+            return res
 
         root_search = []
         brentq = scipy.optimize.brentq
 
-        def bracketing(*args, **kwargs):
-            root_search.append(len(solves))
-            root = brentq(*args, **kwargs)
-            root_search.append(len(solves))
+        def bracketing(f, lo, hi, **kwargs):
+            root_search.append((len(solved), lo, hi))
+            root = brentq(f, lo, hi, **kwargs)
+            root_search.append(len(solved))
             return root
 
+        monkeypatch.setattr(threshold, "two_well_potential", recording)
         monkeypatch.setattr(threshold, "leading_eigenpair", counting)
         monkeypatch.setattr(scipy.optimize, "brentq", bracketing)
         grid = QuadGrid.gauss_legendre(150, 1.0)
         pot, res = tune_zero_overlap(grid)
         # every solve of the scan and of the root search shares one kernel
         assert kernel_builds == [150]
-        # the scan stops at the first sign change, the 15th of 25 ratios;
-        # brentq takes 7 or 8 steps, which move with the rounding of the
-        # objective; one more solve gives the state at the root
-        scan, after = root_search
+        # the scan stops at the first sign change, the 15th of 25 ratios,
+        # and its last two solves are the bracket
+        (scan, lo, hi), after = root_search
         assert scan == 15
+        assert solved[scan - 2:scan] == [lo, hi]
+        # brentq's new steps, 6 here, move with the rounding of the
+        # objective; it opens on the bracket, whose values the scan has
         assert 1 <= after - scan <= 10
-        assert len(solves) == after + 1
+        assert lo not in solved[scan:] and hi not in solved[scan:]
+        # the state at the root is one brentq solved: no solve after it
+        assert len(solved) == after == 21
+        # one state is kept while the next is solved, never two
+        assert max(held) == 1
         assert res.index == 1
         assert abs(overlap_integral(res)) < 1e-9
         assert expansion_from_state(res).branch == "a_zero"
