@@ -8,9 +8,8 @@ curves and their fitted opening exponents.
 
 import numpy as np
 
-from herbst import (PhysParams, QuadGrid, bump_potential, energy_of_lambda,
-                    expansion_from_state, leading_eigenpair, s_wave_reduce,
-                    synthetic_zero_overlap_state)
+from herbst import (PhysParams, bump_potential, energy_of_lambda,
+                    expansion_from_state, solve, synthetic_zero_overlap_state)
 
 
 def opening_exponent(exp0, deltas):
@@ -20,9 +19,7 @@ def opening_exponent(exp0, deltas):
 
 
 def main():
-    pot = bump_potential()
-    grid = QuadGrid.gauss_legendre(200, 1.0)
-    ground = leading_eigenpair(s_wave_reduce(pot, PhysParams(), grid))
+    ground = solve(bump_potential(), PhysParams(), 200)
     balanced = synthetic_zero_overlap_state(ground.matrix)
 
     deltas = np.geomspace(1e-3, 3e-2, 7)

@@ -8,14 +8,12 @@ faster, the signature of a genuine zero-energy eigenfunction.
 
 import numpy as np
 
-from herbst import (PhysParams, QuadGrid, bump_potential, leading_eigenpair,
-                    s_wave_reduce, synthetic_zero_overlap_state, u_reconstruct)
+from herbst import (PhysParams, bump_potential, solve,
+                    synthetic_zero_overlap_state, u_reconstruct)
 
 
 def main():
-    pot = bump_potential()
-    grid = QuadGrid.gauss_legendre(200, 1.0)
-    ground = leading_eigenpair(s_wave_reduce(pot, PhysParams(), grid))
+    ground = solve(bump_potential(), PhysParams(), 200)
     balanced = synthetic_zero_overlap_state(ground.matrix)
 
     r_far = np.geomspace(5.0, 50.0, 25)

@@ -8,15 +8,13 @@ eigenvalue to small negative energies and fitting a polynomial.
 
 import numpy as np
 
-from herbst import (PhysParams, QuadGrid, bump_potential, coefficient_a,
-                    coefficient_b, eigen_continuation, leading_eigenpair,
-                    s_wave_reduce)
+from herbst import (PhysParams, bump_potential, coefficient_a, coefficient_b,
+                    eigen_continuation, solve)
 
 
 def main():
     pot = bump_potential(depth=1.0, radius=1.0)
-    grid = QuadGrid.gauss_legendre(200, 1.0)
-    res = leading_eigenpair(s_wave_reduce(pot, PhysParams(m=1.0, E=0.0), grid))
+    res = solve(pot, PhysParams(m=1.0, E=0.0), 200)
 
     a = coefficient_a(res)
     b = coefficient_b(res, "direct")
@@ -26,7 +24,7 @@ def main():
     print(f"quadratic coefficient  b       = {b:.12f}")
 
     alphas = [0.0, 0.0025, 0.005, 0.0075, 0.01, 0.015, 0.02, 0.025, 0.03]
-    pts = eigen_continuation(pot, grid, alphas)
+    pts = eigen_continuation(pot, res.grid, alphas)
     coeffs = np.polyfit(np.array(alphas), np.array([m for _, m in pts]), 4)
     slope, half_curv = coeffs[-2], coeffs[-3]
     print()

@@ -27,7 +27,7 @@ _EXPORTS = {
     "spectral": ("BsMatrix", "DegenerateEigenvalueError", "EigensolverError",
                  "QuadGrid", "RadialPotential", "SpectralResult",
                  "bump_potential", "eigen_continuation", "leading_eigenpair",
-                 "s_wave_reduce", "square_well_potential",
+                 "s_wave_reduce", "solve", "square_well_potential",
                  "tabulated_potential", "truncated_gaussian_potential",
                  "two_well_potential"),
     "threshold": ("BelowThresholdError", "DivergentMomentumIntegralError",

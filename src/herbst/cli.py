@@ -24,9 +24,8 @@ from .kernel import (H3_ROOT_REFERENCE, PhysParams, envelope_bound,
 from .quad import RadialFunction, integrate_adaptive, radial_fourier3
 from .specfun import (EvaluationFailure, bessel_k, f1_moment, k0_integral,
                       k0_moment_full, k0_weighted_integral, k1)
-from .spectral import (EigensolverError, QuadGrid, RadialPotential,
-                       bump_potential, eigen_continuation, leading_eigenpair,
-                       s_wave_reduce, square_well_potential,
+from .spectral import (EigensolverError, RadialPotential, bump_potential,
+                       eigen_continuation, solve, square_well_potential,
                        tabulated_potential, truncated_gaussian_potential)
 from .threshold import (coefficient_a, coefficient_b, energy_of_lambda,
                         expansion_from_state, synthetic_zero_overlap_state)
@@ -96,6 +95,11 @@ class RunConfig:
             return truncated_gaussian_potential(self.depth, self.radius)
         if fam == "well":
             return square_well_potential(self.depth, self.radius)
+        # the file fixes both, and the solve runs over the table's support
+        for name in ("depth", "radius"):
+            if getattr(self, name) != 1.0:
+                raise ConfigError(f"--{name} {getattr(self, name)} does not apply to "
+                                  "a table potential: its file fixes depth and radius")
         return tabulated_potential(rest)
 
 
@@ -161,18 +165,16 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     """Leading eigenpair with a grid-doubling convergence certificate."""
     pot = cfg.make_potential()
     p = PhysParams(m=cfg.mass, E=0.0)
-    grid = QuadGrid.gauss_legendre(cfg.grid_n, cfg.radius)
-    res = leading_eigenpair(s_wave_reduce(pot, p, grid))
+    res = solve(pot, p, cfg.grid_n)
     meta = _meta(cfg, "spectrum")
     if res.mu0 == 0.0:
         meta.update(mu0=0.0, lambda0=None, threshold="undefined (V vanishes)")
         _emit(["r", "phi"], [], meta, cfg)
         return EXIT_OK
     mu0, lambda0, residual = res.mu0, res.lambda0, res.residual
-    rows = [(float(r), float(phi)) for r, phi in zip(grid.nodes, res.phi)]
-    del res  # its n x n matrix need not stay alive under the 2n solve
-    mu2 = leading_eigenpair(s_wave_reduce(
-        pot, p, QuadGrid.gauss_legendre(2 * cfg.grid_n, cfg.radius))).mu0
+    rows = [(float(r), float(phi)) for r, phi in zip(res.grid.nodes, res.phi)]
+    del res  # its packed matrix need not stay alive under the 2n solve
+    mu2 = solve(pot, p, 2 * cfg.grid_n).mu0
     meta.update({"mu0": mu0, "lambda0": lambda0,
                  "convergence_delta": abs(mu2 - mu0) / mu0, "residual": residual})
     _emit(["r", "phi"], rows, meta, cfg)
@@ -181,10 +183,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 
 def cmd_threshold(cfg: RunConfig) -> int:
     """Expansion coefficients and E(lambda) samples on lambda0 * (1, 1.2]."""
-    pot = cfg.make_potential()
-    p = PhysParams(m=cfg.mass, E=0.0)
-    grid = QuadGrid.gauss_legendre(cfg.grid_n, cfg.radius)
-    res = leading_eigenpair(s_wave_reduce(pot, p, grid))
+    res = solve(cfg.make_potential(), PhysParams(m=cfg.mass, E=0.0), cfg.grid_n)
     if res.mu0 <= 0.0:
         raise ConfigError("threshold undefined: the potential vanishes")
     exp0 = expansion_from_state(res)
@@ -342,14 +341,12 @@ def _suite_series() -> list[dict]:
 
 def _suite_continuation() -> list[dict]:
     pot = bump_potential()
-    grid = QuadGrid.gauss_legendre(200, 1.0)
-    p0 = PhysParams(m=1.0, E=0.0)
-    res = leading_eigenpair(s_wave_reduce(pot, p0, grid))
+    res = solve(pot, PhysParams(m=1.0, E=0.0), 200)
     a = coefficient_a(res)
     b = coefficient_b(res, "direct")
     alphas = [0.0, 0.0025, 0.005, 0.0075, 0.01, 0.015, 0.02, 0.025, 0.03]
     # the alpha = 0 point is res itself
-    pts = [(0.0, res.mu0), *eigen_continuation(pot, grid, alphas[1:])]
+    pts = [(0.0, res.mu0), *eigen_continuation(pot, res.grid, alphas[1:])]
     mus = np.array([m for _, m in pts])
     coeffs = np.polyfit(np.asarray(alphas), mus, 4)
     da, half_d2 = float(coeffs[-2]), float(coeffs[-3])

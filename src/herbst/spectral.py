@@ -1,5 +1,9 @@
 """Nystrom discretization of the Birman-Schwinger operator.
 
+``solve(potential, p, n)`` is the one entry point of a one-shot solve: it
+picks the n-point grid over the potential's own support, the assembly and
+the eigensolve described below, so no caller chooses the rule.
+
 For a radial, non-positive, compactly supported potential the operator
 K = |V|^(1/2) (H0 - E)^(-1) |V|^(1/2) restricted to the s-wave sector
 reduces to a one-dimensional symmetric kernel
@@ -95,8 +99,10 @@ class RadialPotential:
     support_radius: float
 
     def __post_init__(self) -> None:
-        if self.support_radius <= 0.0:
-            raise ValueError("support radius must be positive")
+        # NaN fails every comparison, so ask for the positive finite range
+        if not 0.0 < self.support_radius < math.inf:
+            raise ValueError(f"support radius {self.support_radius} must be "
+                             "positive and finite")
         probe = np.linspace(0.0, 1.2 * self.support_radius, 257)[1:]
         vals = np.asarray(self.profile(probe), dtype=float)
         if np.any(vals > 1e-12):
@@ -268,7 +274,6 @@ class QuadGrid:
                    radius=radius)
 
 
-_CHECK_ROWS = 32  # rows per block of the symmetry check of ``BsMatrix.from_dense``
 _TILE = 128  # at most this many rows and columns per tile of the pair loops
 
 
@@ -339,30 +344,6 @@ class BsMatrix:
         object.__setattr__(self, "scale", max(hi, -lo))
 
     @classmethod
-    def from_dense(cls, entries: np.ndarray, params: PhysParams,
-                   potential: RadialPotential, grid: QuadGrid) -> "BsMatrix":
-        """The matrix given in full, n x n: every entry finite, and the two
-        triangles within 1e-13 max(1, max|m|) of each other, taken by blocks
-        of rows with no n x n temporary; the lower triangle is stored."""
-        m = entries
-        hi, lo = float(m.max()), float(m.min())
-        if not (math.isfinite(hi) and math.isfinite(lo)):
-            bad = tuple(np.argwhere(~np.isfinite(m))[0].tolist())
-            raise ValueError(f"non-finite matrix entry at {bad}")
-        asym = 0.0
-        buf = np.empty((min(_CHECK_ROWS, len(m)), len(m)))  # one block, reused
-        for i in range(0, len(m), _CHECK_ROWS):
-            d = np.subtract(m[i:i + _CHECK_ROWS], m[:, i:i + _CHECK_ROWS].T,
-                            out=buf[:len(m) - i])
-            asym = max(asym, float(np.abs(d, out=d).max()))
-        if asym > 1e-13 * max(1.0, hi, -lo):
-            raise ValueError("matrix assembly lost symmetry")
-        packed = np.empty(len(m) * (len(m) + 1) // 2)
-        for i, first in enumerate(_row_starts(len(m))):
-            packed[first:first + i + 1] = m[i, :i + 1]
-        return cls(packed=packed, params=params, potential=potential, grid=grid)
-
-    @classmethod
     def from_kernel(cls, potential: RadialPotential, p: PhysParams, grid: QuadGrid,
                     kappa: np.ndarray) -> "BsMatrix":
         """sqrt(w |V|) kappa sqrt(w |V|) for the packed kappa =
@@ -401,13 +382,6 @@ class BsMatrix:
         diag = float(scipy.linalg.norm(self.packed[_diagonal(self.grid.size)],
                                        check_finite=False))
         return full * math.sqrt(2.0 - (diag / full) ** 2)
-
-    def dense(self) -> np.ndarray:
-        """The n x n matrix, both triangles; no solver forms it."""
-        m = np.empty((self.grid.size, self.grid.size))
-        for i, first in enumerate(_row_starts(self.grid.size)):
-            m[i, :i + 1] = m[:i + 1, i] = self.packed[first:first + i + 1]
-        return m
 
 
 def _strips(n: int) -> list[slice]:
@@ -688,6 +662,15 @@ def leading_eigenpair(mat: BsMatrix, index: int = 0,
         v = -v
     return SpectralResult(mu0=mu, vector=v, gap=gap, residual=residual,
                           index=index, matrix=mat)
+
+
+def solve(potential: RadialPotential, p: PhysParams, n: int) -> SpectralResult:
+    """The leading eigenpair of K at the energy in ``p`` on the n-point
+    Gauss-Legendre grid over the potential's own support, (0,
+    potential.support_radius): the one place that picks the grid, the
+    assembly (``s_wave_reduce``) and the eigensolve (``leading_eigenpair``)."""
+    grid = QuadGrid.gauss_legendre(n, potential.support_radius)
+    return leading_eigenpair(s_wave_reduce(potential, p, grid))
 
 
 def eigen_continuation(

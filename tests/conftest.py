@@ -1,4 +1,7 @@
-"""Shared fixtures: the default bump-well eigenpair and derived states."""
+"""Shared fixtures: the default bump-well eigenpair and derived states; and
+the dense view of a ``BsMatrix`` that only tests form, both ways."""
+
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +11,40 @@ import herbst.spectral
 import herbst.threshold
 from herbst import (PhysParams, QuadGrid, bump_potential, leading_eigenpair,
                     s_wave_reduce, synthetic_zero_overlap_state)
-from herbst.spectral import BsMatrix
+from herbst.spectral import BsMatrix, _row_starts
+
+_CHECK_ROWS = 32  # rows per block of the symmetry check of ``from_dense``
+
+
+def from_dense(entries, params, potential, grid):
+    """The BsMatrix of a matrix given in full, n x n: every entry finite,
+    and the two triangles within 1e-13 max(1, max|m|) of each other, taken
+    by blocks of rows with no n x n temporary; the lower triangle is stored."""
+    m = entries
+    hi, lo = float(m.max()), float(m.min())
+    if not (math.isfinite(hi) and math.isfinite(lo)):
+        bad = tuple(np.argwhere(~np.isfinite(m))[0].tolist())
+        raise ValueError(f"non-finite matrix entry at {bad}")
+    asym = 0.0
+    buf = np.empty((min(_CHECK_ROWS, len(m)), len(m)))  # one block, reused
+    for i in range(0, len(m), _CHECK_ROWS):
+        d = np.subtract(m[i:i + _CHECK_ROWS], m[:, i:i + _CHECK_ROWS].T,
+                        out=buf[:len(m) - i])
+        asym = max(asym, float(np.abs(d, out=d).max()))
+    if asym > 1e-13 * max(1.0, hi, -lo):
+        raise ValueError("matrix assembly lost symmetry")
+    packed = np.empty(len(m) * (len(m) + 1) // 2)
+    for i, first in enumerate(_row_starts(len(m))):
+        packed[first:first + i + 1] = m[i, :i + 1]
+    return BsMatrix(packed=packed, params=params, potential=potential, grid=grid)
+
+
+def dense_matrix(mat):
+    """The n x n matrix of ``mat``, both triangles; no solver forms it."""
+    m = np.empty((mat.grid.size, mat.grid.size))
+    for i, first in enumerate(_row_starts(mat.grid.size)):
+        m[i, :i + 1] = m[:i + 1, i] = mat.packed[first:first + i + 1]
+    return m
 
 
 @pytest.fixture(scope="session")
@@ -47,7 +83,7 @@ def with_spectrum(grid200):
         entries = np.zeros((grid200.size, grid200.size))
         entries[:n, :n] = (q * vals) @ q.T
         entries = 0.5 * (entries + entries.T)
-        return BsMatrix.from_dense(entries, PhysParams(), bump_potential(), grid200)
+        return from_dense(entries, PhysParams(), bump_potential(), grid200)
 
     return build
 

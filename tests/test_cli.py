@@ -1,5 +1,6 @@
 """Command-line surface: formats, determinism, exit codes, config plumbing."""
 
+import ast
 import contextlib
 import io
 import json
@@ -22,7 +23,7 @@ from herbst.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION,
                         EXIT_VERIFY_FAILED, RunConfig, main)
 from herbst.kernel import PhysParams
 from herbst.spectral import (QuadGrid, bump_potential, leading_eigenpair,
-                             s_wave_reduce)
+                             s_wave_reduce, tabulated_potential)
 
 
 def run_cli(*argv):
@@ -159,15 +160,16 @@ class TestSpectrumCommand:
         assert "undefined" in meta["threshold"]
 
     def test_vanishing_potential_skips_the_doubled_grid(self, tmp_path, monkeypatch):
-        import herbst.cli as cli_mod
-        original = cli_mod.s_wave_reduce
+        import herbst.spectral as spectral_mod
+        original = spectral_mod.s_wave_reduce
         calls = []
 
         def counting_reduce(potential, p, grid, *rest):
             calls.append(grid.nodes.size)
             return original(potential, p, grid, *rest)
 
-        monkeypatch.setattr(cli_mod, "s_wave_reduce", counting_reduce)
+        # every CLI solve goes through spectral.solve, which assembles here
+        monkeypatch.setattr(spectral_mod, "s_wave_reduce", counting_reduce)
         assert run_cli("spectrum", "--depth", "0.0", "--grid-n", "20",
                        "--out", str(tmp_path / "z.csv")) == EXIT_OK
         assert calls == [20]
@@ -310,6 +312,23 @@ class TestImports:
         out = _fresh_python("import sys, herbst\n"
                             "print(sorted(m for m in sys.modules if m.startswith('herbst.')))")
         assert out.splitlines()[-1] == "[]"
+
+    def test_the_rule_is_chosen_in_spectral(self):
+        # the CLI and the demos name no grid, assembly or eigensolve: each
+        # solve goes through spectral.solve
+        rule = {"s_wave_reduce", "QuadGrid", "leading_eigenpair", "green_kernel",
+                "from_kernel"}
+        root = Path(__file__).resolve().parents[1]
+        for path in [root / "src" / "herbst" / "cli.py", *sorted(root.glob("demos/*.py"))]:
+            named = set()
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    named.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    named.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    named.add(node.name)
+            assert not named & rule, (path.name, sorted(named & rule))
 
     def test_every_export_resolves(self):
         assert set(herbst.__all__) <= set(dir(herbst))
@@ -517,6 +536,31 @@ class TestConfigPlumbing:
                        "--grid-n", "60", "--format", "json",
                        "--out", str(out)) == EXIT_OK
         assert json.loads(out.read_text())["meta"]["mu0"] > 0.0
+
+    def test_table_potential_is_solved_over_its_own_support(self, tmp_path):
+        # a table ending at r = 3: the grid spans (0, 3) with no --radius
+        r = np.linspace(0.0, 3.0, 80)
+        table = tmp_path / "pot3.txt"
+        np.savetxt(table, np.column_stack([r, -np.exp(-r * r) * (1.0 - r / 3.0) ** 2]))
+        out = tmp_path / "s.json"
+        assert run_cli("spectrum", "--potential", f"table:{table}", "--grid-n", "60",
+                       "--format", "json", "--out", str(out)) == EXIT_OK
+        want = leading_eigenpair(s_wave_reduce(tabulated_potential(table), PhysParams(),
+                                               QuadGrid.gauss_legendre(60, 3.0)))
+        assert json.loads(out.read_text())["meta"]["mu0"] == want.mu0
+
+    @pytest.mark.parametrize("command", ["spectrum", "threshold"])
+    @pytest.mark.parametrize("flag, value", [("--depth", "7"), ("--radius", "3")])
+    def test_table_potential_refuses_depth_and_radius(self, tmp_path, capsys,
+                                                      command, flag, value):
+        # the file fixes both: a flag that would be ignored is one error line
+        r = np.linspace(0.0, 1.0, 50)
+        table = tmp_path / "pot.txt"
+        np.savetxt(table, np.column_stack([r, -(1.0 - r) ** 2]))
+        assert run_cli(command, "--potential", f"table:{table}", "--grid-n", "8",
+                       flag, value) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} {float(value)} ") and err.count("\n") == 1
 
     def test_missing_table_is_validation_error(self, capsys):
         assert run_cli("spectrum",

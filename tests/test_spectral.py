@@ -23,11 +23,13 @@ from herbst.spectral import (BsMatrix, DegenerateEigenvalueError,
                              _reference_rule, _symmetric_eigh, b_form,
                              bump_potential, eigen_continuation, green_kernel,
                              leading_eigenpair,
-                             s_wave_reduce, square_well_potential,
+                             s_wave_reduce, solve, square_well_potential,
                              tabulated_potential,
                              truncated_gaussian_potential, two_well_potential)
 from herbst.threshold import (energy_of_lambda, expansion_from_state, lambda_of_alpha,
                               synthetic_zero_overlap_state)
+
+from conftest import dense_matrix, from_dense
 
 
 class TestPotentials:
@@ -47,6 +49,16 @@ class TestPotentials:
         with pytest.raises(ValueError, match="vanish beyond"):
             RadialPotential(profile=lambda r: -np.ones_like(np.asarray(r)),
                             support_radius=1.0)
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf])
+    def test_non_finite_support_radius_is_rejected(self, radius):
+        # NaN fails no ordering check, and solve takes its grid from this field
+        with pytest.raises(ValueError, match=rf"support radius {radius} must be "
+                                             "positive and finite"):
+            RadialPotential(profile=lambda r: np.zeros_like(np.asarray(r)),
+                            support_radius=radius)
+        with pytest.raises(ValueError, match=rf"support radius {radius} "):
+            bump_potential(1.0, radius)
 
     def test_scaled_multiplies_depth(self):
         pot = bump_potential()
@@ -180,7 +192,7 @@ class TestAssembly:
     def test_matrix_is_symmetric_and_finite(self):
         mat = s_wave_reduce(bump_potential(), PhysParams(),
                             QuadGrid.gauss_legendre(60, 1.0))
-        a = mat.dense()
+        a = dense_matrix(mat)
         assert np.all(np.isfinite(a))
         assert np.max(np.abs(a - a.T)) < 1e-14
 
@@ -197,7 +209,7 @@ class TestAssembly:
         expected = (math.sqrt(grid.weights[i] * grid.weights[j])
                     * math.sqrt(pot(ri) * pot(rj))
                     * 2.0 * math.pi * ring)
-        assert_allclose(mat.dense()[i, j], expected, rtol=1e-9)
+        assert_allclose(dense_matrix(mat)[i, j], expected, rtol=1e-9)
 
     def test_shared_table_reproduces_default(self):
         pot = bump_potential()
@@ -333,7 +345,7 @@ class TestAssembly:
         assert peak <= 0.1 * 8 * n * n
         assert mat.packed is kappa
         assert kappa.shape == (n * (n + 1) // 2,)
-        dense = mat.dense()
+        dense = dense_matrix(mat)
         assert np.array_equal(dense, dense.T)
 
     def test_assembly_holds_one_full_array(self):
@@ -535,9 +547,9 @@ def grid_of(n):
 
 
 def bs_matrix(entries):
-    """BsMatrix.from_dense around ``entries`` on a grid of as many nodes; the
+    """``from_dense`` around ``entries`` on a grid of as many nodes; the
     check reads nothing else."""
-    return BsMatrix.from_dense(entries, PhysParams(), None, grid_of(len(entries)))
+    return from_dense(entries, PhysParams(), None, grid_of(len(entries)))
 
 
 def symmetric(n, scale, seed=0):
@@ -596,7 +608,7 @@ class TestBsMatrixCheck:
         grid = grid_of(n)
         tracemalloc.start()
         try:
-            BsMatrix.from_dense(m, PhysParams(), None, grid)
+            from_dense(m, PhysParams(), None, grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -626,7 +638,7 @@ class TestOperatorSeam:
         # one row block of the triangle and several; a vector and a block
         grid = grid_of(n)
         mat = s_wave_reduce(bump_potential(), PhysParams(), grid)
-        dense = mat.dense()
+        dense = dense_matrix(mat)
         assert np.array_equal(dense, unpack(mat.packed))
         rng = np.random.default_rng(n)
         for x in (rng.standard_normal(n), rng.standard_normal((3, n))):
@@ -642,7 +654,7 @@ class TestOperatorSeam:
         mat = s_wave_reduce(two_well_potential(8.0, 16.0), PhysParams(), grid_of(n))
         mat = BsMatrix(packed=c * mat.packed, params=mat.params, potential=mat.potential,
                        grid=mat.grid)
-        dense = mat.dense()
+        dense = dense_matrix(mat)
         assert mat.scale == np.abs(dense).max()
         frobenius = abs(c) * np.linalg.norm(dense / c)
         assert abs(mat.norm_bound - frobenius) <= 1e-15 * frobenius
@@ -654,7 +666,7 @@ class TestOperatorSeam:
         make, radius = _FAMILIES[family]
         mat = s_wave_reduce(make(1.0, radius), PhysParams(),
                             QuadGrid.gauss_legendre(200, radius))
-        op = DenseOperator(mat.dense(), mat.params, mat.potential, mat.grid)
+        op = DenseOperator(dense_matrix(mat), mat.params, mat.potential, mat.grid)
         assert not hasattr(op, "packed")
         for want, got in ((expansion_from_state(leading_eigenpair(mat)),
                            expansion_from_state(leading_eigenpair(op))),
@@ -687,7 +699,7 @@ class TestEigenpairs:
     def test_vector_is_a_unit_eigenvector_of_the_top_eigenvalue(self, state200):
         # the pair is a Ritz pair of a block Krylov space; mu0 is the
         # Rayleigh quotient of its vector, within rounding of eigvalsh's
-        top = np.linalg.eigvalsh(state200.matrix.dense())[-1]
+        top = np.linalg.eigvalsh(dense_matrix(state200.matrix))[-1]
         assert abs(state200.mu0 - top) <= 4.0 * np.finfo(float).eps * state200.mu0
         assert state200.residual < 1e-13
         assert_allclose(np.linalg.norm(state200.vector), 1.0, rtol=1e-15)
@@ -764,8 +776,7 @@ class TestEigenpairs:
         s = np.zeros(grid200.size)
         s[:150] = np.random.default_rng(5).uniform(0.5, 1.0, 150)
         s /= np.linalg.norm(s)
-        mat = BsMatrix.from_dense(0.7 * np.outer(s, s), PhysParams(), bump_potential(),
-                                  grid200)
+        mat = from_dense(0.7 * np.outer(s, s), PhysParams(), bump_potential(), grid200)
         res = leading_eigenpair(mat)
         assert_allclose(res.mu0, 0.7, rtol=1e-15)
         assert_allclose(res.gap, 0.7, rtol=1e-15)
@@ -779,8 +790,8 @@ class TestEigenpairs:
         # eigenvalues evenly spread over [0.1, 1]: the worst case for the
         # Krylov space, which grows to n, where Rayleigh-Ritz is exact
         entries = np.diag(np.linspace(1.0, 0.1, grid200.size))
-        res = leading_eigenpair(BsMatrix.from_dense(entries, PhysParams(),
-                                                    bump_potential(), grid200))
+        res = leading_eigenpair(from_dense(entries, PhysParams(),
+                                           bump_potential(), grid200))
         # within 4 ulps of 1 on either side
         fin = np.finfo(float)
         assert 1.0 - 4.0 * fin.epsneg <= res.mu0 <= 1.0 + 4.0 * fin.eps
@@ -864,6 +875,20 @@ _FAMILIES = {"bump": (bump_potential, 1.0),
              "gauss": (truncated_gaussian_potential, 1.0),
              "well": (square_well_potential, 3.0)}
 _SIZES = (200, 400, 800)
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+@pytest.mark.parametrize("n", [8, 200])
+def test_solve_is_the_gauss_legendre_rule_on_the_support(family, n):
+    # bit for bit the grid, assembly and eigensolve that ``solve`` stands for
+    make, radius = _FAMILIES[family]
+    pot, p = make(1.0, radius), PhysParams()
+    assert pot.support_radius == radius
+    got = solve(pot, p, n)
+    want = leading_eigenpair(s_wave_reduce(pot, p, QuadGrid.gauss_legendre(n, radius)))
+    assert (got.mu0, got.gap, got.residual) == (want.mu0, want.gap, want.residual)
+    assert np.array_equal(got.vector, want.vector)
+    assert np.array_equal(got.grid.nodes, want.grid.nodes)
 
 
 @pytest.mark.parametrize("family", sorted(_FAMILIES))

@@ -39,6 +39,8 @@ from herbst.threshold import (BelowThresholdError, BRoutes,
                               tune_zero_overlap, u_reconstruct,
                               zero_energy_condition)
 
+from conftest import dense_matrix
+
 
 @pytest.fixture(scope="module")
 def bump_matrix(bump, grid200):
@@ -167,7 +169,7 @@ class TestCoefficients:
     def test_b_direct_matches_reassembled_decomposition(self, state200):
         # the oracle sum from a fresh assembly, not the matrix res carries
         res = state200
-        fresh = s_wave_reduce(res.potential, res.params, res.grid).dense()
+        fresh = dense_matrix(s_wave_reduce(res.potential, res.params, res.grid))
         # a trial state (index -1) gets the quadratic-kernel average alone
         b_quadratic = _b_direct(replace(res, index=-1))
         assert_allclose(_b_direct(res),
@@ -185,7 +187,8 @@ class TestCoefficients:
         assert not threshold._a_vanishes(coefficient_a(res), res.mu0)
         b_quadratic = _b_direct(replace(res, index=-1))
         assert_allclose(_b_direct(res),
-                        b_quadratic + _eigh_second_order_terms(res, res.matrix.dense()).sum(),
+                        b_quadratic
+                        + _eigh_second_order_terms(res, dense_matrix(res.matrix)).sum(),
                         rtol=1e-12)
 
     @given(gaps=st.lists(st.floats(min_value=-9.0, max_value=math.log10(0.3)),
@@ -202,12 +205,12 @@ class TestCoefficients:
         # 300 draws both differed by at most 6 eps / gap of the absolute terms
         top = 1.0 - np.cumsum([0.0, *10.0 ** np.array(gaps)])
         mat = with_spectrum(top, seed=seed, zeros=zeros)
-        vals, vecs = np.linalg.eigh(mat.dense())
+        vals, vecs = np.linalg.eigh(dense_matrix(mat))
         res = replace(leading_eigenpair(mat, index=index),
                       mu0=float(vals[-1 - index]), vector=vecs[:, -1 - index])
         assume(not threshold._a_vanishes(coefficient_a(res), res.mu0))
         gap = min(abs(top[j] - top[index]) for j in (index - 1, index + 1) if j >= 0)
-        terms = _eigh_second_order_terms(res, mat.dense())
+        terms = _eigh_second_order_terms(res, dense_matrix(mat))
         # with the quadratic form 2m (f, B f) set to 0, b is the second-order
         # sum alone: subtracting the two b values instead rounds at eps |b|,
         # up to 9e-12 of the sum (gaps 0.1, seed 1350, 37 zero rows)
@@ -223,7 +226,7 @@ class TestCoefficients:
         # eigh vectors differ by O(eps / gap))
         res = leading_eigenpair(with_spectrum([1.0, 1.0 - 1e-8, 0.5]))
         assert not threshold._a_vanishes(coefficient_a(res), res.mu0)
-        terms = _eigh_second_order_terms(res, res.matrix.dense())
+        terms = _eigh_second_order_terms(res, dense_matrix(res.matrix))
         second = _b_direct(res) - _b_direct(replace(res, index=-1))
         tol = 32.0 * np.finfo(float).eps / 1e-8
         assert abs(second - terms.sum()) <= tol * np.abs(terms).sum()

@@ -34,10 +34,10 @@ import mpmath  # noqa: E402
 import numpy  # noqa: E402
 import scipy  # noqa: E402
 
+from herbst import spectral  # noqa: E402
 from herbst.kernel import PhysParams  # noqa: E402
-from herbst.spectral import (QuadGrid, bump_potential, leading_eigenpair,  # noqa: E402
-                             s_wave_reduce, square_well_potential,
-                             truncated_gaussian_potential)
+from herbst.spectral import (QuadGrid, bump_potential,  # noqa: E402
+                             square_well_potential, truncated_gaussian_potential)
 from herbst.threshold import (coefficient_b, expansion_from_state,  # noqa: E402
                               tune_zero_overlap)
 
@@ -56,16 +56,14 @@ CASES = {"bump_R1": ("bump", 1.0, 1.0), "gauss_R1": ("gauss", 1.0, 1.0),
 def solve(name: str, n: int) -> dict[str, float]:
     """The case's quantities on the n-point grid."""
     potential, radius, m = CASES[name]
-    grid = QuadGrid.gauss_legendre(n, radius)
     if potential == "two_well":
-        pot, res = tune_zero_overlap(grid, m)
+        pot, res = tune_zero_overlap(QuadGrid.gauss_legendre(n, radius), m)
         routes = coefficient_b(res, "both")
         # at 0.7 R only the outer well is nonzero, at depth 8 ratio times a
         # mollifier of exactly 1: the ratio comes back exactly
         return {"ratio": -float(pot(0.7 * radius)) / 8.0, "mu0": res.mu0,
                 "b_direct": routes.direct, "b_momentum": routes.momentum}
-    res = leading_eigenpair(s_wave_reduce(FAMILIES[potential](1.0, radius),
-                                          PhysParams(m=m, E=0.0), grid))
+    res = spectral.solve(FAMILIES[potential](1.0, radius), PhysParams(m=m, E=0.0), n)
     exp = expansion_from_state(res)
     return {"mu0": exp.mu0, "a": exp.a, "b": exp.b}
 
