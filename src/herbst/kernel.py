@@ -301,6 +301,9 @@ def _tail(fvec, xgrid: np.ndarray) -> np.ndarray:
 _LAGUERRE_FROM = 4.0  # T(x) from the grid below, from Gauss-Laguerre above
 _GLAG_X, _GLAG_W = roots_laguerre(24)
 _CACHED = 16  # entries kept by each of the module's caches
+# bytes of packed Green kernels that spectral's kernel cache keeps: the
+# n = 200 and 400 kernels, 0.16 and 0.64 MB; none above n = 706
+_KERNEL_BYTES = 2_000_000
 
 
 def _moment_grid(nu: float) -> np.ndarray:

@@ -22,10 +22,10 @@ symmetric, and the rule is third order in n.
 
 Assembly is two functions: ``green_kernel(grid, p)`` gives the kernel at one
 energy as its packed lower triangle, n(n+1)/2 entries, and
-``BsMatrix.from_kernel`` scales it in place by sqrt(w |V|) for one
-potential, so a solve holds one such array and no n x n one; solves at one
-energy share one kernel by handing each a copy.  Both run by blocks of whole
-rows of the triangle (``_row_pairs``).  ``b_form`` is the same rule for the
+``BsMatrix.from_kernel`` scales it by sqrt(w |V|) for one potential, in
+place or, for a read-only kernel, into a new array, so a solve holds one
+such array and no n x n one.  Both run by blocks of whole rows of the
+triangle (``_row_blocks``).  ``b_form`` is the same rule for the
 profile B, reduced to the one quadratic form the coefficient b needs, so its
 matrix is never formed; it runs over tiles of at most 128 x 128 pairs
 (``_strips``, ``_tiles``).  No temporary is larger than a tile.
@@ -42,12 +42,26 @@ The ring tables behind the kernels depend on the energy, the mass and the
 reach 2R only, not on n or the potential: ``green_kernel`` and ``b_form``
 share one read-only table per key (``kernel._green_table``,
 ``kernel._b_table``), so solves at one energy build it once.
+
+The kernel depends on (E, m, grid) only, since the potential enters K as
+the outer factor |V|^(1/2).  So ``s_wave_reduce`` with no table given, and
+``threshold.tune_zero_overlap``, take it from a kernel cache
+(``_shared_kernel``): read-only packed kernels keyed by p, R and the bytes
+of the grid's nodes and weights, so that a grid changed in place misses,
+the least recently used evicted first within ``kernel._KERNEL_BYTES`` = 2
+MB.  The n = 200 and 400 kernels fit; one above n = 706 (2.56 MB at n =
+800) is built as before and not kept, so large solves hold one packed
+array, as the memory bounds ask.  Depth scans, the alpha = 0 point of a
+continuation and the tuned scan then share one kernel, and repeated
+energies one each.  ``s_wave_reduce`` with an explicit table builds its
+own kernel and reads no cache.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -57,7 +71,8 @@ import scipy.linalg
 from scipy.linalg.blas import dspmv
 from scipy.linalg.lapack import get_lapack_funcs
 
-from .kernel import GreenKernelTable, PhysParams, _b_table, _green_table
+from .kernel import (_KERNEL_BYTES, GreenKernelTable, PhysParams, _b_table,
+                     _green_table)
 from .specfun import EvaluationFailure
 
 # LAPACK's symmetric eigensolver as scipy.linalg.eigh calls it by default
@@ -277,26 +292,57 @@ class QuadGrid:
 _TILE = 128  # at most this many rows and columns per tile of the pair loops
 
 
-def _row_pairs(x: np.ndarray, size: int = _TILE * _TILE // 4):
-    """The pairs (i, j), j <= i, of the packed lower triangle of an n x n
-    matrix, n = len(x), whose row i lies at the positions i(i+1)/2 to
-    i(i+1)/2 + i, in blocks of whole rows of at most ``size`` entries (or
-    one row), a quarter tile unless given, and near-equal as ``_strips``
-    cuts: (seg, x_i, x_j), seg the slice of positions and x_i, x_j the
-    values of x at the row and the column of each.  The block's arrays are
-    the caller's alone."""
-    ends = np.cumsum(np.arange(1, len(x) + 1))  # one past the last position of each row
+def _row_blocks(n: int, size: int):
+    """Blocks of whole rows of the packed lower triangle of an n x n matrix,
+    whose row i lies at the positions i(i+1)/2 to i(i+1)/2 + i, of at most
+    ``size`` entries (or one row) and near-equal as ``_strips`` cuts:
+    (rows, seg), the slices of the block's rows and of their positions."""
+    ends = np.cumsum(np.arange(1, n + 1))  # one past the last position of each row
     total = int(ends[-1])
     size = -(-total // -(-total // size))  # the total over the count of blocks
     start = 0
-    while start < len(x):
+    while start < n:
         first = int(ends[start]) - start - 1
         stop = max(start + 1, int(np.searchsorted(ends, first + size, "right")))
-        last = int(ends[stop - 1])
-        lens = np.arange(start + 1, stop + 1)
-        yield (slice(first, last), np.repeat(x[start:stop], lens),
-               x[np.arange(first, last) - np.repeat(ends[start:stop] - lens, lens)])
+        yield slice(start, stop), slice(first, int(ends[stop - 1]))
         start = stop
+
+
+def _row_pairs(x: np.ndarray):
+    """The pairs (i, j), j <= i, of x's n x n packed lower triangle, n =
+    len(x), by blocks of a whole tile (``_row_blocks``): (seg, x_i, x_j),
+    seg the slice of positions and x_i, x_j the values of x at the row and
+    the column of each.  The block's arrays are the caller's alone."""
+    for rows, seg in _row_blocks(len(x), _TILE * _TILE):
+        i = np.arange(rows.start, rows.stop)
+        lens = i + 1
+        yield (seg, np.repeat(x[rows], lens),
+               x[np.arange(seg.start, seg.stop) - np.repeat(i * lens // 2, lens)])
+
+
+def _row_masks(n: int):
+    """``from_kernel``'s blocks, a quarter tile each (``_row_blocks``):
+    (rows, seg, mask), mask the len(rows) x rows.stop array that is true at
+    j <= i, so that np.multiply.outer(x[rows], x[:rows.stop])[mask] holds
+    x_i x_j at the positions seg.  The masks take about n^2/2 bytes in all."""
+    for rows, seg in _row_blocks(n, _TILE * _TILE // 4):
+        yield rows, seg, np.tri(rows.stop - rows.start, rows.stop, rows.start, dtype=bool)
+
+
+@functools.lru_cache(maxsize=4)
+def _kept_row_masks(n: int) -> tuple:
+    """``_row_masks(n)``, read-only and made once per n, for the n whose
+    kernels the kernel cache keeps (``_kept``): at most 0.26 MB each."""
+    blocks = tuple(_row_masks(n))
+    for _, _, mask in blocks:
+        mask.flags.writeable = False
+    return blocks
+
+
+def _kept(n: int) -> bool:
+    """Whether a packed n-node kernel, 8 n(n+1)/2 bytes, fits the kernel
+    cache's budget ``kernel._KERNEL_BYTES``: n <= 706."""
+    return 4 * n * (n + 1) <= _KERNEL_BYTES
 
 
 def _row_starts(n: int) -> np.ndarray:
@@ -347,20 +393,24 @@ class BsMatrix:
     def from_kernel(cls, potential: RadialPotential, p: PhysParams, grid: QuadGrid,
                     kappa: np.ndarray) -> "BsMatrix":
         """sqrt(w |V|) kappa sqrt(w |V|) for the packed kappa =
-        green_kernel(grid, p), scaled in place: the matrix takes over kappa,
-        so a caller that needs the kernel again passes a copy."""
+        green_kernel(grid, p).  A writeable kappa is scaled in place and
+        becomes the matrix; a read-only one, such as the kernel cache hands
+        out (``_shared_kernel``), is left as it is, and the products are
+        written straight into a new array."""
+        n = grid.size
         s = np.sqrt(grid.weights) * np.sqrt(-potential(grid.nodes))
-        # kappa_ij (s_i s_j) by blocks of rows: no temporary above 0.2 MB
+        packed = kappa if kappa.flags.writeable else np.empty_like(kappa)
+        # kappa_ij (s_i s_j) by blocks of rows: no temporary above 0.1 MB
         try:
             with np.errstate(over="raise"):
-                for seg, si, sj in _row_pairs(s):
-                    si *= sj
-                    kappa[seg] *= si
+                for rows, seg, mask in _kept_row_masks(n) if _kept(n) else _row_masks(n):
+                    np.multiply(kappa[seg], np.multiply.outer(s[rows], s[:rows.stop])[mask],
+                                out=packed[seg])
         except FloatingPointError:
             raise EvaluationFailure(f"Birman-Schwinger matrix at E = {p.E}, m = {p.m}, "
                                     f"R = {grid.radius}: sqrt(w |V|) kappa sqrt(w |V|) "
                                     "leaves the float range") from None
-        return cls(packed=kappa, params=p, potential=potential, grid=grid)
+        return cls(packed=packed, params=p, potential=potential, grid=grid)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """x M for a vector or a block of row vectors x, that is M x_k for
@@ -428,7 +478,7 @@ def green_kernel(grid: QuadGrid, p: PhysParams,
     n, r = grid.size, grid.nodes
     kappa = np.empty(n * (n + 1) // 2)
     # blocks of a whole tile: the ring's cost per call is that of about 5000 pairs
-    for seg, ri, rj in _row_pairs(r, _TILE * _TILE):
+    for seg, ri, rj in _row_pairs(r):
         hi = ri + rj
         lo = np.subtract(ri, rj, out=ri)  # >= 0: j <= i and the nodes ascend
         del rj  # before the ring's temporaries
@@ -470,10 +520,38 @@ def b_form(grid: QuadGrid, m: float, u: np.ndarray) -> float:
     return float((u * v) @ table.row_integral(grid.nodes, grid.radius)) - pairs
 
 
+# the kernel cache: read-only packed kernels by (p, R, nodes, weights), the
+# least recently used first, within kernel._KERNEL_BYTES
+_kernels: OrderedDict[tuple, np.ndarray] = OrderedDict()
+
+
+def _shared_kernel(grid: QuadGrid, p: PhysParams) -> np.ndarray:
+    """green_kernel(grid, p), read-only and built once per key.  The key
+    holds the bytes of the nodes and weights, so a grid changed in place
+    misses.  A kernel above the budget (``_kept``) is built and returned
+    as green_kernel gives it, writeable, and not kept; a build that raises
+    is not kept either, so the next call builds again."""
+    key = (p, grid.radius, grid.nodes.tobytes(), grid.weights.tobytes())
+    kappa = _kernels.get(key)
+    if kappa is not None:
+        _kernels.move_to_end(key)
+        return kappa
+    kappa = green_kernel(grid, p)
+    if _kept(grid.size):
+        kappa.flags.writeable = False
+        while sum(k.nbytes for k in _kernels.values()) + kappa.nbytes > _KERNEL_BYTES:
+            _kernels.popitem(last=False)
+        _kernels[key] = kappa
+    return kappa
+
+
 def s_wave_reduce(potential: RadialPotential, p: PhysParams, grid: QuadGrid,
                   table: GreenKernelTable | None = None) -> BsMatrix:
-    """Assemble the s-wave Nystrom matrix of K at the energy in ``p``."""
-    return BsMatrix.from_kernel(potential, p, grid, green_kernel(grid, p, table))
+    """Assemble the s-wave Nystrom matrix of K at the energy in ``p``, on the
+    cached kernel of (p, grid) (``_shared_kernel``), or on a kernel built
+    from ``table`` when one is given."""
+    kappa = _shared_kernel(grid, p) if table is None else green_kernel(grid, p, table)
+    return BsMatrix.from_kernel(potential, p, grid, kappa)
 
 
 @dataclass(frozen=True)

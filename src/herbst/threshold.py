@@ -23,7 +23,7 @@ from .fourierb import b_hat
 from .kernel import (_GLX16, PhysParams, _antiderivative, _gauss_panels,
                      _not_a_knot, _Spline, _tail)
 from .spectral import (BsMatrix, QuadGrid, RadialPotential, SpectralResult,
-                       b_form, green_kernel, leading_eigenpair,
+                       _shared_kernel, b_form, leading_eigenpair,
                        two_well_potential, unit_power)
 from .specfun import EvaluationFailure, QuadratureError, k0_integral, k1
 
@@ -419,12 +419,23 @@ class DecayReport:
     u_values: np.ndarray
 
 
+_DECAY_MARGIN = 1e7  # u is fitted where it stands this far above its rounding
+
+
 def u_reconstruct(res: SpectralResult, r_far: Sequence[float]) -> DecayReport:
     """Reconstruct u = mu0^(-1) G_0 |V|^(1/2) phi at radii beyond the support.
 
     Fits u ~ r^(-gamma); gamma is 1 with prefactor (m/(2 pi mu0)) int |V| u
     when the overlap integral is nonzero, and the power-law fit steepens
-    sharply (exponential decay) when the overlap vanishes.
+    sharply (exponential decay) when the overlap vanishes.  The far-field
+    kernel is 2 m rho + D (``_kappa_far``), so mu0 r u is the overlap term
+    sum_j c_j 2 m rho_j plus sum_j c_j D_j, which falls like e^(-m r).
+    Where the overlap vanishes, its term is rounding, eps sum_j |c_j 2 m
+    rho_j|, and u past the radius where the D part falls to that floor is
+    noise: gamma is fitted on the radii where |mu0 r u| is at least 1e7
+    times the floor, so that rounding moves no fitted log u by more than
+    about 1e-7.  Fewer than 3 such radii raise ``EvaluationFailure``.  The
+    prefactor is the mean of r u over all the radii.
     """
     if res.params.E != 0.0:
         raise ValueError("reconstruction is defined at threshold (E = 0)")
@@ -435,17 +446,23 @@ def u_reconstruct(res: SpectralResult, r_far: Sequence[float]) -> DecayReport:
     rho = res.grid.nodes
     w = res.grid.weights
     m = res.params.m
-    f = _weighted_f(res)
+    c = w * rho * _weighted_f(res)
     kappa = _kappa_far(r_far[:, None], rho[None, :], m)
-    u = (kappa @ (w * rho * f)) / (res.mu0 * r_far)
+    total = kappa @ c  # mu0 r u
+    u = total / (res.mu0 * r_far)
 
     # At the eigenpair, |V| u = |V|^(1/2) phi, so int |V| u is the overlap.
     int_vu = overlap_integral(res)
     predicted = (m / (2.0 * math.pi * res.mu0)) * int_vu
 
-    logr = np.log(r_far)
-    logu = np.log(np.maximum(np.abs(u), 1e-300))
-    gamma = -float(np.polyfit(logr, logu, 1)[0])
+    floor = np.finfo(float).eps * 2.0 * m * float(np.abs(c * rho).sum())
+    fit = np.abs(total) >= _DECAY_MARGIN * floor
+    if np.count_nonzero(fit) < 3:
+        raise EvaluationFailure(
+            f"decay fit of u at E = 0, m = {m}, R = {R}: |mu0 r u| is at least "
+            f"{_DECAY_MARGIN:g} times the overlap term's rounding {floor:.3g} at "
+            f"{np.count_nonzero(fit)} of {len(r_far)} radii, and the fit needs 3")
+    gamma = -float(np.polyfit(np.log(r_far[fit]), np.log(np.abs(u[fit])), 1)[0])
     prefactor = float(np.mean(r_far * u))
     return DecayReport(gamma=gamma, prefactor=prefactor,
                        predicted_prefactor=predicted,
@@ -548,7 +565,10 @@ def tune_zero_overlap(grid: QuadGrid,
     """
     depth1 = 8.0
     p = PhysParams(m=m, E=0.0)
-    kappa = green_kernel(grid, p)
+    # read-only, so that each ratio's matrix is a new array and the kernel
+    # serves them all
+    kappa = _shared_kernel(grid, p)
+    kappa.flags.writeable = False
     overlaps = {}  # the objective at every ratio solved
     recent = {}    # the states of the last two ratios solved, oldest first
 
@@ -560,8 +580,7 @@ def tune_zero_overlap(grid: QuadGrid,
             del recent[next(iter(recent))]
         last = next(reversed(recent.values()), None)
         pot = two_well_potential(depth1, ratio * depth1, radius=grid.radius)
-        # the matrix takes over the kernel it is given: hand it a copy
-        res = leading_eigenpair(BsMatrix.from_kernel(pot, p, grid, kappa.copy()), index=1,
+        res = leading_eigenpair(BsMatrix.from_kernel(pot, p, grid, kappa), index=1,
                                 sign_reference=None if last is None else last.vector)
         recent[ratio] = res
         return res

@@ -98,7 +98,9 @@ def unconverged_quad(monkeypatch):
 
 @pytest.fixture
 def kernel_builds(monkeypatch):
-    """Sizes of the grids passed to every ``green_kernel`` call."""
+    """Sizes of the grids passed to every ``green_kernel`` call from now on,
+    the kernel cache emptied first, so that each kernel a call needs is
+    built and counted once."""
     builds = []
     build = herbst.spectral.green_kernel
 
@@ -106,6 +108,6 @@ def kernel_builds(monkeypatch):
         builds.append(grid.size)
         return build(grid, p, table)
 
-    for module in (herbst.spectral, herbst.threshold):
-        monkeypatch.setattr(module, "green_kernel", counting)
+    herbst.spectral._kernels.clear()
+    monkeypatch.setattr(herbst.spectral, "green_kernel", counting)
     return builds

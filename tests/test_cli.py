@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import herbst
 from herbst.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION,
-                        EXIT_VERIFY_FAILED, RunConfig, main)
+                        EXIT_VERIFY_FAILED, VERIFY_SUITES, RunConfig, main)
 from herbst.kernel import PhysParams
 from herbst.spectral import (QuadGrid, bump_potential, leading_eigenpair,
                              s_wave_reduce, tabulated_potential)
@@ -585,8 +585,7 @@ def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-@settings(max_examples=150, deadline=None)
-@given(config=st.fixed_dictionaries(
+_CONFIGS = st.fixed_dictionaries(
     {"grid_n": st.one_of(st.integers(min_value=4, max_value=16),
                          st.integers(max_value=16),
                          _JSON.filter(lambda v: type(v) is not int))},
@@ -600,17 +599,28 @@ def fuzz_dir(tmp_path_factory):
         "fmt": _or_json(st.sampled_from(["csv", "json"])),
         # any JSON but a string, or a file name inside the fuzz directory
         "out": st.one_of(st.sampled_from([None, "", "out.txt"]),
-                         _JSON.filter(lambda v: not isinstance(v, str)))}))
-def test_config_fuzz_ends_in_an_exit_code(fuzz_dir, config):
-    # every JSON value of every RunConfig key, grid_n capped at 16 so that
-    # no large solve starts: main returns 0-3, and a failure is one line
+                         _JSON.filter(lambda v: not isinstance(v, str)))})
+
+
+def _run_config(fuzz_dir, config, command):
+    """main(command + ["--config", file of config]): (code, stdout, stderr),
+    with a string ``out`` moved into the fuzz directory."""
     if isinstance(config.get("out"), str) and config["out"]:
         config["out"] = str(fuzz_dir / config["out"])
     path = fuzz_dir / "cfg.json"
     path.write_text(json.dumps(config))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["spectrum", "--config", str(path)])
+        code = main([*command, "--config", str(path)])
+    return code, out, err
+
+
+@settings(max_examples=150, deadline=None)
+@given(config=_CONFIGS)
+def test_config_fuzz_ends_in_an_exit_code(fuzz_dir, config):
+    # every JSON value of every RunConfig key, grid_n capped at 16 so that
+    # no large solve starts: main returns 0-3, and a failure is one line
+    code, out, err = _run_config(fuzz_dir, config, ["spectrum"])
     assert code in (0, 1, 2, 3)
     if code:
         lines = err.getvalue().splitlines()
@@ -621,6 +631,23 @@ def test_config_fuzz_ends_in_an_exit_code(fuzz_dir, config):
         text = open(config["out"]).read() if config.get("out") else out.getvalue()
         meta = json.loads(text)["meta"]
         assert meta["mu0"] == 0.0 or math.isfinite(meta["residual"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=_CONFIGS, suite=st.sampled_from([s for s in VERIFY_SUITES if s != "specfun"]))
+def test_verify_config_fuzz_is_finite_or_one_line(fuzz_dir, config, suite):
+    # the same configurations under verify, on every suite but specfun,
+    # which takes 0.8 s where the others take 0.1 s at most: exit 0 with
+    # every check passed and finite, or exit 1 or 2 with one line
+    code, out, err = _run_config(fuzz_dir, config, ["verify", suite])
+    if code:
+        assert code in (EXIT_VALIDATION, EXIT_NUMERICAL), (config, code, err.getvalue())
+        assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+        return
+    text = open(config["out"]).read() if config.get("out") else out.getvalue()
+    report = json.loads(text)
+    assert report["passed"] is True and report["meta"]["command"] == f"verify {suite}"
+    assert all(math.isfinite(check["residual"]) for check in report["data"]), report
 
 
 def _log_uniform(lo, hi):
@@ -659,16 +686,25 @@ def test_green_table_fuzz_is_finite_or_one_line(command, flags):
         assert np.all(np.abs(rows[:, 1]) <= rows[:, 2]) and np.all(rows[:, 3] == 1), argv
 
 
+def _or_non_finite(finite):
+    """A draw of ``finite``, or NaN or +-inf about one time in ten."""
+    return st.integers(min_value=0, max_value=9).flatmap(
+        lambda k: finite if k else st.sampled_from([math.nan, math.inf, -math.inf]))
+
+
 @settings(max_examples=100, deadline=None)
 @given(command=st.sampled_from(["spectrum", "threshold"]),
        potential=st.sampled_from(["bump", "gauss", "well"]),
-       depth=_log_uniform(1e-30, 1e200), mass=_log_uniform(1e-6, 1e200),
-       radius=_log_uniform(1e-30, 1e30))
+       depth=_or_non_finite(_log_uniform(1e-30, 1e200)),
+       mass=_or_non_finite(_log_uniform(1e-6, 1e200)),
+       radius=_or_non_finite(_log_uniform(1e-30, 1e30)))
 def test_solve_fuzz_is_finite_or_one_line(command, potential, depth, mass, radius):
     # every accepted run reports a finite mu0 and residual (threshold: a, b
-    # and E(lambda) <= 0 too); every other run exits 1 or 2 with one line
+    # and E(lambda) <= 0 too); every other run, a non-finite input among
+    # them, exits 1 or 2 with one line.  "--depth=-inf" is one token, where
+    # argparse would take "-inf" alone for an option
     argv = [command, "--potential", potential, "--grid-n", "8", "--format", "json",
-            "--depth", repr(depth), "--mass", repr(mass), "--radius", repr(radius)]
+            f"--depth={depth!r}", f"--mass={mass!r}", f"--radius={radius!r}"]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)

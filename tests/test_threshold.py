@@ -23,7 +23,7 @@ from scipy.interpolate import CubicSpline
 from herbst import cli, spectral, threshold
 from herbst.fourierb import b_hat
 from herbst.kernel import PhysParams, _tail
-from herbst.specfun import QuadratureError, k0_weighted_integral, k1
+from herbst.specfun import EvaluationFailure, QuadratureError, k0_weighted_integral, k1
 from herbst.spectral import (QuadGrid, _reference_rule,
                              bump_potential,
                              leading_eigenpair, s_wave_reduce,
@@ -399,6 +399,37 @@ class TestDecay:
         rep = u_reconstruct(zero_overlap_state, np.geomspace(5.0, 50.0, 25))
         assert rep.gamma > 1.9
 
+    def test_bump_report_keeps_its_bits(self, state200):
+        # the overlap does not vanish, so every radius stands far above the
+        # rounding floor and the fit runs over all 25, as it always did
+        r_far = np.geomspace(5.0, 50.0, 25)
+        rep = u_reconstruct(state200, r_far)
+        assert (rep.gamma, rep.prefactor, rep.predicted_prefactor) == (
+            1.0000391377613451, 0.3456209524638129, 0.34561485711200113)
+        assert (rep.u_values[0], rep.u_values[12], rep.u_values[-1]) == (
+            0.06913811144370355, 0.02185860285205625, 0.006912297142240022)
+        assert rep.gamma == -float(np.polyfit(np.log(r_far),
+                                              np.log(np.abs(rep.u_values)), 1)[0])
+
+    def test_tuned_gamma_is_a_measurement(self):
+        # a fit out to 50 R took in u past r = 25 R, where it is rounding of
+        # the vanishing overlap term, and moved by up to 0.8 with the
+        # vector's last bits; the fit above the floor moves by 7e-8 here
+        _, tuned = tune_zero_overlap(QuadGrid.gauss_legendre(200, 1.0))
+        r_far = np.geomspace(5.0, 50.0, 25)
+        gamma = u_reconstruct(tuned, r_far).gamma
+        assert 1.9 < gamma < 12.0
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            v = tuned.vector * (1.0 + 1e-15 * rng.standard_normal(tuned.vector.size))
+            assert abs(u_reconstruct(replace(tuned, vector=v), r_far).gamma - gamma) <= 1e-6
+
+    def test_noise_alone_is_no_fit(self, zero_overlap_state):
+        with pytest.raises(EvaluationFailure,
+                           match=r"^decay fit of u at E = 0, m = 1\.0, R = 1\.0: .* at "
+                                 r"0 of 10 radii, and the fit needs 3$"):
+            u_reconstruct(zero_overlap_state, np.geomspace(20.0, 50.0, 10))
+
     def test_radii_must_be_outside_support(self, state200):
         with pytest.raises(ValueError):
             u_reconstruct(state200, [0.5, 5.0])
@@ -658,16 +689,17 @@ class TestTunedTwoWell:
     def test_frees_its_arrays_without_a_collection(self, monkeypatch):
         # brentq keeps the objective in a reference cycle, so with the cycle
         # collector off nothing the objective reaches may outlive the call:
-        # not the E = 0 kernel, nor the last state's arrays
+        # not the E = 0 kernel, which only the kernel cache may keep, nor
+        # the last state's arrays
         shared = []
-        kernel = threshold.green_kernel
+        kernel = threshold._shared_kernel
 
-        def recording(grid, p, table=None):
-            kappa = kernel(grid, p, table)
+        def recording(grid, p):
+            kappa = kernel(grid, p)
             shared.append(weakref.ref(kappa))
             return kappa
 
-        monkeypatch.setattr(threshold, "green_kernel", recording)
+        monkeypatch.setattr(threshold, "_shared_kernel", recording)
         grid = QuadGrid.gauss_legendre(150, 1.0)
         enabled = gc.isenabled()
         gc.disable()
@@ -676,6 +708,9 @@ class TestTunedTwoWell:
             refs = [weakref.ref(res.vector), weakref.ref(res.matrix), *shared]
             del pot, res
             assert len(refs) == 3
+            assert refs[2]() is not None and any(k is refs[2]() for k in
+                                                 spectral._kernels.values())
+            spectral._kernels.clear()
             assert [ref() for ref in refs] == [None] * 3
         finally:
             if enabled:
