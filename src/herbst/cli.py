@@ -1,7 +1,10 @@
 """Command-line interface: kernel tables, spectra, threshold analyses,
 verification suites, and envelope-bound checks, emitted as CSV or JSON.
 
-Exit codes: 0 success, 1 validation error, 2 numerical failure,
+Each command takes only the flags and ``--config`` keys it reads
+(``COMMAND_READS``), and its ``meta.config`` echoes those fields.
+
+Exit codes: 0 success, 1 validation or usage error, 2 numerical failure,
 3 verification-suite failure.
 """
 
@@ -13,7 +16,7 @@ import math
 import os
 import stat
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,12 +98,29 @@ class RunConfig:
             return truncated_gaussian_potential(self.depth, self.radius)
         if fam == "well":
             return square_well_potential(self.depth, self.radius)
-        # the file fixes both, and the solve runs over the table's support
-        for name in ("depth", "radius"):
-            if getattr(self, name) != 1.0:
-                raise ConfigError(f"--{name} {getattr(self, name)} does not apply to "
-                                  "a table potential: its file fixes depth and radius")
         return tabulated_potential(rest)
+
+
+# the flag of each RunConfig field, with its argparse options
+_FLAGS = {"potential": ("--potential", {"help": "bump|gauss|well|table:PATH"}),
+          "depth": ("--depth", {"type": float}), "radius": ("--radius", {"type": float}),
+          "mass": ("--mass", {"type": float}), "grid_n": ("--grid-n", {"type": int}),
+          "alpha_max": ("--alpha-max", {"type": float}),
+          "fmt": ("--format", {"choices": ("csv", "json")}),
+          "out": ("--out", {"metavar": "PATH"})}
+_GREEN_READS = ("radius", "mass", "alpha_max", "fmt", "out")
+_SOLVE_READS = ("potential", "depth", "radius", "mass", "grid_n", "fmt", "out")
+# the fields each command reads: they give its flags, the --config keys it
+# takes and its meta.config echo.  verify's report is always JSON
+COMMAND_READS = {"kernel": _GREEN_READS, "bound": _GREEN_READS,
+                 "spectrum": _SOLVE_READS, "threshold": _SOLVE_READS,
+                 "verify": ("out",)}
+
+
+def _reads(command: str, potential: object) -> tuple[str, ...]:
+    # a table: potential's file fixes depth and radius; the solve runs over its support
+    table = "potential" in COMMAND_READS[command] and str(potential).startswith("table:")
+    return tuple(f for f in COMMAND_READS[command] if not (table and f in ("depth", "radius")))
 
 
 def _num(x: float) -> str:
@@ -138,7 +158,8 @@ def _write(payload: str | dict, cfg: RunConfig) -> None:
 
 
 def _meta(cfg: RunConfig, command: str) -> dict:
-    return {"command": command, "version": __version__, "config": asdict(cfg)}
+    return {"command": command, "version": __version__, "config": {
+        f: getattr(cfg, f) for f in _reads(command.split()[0], cfg.potential)}}
 
 
 def _green_rows(cfg: RunConfig, r_max: float) -> list[tuple]:
@@ -381,64 +402,58 @@ def cmd_verify(suite: str, cfg: RunConfig) -> int:
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # one line and exit 1, where argparse prints its usage and exits 2;
+        # an unrecognized argument is quoted as given, line breaks and all
+        raise ConfigError(" ".join(message.splitlines()))
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="herbst",
-        description="Threshold analysis of the relativistic Herbst operator")
+    ap = _Parser(prog="herbst",
+                 description="Threshold analysis of the relativistic Herbst operator")
     sub = ap.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH",
+    for command, fields in COMMAND_READS.items():
+        sp = sub.add_parser(command)
+        sp.add_argument("--config", metavar="PATH",
                         help="JSON config file; flags override its values")
-    common.add_argument("--potential", help="bump|gauss|well|table:PATH")
-    common.add_argument("--depth", type=float)
-    common.add_argument("--radius", type=float)
-    common.add_argument("--mass", type=float)
-    common.add_argument("--grid-n", type=int, dest="grid_n")
-    common.add_argument("--alpha-max", type=float, dest="alpha_max")
-    common.add_argument("--format", choices=("csv", "json"), dest="fmt")
-    common.add_argument("--out", metavar="PATH")
-    for name in ("kernel", "spectrum", "threshold", "bound"):
-        sub.add_parser(name, parents=[common])
-    vp = sub.add_parser("verify", parents=[common])
-    vp.add_argument("suite", choices=VERIFY_SUITES)
+        for field in fields:
+            flag, options = _FLAGS[field]
+            sp.add_argument(flag, dest=field, **options)
+        if command == "verify":
+            sp.add_argument("suite", choices=VERIFY_SUITES)
     return ap
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
-    base: dict = {}
+    given: dict = {}
     if args.config:
         with open(args.config) as fh:
-            base = json.load(fh)
-        if not isinstance(base, dict):
+            given = json.load(fh)
+        if not isinstance(given, dict):
             raise ConfigError("config must be a JSON object")
-        unknown = set(base) - set(RunConfig.__dataclass_fields__)
+        unknown = set(given) - set(RunConfig.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    cfg = RunConfig(**base)
-    overrides = {k: v for k, v in vars(args).items()
-                 if k in RunConfig.__dataclass_fields__ and v is not None}
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    return cfg
+    given.update((k, v) for k, v in vars(args).items() if k in _FLAGS and v is not None)
+    reads = _reads(args.command, given.get("potential"))
+    for key, value in given.items():
+        if key not in reads:
+            why = (args.command if key not in COMMAND_READS[args.command] else
+                   "a table potential: its file fixes depth and radius")
+            raise ConfigError(f"{_FLAGS[key][0]} {value!r} does not apply to {why}")
+    return RunConfig(**given)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         cfg = _load_config(args)
-    except (ConfigError, ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
-        if args.command == "kernel":
-            return cmd_kernel(cfg)
-        if args.command == "spectrum":
-            return cmd_spectrum(cfg)
-        if args.command == "threshold":
-            return cmd_threshold(cfg)
-        if args.command == "bound":
-            return cmd_bound(cfg)
-        return cmd_verify(args.suite, cfg)
+        if args.command == "verify":
+            return cmd_verify(args.suite, cfg)
+        commands = {"kernel": cmd_kernel, "spectrum": cmd_spectrum,
+                    "threshold": cmd_threshold, "bound": cmd_bound}
+        return commands[args.command](cfg)
     except (EvaluationFailure, EigensolverError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

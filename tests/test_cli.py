@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -239,9 +240,16 @@ class TestVerifyCommand:
         out = tmp_path / "v.json"
         assert run_cli("verify", "specfun", "--out", str(out)) == EXIT_OK
 
-    def test_unknown_suite_rejected(self):
-        with pytest.raises(SystemExit):
-            run_cli("verify", "nonexistent")
+    def test_unknown_suite_rejected(self, capsys):
+        # argparse's usage errors, which exited 2 with a usage block, are one
+        # error line naming the input, with the validation exit code
+        for argv in (["verify", "nonexistent"], ["kernel", "--format", "xml"],
+                     ["spectrum", "--grid-n", "x"], ["kernel", "--bogus", "1"],
+                     ["kernel", "--bogus\nline"]):
+            assert run_cli(*argv) == EXIT_VALIDATION
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+            assert all(word in err for token in argv[1:] for word in token.split()), (argv, err)
 
     def test_failing_check_exits_3(self, tmp_path, monkeypatch):
         import herbst.cli as cli_mod
@@ -253,6 +261,77 @@ class TestVerifyCommand:
         assert run_cli("verify", "appendix_c",
                        "--out", str(out)) == EXIT_VERIFY_FAILED
         assert json.loads(out.read_text())["passed"] is False
+
+
+# the flags each command reads, beside --config and --help
+_GREEN_FLAGS = {"--radius", "--mass", "--alpha-max", "--format", "--out"}
+_SOLVE_FLAGS = {"--potential", "--depth", "--radius", "--mass", "--grid-n", "--format",
+                "--out"}
+_READS = {"kernel": _GREEN_FLAGS, "bound": _GREEN_FLAGS, "spectrum": _SOLVE_FLAGS,
+          "threshold": _SOLVE_FLAGS, "verify": {"--out"}}
+
+
+class TestCommandInputs:
+    """Each flag that every command once accepted, and each --config key,
+    changes what the command writes or is refused with one line."""
+
+    # each command, with the keys of its base run
+    BASE = {"kernel": (["kernel"], {"fmt": "json"}), "bound": (["bound"], {"fmt": "json"}),
+            "spectrum": (["spectrum"], {"fmt": "json", "grid_n": 8}),
+            "threshold": (["threshold"], {"fmt": "json", "grid_n": 8}),
+            "verify": (["verify", "appendix_c"], {})}
+    # key: (flag, a value that changes every output that reads it); --out's
+    # value is a file in the test's directory
+    CHANGES = {"potential": ("--potential", "gauss"), "depth": ("--depth", 2.0),
+               "radius": ("--radius", 2.0), "mass": ("--mass", 2.0),
+               "grid_n": ("--grid-n", 12), "alpha_max": ("--alpha-max", 0.1),
+               "fmt": ("--format", "csv"), "out": ("--out", None)}
+
+    @staticmethod
+    def written(argv, out):
+        """(exit code, (stdout, --out file), stderr), JSON without meta.config"""
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        texts = [stdout.getvalue(), out.read_text() if out.exists() else ""]
+        out.unlink(missing_ok=True)
+        for i, text in enumerate(texts):
+            with contextlib.suppress(ValueError):
+                doc = json.loads(text)
+                del doc["meta"]["config"]
+                texts[i] = json.dumps(doc, sort_keys=True)
+        return code, texts, stderr.getvalue()
+
+    @pytest.mark.parametrize("command", BASE)
+    def test_every_flag_and_key_changes_the_output_or_is_refused(self, tmp_path, command):
+        # the flag after the base run's flags, or the key in a --config file
+        # over the base run's keys
+        out, cfg = tmp_path / "out.txt", tmp_path / "cfg.json"
+        words, base = self.BASE[command]
+        flags = [tok for key, value in base.items() for tok in (self.CHANGES[key][0], str(value))]
+        code, before, _ = self.written([*words, *flags], out)
+        assert code == EXIT_OK
+        accepted = set()
+        for key, (flag, value) in self.CHANGES.items():
+            value = str(out) if value is None else value
+            cfg.write_text(json.dumps({**base, key: value}))
+            for argv in ([*words, *flags, flag, str(value)], [*words, "--config", str(cfg)]):
+                code, after, err = self.written(argv, out)
+                if code == EXIT_VALIDATION:
+                    assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+                    assert flag in err and str(value) in err, (argv, err)
+                else:
+                    assert code == EXIT_OK and after != before, (argv, code)
+                    accepted.add(flag)
+        assert accepted == _READS[command]
+
+    @pytest.mark.parametrize("command", BASE)
+    def test_help_lists_exactly_the_flags_read(self, command, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main([command, "--help"])
+        assert stop.value.code == 0
+        flags = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+        assert flags == {"--help", "--config", *_READS[command]}
 
 
 # modules no command needs at import, each loaded by the function that uses it
@@ -269,12 +348,13 @@ def _fresh_python(code):
 
 
 class TestWarmTables:
-    @pytest.mark.parametrize("argv", [["spectrum"], ["threshold"],
+    @pytest.mark.parametrize("argv", [["spectrum", "--format", "json"],
+                                      ["threshold", "--format", "json"],
                                       ["verify", "continuation"]])
     def test_repeat_in_one_process_is_a_fresh_process_byte_for_byte(self, argv, capsys):
         # the ring tables built by the first run serve the second: the JSON,
-        # meta included, is the bytes of a run in a new interpreter
-        argv = [*argv, "--format", "json"]
+        # meta included, is the bytes of a run in a new interpreter (verify's
+        # report is always JSON)
         fresh = _fresh_python("import sys\n"
                               "from herbst import cli\n"
                               f"sys.exit(cli.main({argv!r}))")
@@ -550,15 +630,23 @@ class TestConfigPlumbing:
         assert json.loads(out.read_text())["meta"]["mu0"] == want.mu0
 
     @pytest.mark.parametrize("command", ["spectrum", "threshold"])
-    @pytest.mark.parametrize("flag, value", [("--depth", "7"), ("--radius", "3")])
+    @pytest.mark.parametrize("flag, value", [("--depth", "7"), ("--radius", "3"),
+                                             ("--depth", "1"), ("--radius", "1"),
+                                             ("--depth", 1.0)])
     def test_table_potential_refuses_depth_and_radius(self, tmp_path, capsys,
                                                       command, flag, value):
-        # the file fixes both: a flag that would be ignored is one error line
+        # the file fixes both: the flag at any value, or its key in a --config
+        # file (a float value here), is one error line
         r = np.linspace(0.0, 1.0, 50)
         table = tmp_path / "pot.txt"
         np.savetxt(table, np.column_stack([r, -(1.0 - r) ** 2]))
+        given = [flag, value]
+        if isinstance(value, float):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({flag[2:]: value}))
+            given = ["--config", str(cfg)]
         assert run_cli(command, "--potential", f"table:{table}", "--grid-n", "8",
-                       flag, value) == EXIT_VALIDATION
+                       *given) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.startswith(f"error: {flag} {float(value)} ") and err.count("\n") == 1
 
@@ -585,21 +673,35 @@ def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-_CONFIGS = st.fixed_dictionaries(
-    {"grid_n": st.one_of(st.integers(min_value=4, max_value=16),
-                         st.integers(max_value=16),
-                         _JSON.filter(lambda v: type(v) is not int))},
-    optional={
-        "potential": _or_json(st.sampled_from(["bump", "gauss", "well", "table:",
-                                               "table:/no/such.csv", "cone"])),
-        "depth": _or_json(st.floats(min_value=0.0, max_value=1e3)),
-        "radius": _or_json(st.floats(min_value=1e-3, max_value=1e3)),
-        "mass": _or_json(st.floats(min_value=1e-3, max_value=1e3)),
-        "alpha_max": _or_json(st.floats(min_value=1e-3, max_value=2.0)),
-        "fmt": _or_json(st.sampled_from(["csv", "json"])),
-        # any JSON but a string, or a file name inside the fuzz directory
-        "out": st.one_of(st.sampled_from([None, "", "out.txt"]),
-                         _JSON.filter(lambda v: not isinstance(v, str)))})
+# the values drawn for each RunConfig key
+_VALUES = {
+    "grid_n": st.one_of(st.integers(min_value=4, max_value=16),
+                        st.integers(max_value=16),
+                        _JSON.filter(lambda v: type(v) is not int)),
+    "potential": _or_json(st.sampled_from(["bump", "gauss", "well", "table:",
+                                           "table:/no/such.csv", "cone"])),
+    "depth": _or_json(st.floats(min_value=0.0, max_value=1e3)),
+    "radius": _or_json(st.floats(min_value=1e-3, max_value=1e3)),
+    "mass": _or_json(st.floats(min_value=1e-3, max_value=1e3)),
+    "alpha_max": _or_json(st.floats(min_value=1e-3, max_value=2.0)),
+    "fmt": _or_json(st.sampled_from(["csv", "json"])),
+    # any JSON but a string, or a file name inside the fuzz directory
+    "out": st.one_of(st.sampled_from([None, "", "out.txt"]),
+                     _JSON.filter(lambda v: not isinstance(v, str)))}
+
+
+@st.composite
+def _configs(draw, reads, unread):
+    """(config, key): a config of the keys ``reads``, grid_n always (capped
+    at 16 so that no large solve starts) and each other one or not, and in
+    about one draw in four a key of ``unread`` (else key is None)."""
+    config = draw(st.fixed_dictionaries(
+        {k: _VALUES[k] for k in reads if k == "grid_n"},
+        optional={k: _VALUES[k] for k in reads if k != "grid_n"}))
+    key = draw(st.sampled_from(unread)) if draw(st.integers(0, 3)) == 0 else None
+    if key:
+        config[key] = draw(_VALUES[key])
+    return config, key
 
 
 def _run_config(fuzz_dir, config, command):
@@ -615,13 +717,22 @@ def _run_config(fuzz_dir, config, command):
     return code, out, err
 
 
+def _refused(code, err):
+    """A key the command does not read ends in exit 1 with one error line."""
+    lines = err.getvalue().splitlines()
+    return code == EXIT_VALIDATION and len(lines) == 1 and lines[0].startswith("error: ")
+
+
 @settings(max_examples=150, deadline=None)
-@given(config=_CONFIGS)
-def test_config_fuzz_ends_in_an_exit_code(fuzz_dir, config):
-    # every JSON value of every RunConfig key, grid_n capped at 16 so that
-    # no large solve starts: main returns 0-3, and a failure is one line
+@given(drawn=_configs(["grid_n", "potential", "depth", "radius", "mass", "fmt", "out"],
+                      ["alpha_max"]))
+def test_config_fuzz_ends_in_an_exit_code(fuzz_dir, drawn):
+    # every JSON value of every key spectrum reads: main returns 0-3, and a
+    # failure is one line; alpha_max, which it does not read, is refused
+    config, unread = drawn
     code, out, err = _run_config(fuzz_dir, config, ["spectrum"])
     assert code in (0, 1, 2, 3)
+    assert not unread or _refused(code, err), (config, code, err.getvalue())
     if code:
         lines = err.getvalue().splitlines()
         assert sum(line.startswith(("error:", "numerical failure:"))
@@ -634,12 +745,17 @@ def test_config_fuzz_ends_in_an_exit_code(fuzz_dir, config):
 
 
 @settings(max_examples=60, deadline=None)
-@given(config=_CONFIGS, suite=st.sampled_from([s for s in VERIFY_SUITES if s != "specfun"]))
-def test_verify_config_fuzz_is_finite_or_one_line(fuzz_dir, config, suite):
-    # the same configurations under verify, on every suite but specfun,
+@given(drawn=_configs(["out"], ["grid_n", "potential", "depth", "radius", "mass",
+                                "alpha_max", "fmt"]),
+       suite=st.sampled_from([s for s in VERIFY_SUITES if s != "specfun"]))
+def test_verify_config_fuzz_is_finite_or_one_line(fuzz_dir, drawn, suite):
+    # configs of out, the one key verify reads, on every suite but specfun,
     # which takes 0.8 s where the others take 0.1 s at most: exit 0 with
-    # every check passed and finite, or exit 1 or 2 with one line
+    # every check passed and finite, or exit 1 or 2 with one line; any
+    # other key is refused
+    config, unread = drawn
     code, out, err = _run_config(fuzz_dir, config, ["verify", suite])
+    assert not unread or _refused(code, err), (config, code, err.getvalue())
     if code:
         assert code in (EXIT_VALIDATION, EXIT_NUMERICAL), (config, code, err.getvalue())
         assert len(err.getvalue().splitlines()) == 1, err.getvalue()
@@ -647,6 +763,7 @@ def test_verify_config_fuzz_is_finite_or_one_line(fuzz_dir, config, suite):
     text = open(config["out"]).read() if config.get("out") else out.getvalue()
     report = json.loads(text)
     assert report["passed"] is True and report["meta"]["command"] == f"verify {suite}"
+    assert report["meta"]["config"] == {"out": config.get("out")}
     assert all(math.isfinite(check["residual"]) for check in report["data"]), report
 
 
